@@ -68,11 +68,15 @@ def full_join_results(query: Query, db: Database, fixed: Row | None = None) -> l
     return sorted(acc)
 
 
-def is_witness(query: Query, db: Database, witness: Witness) -> bool:
-    """True when the witness is a sub-database reproducing Q(D) exactly."""
+def is_witness(query: Query, db: Database, witness: Witness,
+               results: frozenset[Row] | None = None) -> bool:
+    """True when the witness is a sub-database reproducing Q(D) exactly.
+    `results` is Q(D) when the caller has already evaluated it."""
     for schema in query.relations:
         have = db.instances[schema.name]
         for row in witness.tuples.get(schema.name, frozenset()):
             if row not in have:
                 raise NotASubDatabase(schema.name, row)
-    return evaluate(query, witness.as_database()) == evaluate(query, db)
+    if results is None:
+        results = evaluate(query, db)
+    return evaluate(query, witness.as_database()) == results

@@ -68,6 +68,16 @@ class RaggedRow(WitnessLabError):
         self.line = line
 
 
+class MalformedCsv(WitnessLabError):
+    """The CSV reader rejected a file, e.g. a field over its size limit."""
+
+    def __init__(self, relation: str, line: int, reason: str):
+        super().__init__(f"line {line} of {relation!r} is not valid CSV: {reason}")
+        self.relation = relation
+        self.line = line
+        self.reason = reason
+
+
 class NotASubDatabase(WitnessLabError):
     """A candidate witness contains a tuple absent from the database."""
 
@@ -104,7 +114,7 @@ class InstanceTooLarge(WitnessLabError):
 
 class BudgetExhausted(WitnessLabError):
     def __init__(self, budget: int):
-        super().__init__(f"no witness within the size budget {budget}")
+        super().__init__(f"no witness within the search-node budget {budget}")
         self.budget = budget
 
 

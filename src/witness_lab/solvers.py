@@ -8,12 +8,17 @@ optimal on head-cluster queries and within a factor of twice the atom
 count under head domination.  A greedy cover loop handles queries with
 one non-output attribute, and the baseline unions one single-result
 witness per result row.
+
+Each subquery is joined once and the per-result choices are read off
+that one result set, as in Yannakakis, "Algorithms for acyclic database
+schemes" (VLDB 1981).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .densest import min_price_candidate
 from .engine import evaluate, full_join_results
@@ -30,13 +35,17 @@ class SolveReport:
     witness: Witness
     algorithm: str
     db_size: int
-    result_count: int
+    results: frozenset[Row] = field(repr=False)  # Q(D), kept for verification
     claimed_ratio_bound: Fraction | float | None
     rho_star: Fraction | None = None
 
     @property
     def witness_size(self) -> int:
         return self.witness.size
+
+    @property
+    def result_count(self) -> int:
+        return len(self.results)
 
     def to_json_dict(self) -> dict:
         bound: object
@@ -79,28 +88,44 @@ def _head_only_parts(query: Query, results: frozenset[Row]) -> dict[str, set[Row
     return parts
 
 
-def _component_walk(query: Query, db: Database, algorithm: str) -> Witness:
+def _add_cheapest_joins(parts: dict[str, set[Row]], query: Query, db: Database,
+                        wanted: Iterable[Row]) -> None:
+    """Add, for each wanted head row, the tuples of the lexicographically
+    smallest full join result projecting onto it.  One join serves every
+    row: walking the sorted output, the first row per projection is the
+    one `witness_for_result` would pick."""
+    cheapest: dict[Row, Row] = {}
+    for fj in full_join_results(query, db):
+        cheapest.setdefault(fj.project(query.head), fj)
+    for result in wanted:
+        fj = cheapest.get(result)
+        if fj is None:
+            raise ResultNotFound(result)
+        for schema in query.relations:
+            parts.setdefault(schema.name, set()).add(fj.project(schema.attributes))
+
+
+def _component_walk(query: Query, db: Database,
+                    algorithm: str) -> tuple[Witness, frozenset[Row]]:
+    """The witness and the Q(D) it was built from."""
     results = evaluate(query, db)
     parts: dict[str, set[Row]] = {}
     if results:
         parts = _head_only_parts(query, results)
         for comp in existential_components(query):
             sub = query.subquery(comp.output_attributes, comp.relations)
-            sub_db = db.restrict(comp.relations)
-            for projected in sorted({t.project(comp.output_attributes) for t in results}):
-                piece = witness_for_result(sub, sub_db, projected)
-                for name, rows in piece.tuples.items():
-                    parts.setdefault(name, set()).update(rows)
-    return Witness.build(query, parts, algorithm)
+            _add_cheapest_joins(parts, sub, db.restrict(comp.relations),
+                                {t.project(comp.output_attributes) for t in results})
+    return Witness.build(query, parts, algorithm), results
 
 
-def _report(query: Query, db: Database, witness: Witness,
+def _report(db: Database, witness: Witness, results: frozenset[Row],
             bound: Fraction | float | None, rho: Fraction | None = None) -> SolveReport:
     return SolveReport(
         witness=witness,
         algorithm=witness.algorithm,
         db_size=db.size,
-        result_count=len(evaluate(query, db)),
+        results=results,
         claimed_ratio_bound=bound,
         rho_star=rho,
     )
@@ -111,8 +136,8 @@ def solve_exact_head_cluster(query: Query, db: Database) -> SolveReport:
     dominated by each of its members."""
     if not has_head_cluster(query):
         raise PreconditionViolated("query is not head-cluster")
-    witness = _component_walk(query, db, "exact")
-    return _report(query, db, witness, Fraction(1))
+    witness, results = _component_walk(query, db, "exact")
+    return _report(db, witness, results, Fraction(1))
 
 
 def solve_approx_head_domination(query: Query, db: Database) -> SolveReport:
@@ -120,8 +145,8 @@ def solve_approx_head_domination(query: Query, db: Database) -> SolveReport:
     whose existential components all have a dominating relation."""
     if not has_head_domination(query):
         raise PreconditionViolated("query is not head-dominated")
-    witness = _component_walk(query, db, "approx")
-    return _report(query, db, witness, Fraction(2 * len(query.relations)))
+    witness, results = _component_walk(query, db, "approx")
+    return _report(db, witness, results, Fraction(2 * len(query.relations)))
 
 
 def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
@@ -151,7 +176,7 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
         covered |= best.new_results
     witness = Witness.build(query, parts, "greedy")
     bound = 1.0 + math.log(max(1, len(results)))
-    return _report(query, db, witness, bound)
+    return _report(db, witness, results, bound)
 
 
 def solve_baseline_union(query: Query, db: Database) -> SolveReport:
@@ -160,14 +185,11 @@ def solve_baseline_union(query: Query, db: Database) -> SolveReport:
     N ** (1 - 1/rho) for the fractional edge cover number rho."""
     results = evaluate(query, db)
     parts: dict[str, set[Row]] = {}
-    for t in sorted(results):
-        piece = witness_for_result(query, db, t)
-        for name, rows in piece.tuples.items():
-            parts.setdefault(name, set()).update(rows)
+    _add_cheapest_joins(parts, query, db, results)
     witness = Witness.build(query, parts, "baseline")
     rho = fractional_edge_cover(query)
     bound = float(db.size) ** float(1 - Fraction(1) / rho) if db.size else 0.0
-    return _report(query, db, witness, bound, rho)
+    return _report(db, witness, results, bound, rho)
 
 
 def remove_dangling(query: Query, db: Database) -> Database:

@@ -11,8 +11,8 @@ import csv
 from pathlib import Path
 from typing import Mapping
 
-from .errors import HeaderMismatch, MissingRelationFile, RaggedRow
-from .model import Database, Query, Row, Witness
+from .errors import HeaderMismatch, MalformedCsv, MissingRelationFile, RaggedRow
+from .model import Database, Query, RelationSchema, Row, Witness
 
 
 def load_database(query: Query, directory: str | Path) -> Database:
@@ -25,20 +25,27 @@ def load_database(query: Query, directory: str | Path) -> Database:
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise HeaderMismatch(schema.name, schema.attributes, ()) from None
-            if sorted(header) != sorted(schema.attributes):
-                raise HeaderMismatch(schema.name, schema.attributes, header)
-            rows = set()
-            for line_no, record in enumerate(reader, start=2):
-                if not record:
-                    continue  # blank line
-                if len(record) != len(header):
-                    raise RaggedRow(schema.name, line_no)
-                rows.add(Row.make(zip(header, record)))
-            instances[schema.name] = frozenset(rows)
+                instances[schema.name] = _read_rows(schema, reader)
+            except csv.Error as exc:
+                raise MalformedCsv(schema.name, reader.line_num, str(exc)) from None
     return Database(instances)
+
+
+def _read_rows(schema: RelationSchema, reader) -> frozenset[Row]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise HeaderMismatch(schema.name, schema.attributes, ()) from None
+    if sorted(header) != sorted(schema.attributes):
+        raise HeaderMismatch(schema.name, schema.attributes, header)
+    rows = set()
+    for line_no, record in enumerate(reader, start=2):
+        if not record:
+            continue  # blank line
+        if len(record) != len(header):
+            raise RaggedRow(schema.name, line_no)
+        rows.add(Row.make(zip(header, record)))
+    return frozenset(rows)
 
 
 def _write_relation(path: Path, attributes: tuple[str, ...], rows: frozenset[Row]) -> None:

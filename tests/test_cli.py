@@ -1,15 +1,19 @@
 """The command line front end, driven through main(argv)."""
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from witness_lab import cli, densest, dsf, engine, oracle, solvers
 from witness_lab.cli import main
 from witness_lab.engine import is_witness
+from witness_lab.generators import gen_random_db
 from witness_lab.model import Witness
 from witness_lab.qparser import parse_query
-from witness_lab.storage import load_database
+from witness_lab.storage import load_database, write_database
 
 from corpus import WORKED_OPTIMUM
 
@@ -106,6 +110,47 @@ def test_solve_oracle_budget_exits_4(capsys, data_dir):
     assert code == 4
 
 
+def test_solve_oversized_csv_field_is_input_error(capsys, tmp_path):
+    (tmp_path / "query.txt").write_text("Q(A) :- R(A, B)\n")
+    (tmp_path / "R.csv").write_text("A,B\na1,b1\na2," + "x" * 131073 + "\n")
+    code, out, err = run(capsys, "solve", str(tmp_path / "query.txt"), str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 3 of 'R' is not valid CSV")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("algo, text", [
+    ("exact", "Q(A, C) :- R1(A, B), R2(A, B), R3(C, D)"),
+    ("approx", "Q(A) :- R1(A, B), R2(B)"),
+    ("greedy", "Q(A, C) :- R1(A, B), R2(B, C)"),
+    ("baseline", "Q(A, D) :- R1(A, B), R2(B, C), R3(C, D)"),
+])
+def test_solve_evaluates_once_over_db_and_once_over_witness(capsys, tmp_path, monkeypatch,
+                                                            algo, text):
+    query = parse_query(text)
+    db = gen_random_db(query, 12, 4, seed=3).database
+    write_database(query, db, tmp_path)
+    (tmp_path / "query.txt").write_text(text + "\n")
+    evaluated = []
+    original = engine.evaluate
+
+    def counting(q, d):
+        evaluated.append(d)
+        return original(q, d)
+
+    for module in (cli, densest, dsf, engine, oracle, solvers):
+        monkeypatch.setattr(module, "evaluate", counting)
+    code, out, _ = run(capsys, "solve", str(tmp_path / "query.txt"), str(tmp_path),
+                       "--algo", algo)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["report"]["algorithm"] == algo
+    assert doc["report"]["result_count"] > 0
+    assert len(evaluated) == 2
+    assert evaluated[0] == db
+
+
 def test_generate_cover_writes_standard_layout(capsys, tmp_path):
     out = tmp_path / "inst"
     code, stdout, _ = run(capsys, "generate", "cover", "--out", str(out),
@@ -199,7 +244,11 @@ def test_export_dsf_rejects_branching_query(capsys, data_dir):
 
 def test_module_entry_point_smoke(data_dir):
     qpath, _ = worked_paths(data_dir)
+    # the child imports the same witness_lab as this process, installed or not
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "witness_lab", "classify", qpath],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["label"] == "LogHard"

@@ -51,7 +51,7 @@ def test_cap_refuses_large_databases():
 
 def test_budget_limits_search_nodes():
     query, db = worked_example()
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted, match="search-node budget 0"):
         brute_force_swp(query, db, budget=0)
     assert brute_force_swp(query, db, budget=100_000).size == WORKED_OPTIMUM
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from witness_lab.engine import evaluate, is_witness
+from witness_lab.engine import evaluate, full_join_results, is_witness
 from witness_lab.errors import PreconditionViolated, ResultNotFound
 from witness_lab.model import Database, Row, Witness
 from witness_lab.oracle import brute_force_swp
@@ -18,6 +18,7 @@ from witness_lab.solvers import (
     solve_greedy_single_nonoutput,
     witness_for_result,
 )
+from witness_lab.structure import existential_components
 
 from corpus import (
     WORKED_SINGLE_RESULT,
@@ -28,6 +29,7 @@ from corpus import (
     random_db,
     random_head_cluster_query,
     random_head_domination_query,
+    random_query,
     random_single_nonoutput_query,
 )
 
@@ -159,6 +161,60 @@ def test_baseline_handles_empty_results():
     assert report.witness_size == 0
     assert report.result_count == 0
     assert is_witness(query, db, report.witness)
+
+
+def smallest_join_per_result(parts, query, db, wanted):
+    """Reference tie-break: for each wanted head row, the minimum of the
+    unfixed full join rows projecting onto it.  Returns how many rows had
+    more than one candidate."""
+    rows = full_join_results(query, db)
+    ties = 0
+    for result in wanted:
+        candidates = [fj for fj in rows if fj.project(query.head) == result]
+        ties += len(candidates) > 1
+        best = min(candidates)
+        for schema in query.relations:
+            parts.setdefault(schema.name, set()).add(best.project(schema.attributes))
+    return ties
+
+
+def reference_component_walk(query, db):
+    results = evaluate(query, db)
+    parts, ties = {}, 0
+    if results:
+        for schema in query.relations:
+            if schema.attribute_set <= query.head_set:
+                parts[schema.name] = {t.project(schema.attributes) for t in results}
+        for comp in existential_components(query):
+            sub = query.subquery(comp.output_attributes, comp.relations)
+            ties += smallest_join_per_result(
+                parts, sub, db.restrict(comp.relations),
+                {t.project(comp.output_attributes) for t in results})
+    return parts, ties
+
+
+def reference_baseline(query, db):
+    parts = {}
+    ties = smallest_join_per_result(parts, query, db, evaluate(query, db))
+    return parts, ties
+
+
+@pytest.mark.parametrize("make_query, solve, reference", [
+    (random_head_cluster_query, solve_exact_head_cluster, reference_component_walk),
+    (random_head_domination_query, solve_approx_head_domination, reference_component_walk),
+    (random_query, solve_baseline_union, reference_baseline),
+])
+def test_witness_is_smallest_full_join_per_result(make_query, solve, reference):
+    rng = random.Random(505)
+    tied = 0
+    for _ in range(80):
+        query = make_query(rng)
+        db = random_db(query, rng, max_rows=6, domain=3)
+        report = solve(query, db)
+        parts, ties = reference(query, db)
+        assert report.witness.tuples == Witness.build(query, parts, "reference").tuples
+        tied += ties > 0
+    assert tied >= 10  # the tie-break decided the witness on many instances
 
 
 def test_report_json_renders_fractions_as_strings():
