@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping
 
 from .engine import evaluate
 from .errors import EmptyEdgeSet, InternalInconsistency, PreconditionViolated
@@ -304,24 +304,3 @@ def min_price_candidate(query: Query, db: Database, b_value: str,
     return PricedCandidate(b_value, {k: frozenset(v) for k, v in parts.items()},
                            new_results, price)
 
-
-# --- debugging ------------------------------------------------------------
-
-def density_network_dot(edges: Mapping[frozenset, int], g: Fraction) -> str:
-    """The decision network for guess g, as DOT text."""
-    core = _DensityCore(edges)
-    p, q = g.numerator, g.denominator
-    lines = ["digraph density_check {", '  source [shape=box];', '  sink [shape=box];']
-    for i, (edge, w) in enumerate(core.edges):
-        lines.append(f'  e{i} [label="w={w}"];')
-        lines.append(f'  source -> e{i} [label="{w * q}"];')
-        for v in sorted(map(repr, edge)):
-            lines.append(f'  e{i} -> {_dot_id(v)} [label="inf"];')
-    for v in core.vertices:
-        lines.append(f'  {_dot_id(repr(v))} -> sink [label="{p}"];')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _dot_id(text: str) -> str:
-    return '"' + text.replace('"', "'") + '"'

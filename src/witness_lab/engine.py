@@ -2,7 +2,8 @@
 
 Evaluation runs left-to-right hash joins over the body atoms, projecting
 eagerly onto the attributes still needed (the head plus anything a later
-atom mentions).  Set semantics throughout.
+atom mentions).  Q(D) and the full join results come from the same
+loop, differing only in what each step keeps.  Set semantics throughout.
 """
 from __future__ import annotations
 
@@ -36,9 +37,9 @@ def _needed_after(query: Query, extra: frozenset[str]) -> list[frozenset[str]]:
     return needed
 
 
-def evaluate(query: Query, db: Database) -> frozenset[Row]:
-    """The result set Q(D): rows over the head attributes."""
-    needed = _needed_after(query, query.head_set)
+def _join(query: Query, db: Database, needed: list[frozenset[str]]) -> set[Row]:
+    """The one join loop: after atom i only attributes in needed[i] are
+    kept.  Stops early once the accumulator is empty."""
     acc: set[Row] = {Row(())}
     acc_attrs: frozenset[str] = frozenset()
     for i, schema in enumerate(query.relations):
@@ -47,25 +48,19 @@ def evaluate(query: Query, db: Database) -> frozenset[Row]:
                          schema.attribute_set, keep)
         acc_attrs = keep
         if not acc:
-            return frozenset()
-    return frozenset(row.project(query.head) for row in acc)
+            break
+    return acc
 
 
-def full_join_results(query: Query, db: Database, fixed: Row | None = None) -> list[Row]:
-    """All full join results (rows over every attribute), optionally only
-    those agreeing with a partial assignment `fixed`."""
-    all_attrs = frozenset(query.attributes)
-    acc: set[Row] = {Row(())}
-    acc_attrs: frozenset[str] = frozenset()
-    for schema in query.relations:
-        rows = db.instances[schema.name]
-        if fixed is not None:
-            rows = [r for r in rows if fixed.agrees_with(r.project(fixed.attributes))]
-        acc = _hash_join(acc, acc_attrs, rows, schema.attribute_set, all_attrs)
-        if not acc:
-            return []
-        acc_attrs = acc_attrs | schema.attribute_set
-    return sorted(acc)
+def evaluate(query: Query, db: Database) -> frozenset[Row]:
+    """The result set Q(D): rows over the head attributes."""
+    return frozenset(_join(query, db, _needed_after(query, query.head_set)))
+
+
+def full_join_results(query: Query, db: Database) -> list[Row]:
+    """All full join results (rows over every attribute), sorted."""
+    every = frozenset(query.attributes)
+    return sorted(_join(query, db, [every] * len(query.relations)))
 
 
 def is_witness(query: Query, db: Database, witness: Witness,

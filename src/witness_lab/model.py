@@ -51,10 +51,6 @@ class Row:
         merged.update(other.items)
         return Row.make(merged)
 
-    def agrees_with(self, other: "Row") -> bool:
-        om = other._map
-        return all(om.get(a, v) == v for a, v in self.items)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{a}={v}" for a, v in self.items)
         return f"Row({inner})"

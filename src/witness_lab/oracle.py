@@ -11,7 +11,7 @@ are solved independently and their minima summed.
 """
 from __future__ import annotations
 
-from .engine import evaluate, full_join_results
+from .engine import full_join_results
 from .errors import BudgetExhausted, InstanceTooLarge
 from .model import Database, Query, Row, Witness
 from .structure import build_graphs
@@ -30,11 +30,10 @@ class _Budget:
             raise BudgetExhausted(self.limit)
 
 
-def _solve_connected(query: Query, db: Database, budget: _Budget) -> dict[str, set[Row]]:
-    results = sorted(evaluate(query, db))
-    if not results:
-        return {}
-    full = full_join_results(query, db)
+def _solve_connected(query: Query, full: list[Row], budget: _Budget) -> dict[str, set[Row]]:
+    """Minimum witness of one connected query from its full join results."""
+    head = sorted(query.head_set)
+    results = sorted({fj.project(head) for fj in full})
 
     tuple_ids: dict[tuple[str, Row], int] = {}
     for fj in full:
@@ -50,7 +49,6 @@ def _solve_connected(query: Query, db: Database, budget: _Budget) -> dict[str, s
             mask |= 1 << tuple_ids[(schema.name, fj.project(schema.attributes))]
         return mask
 
-    head = sorted(query.head_set)
     supports: list[list[int]] = [[] for _ in results]
     position = {t: i for i, t in enumerate(results)}
     for fj in full:
@@ -151,15 +149,20 @@ def brute_force_swp(query: Query, db: Database,
     larger than `cap` tuples; `budget` limits explored search nodes."""
     if db.size > cap:
         raise InstanceTooLarge(db.size, cap)
-    if not evaluate(query, db):
-        return Witness.build(query, {}, "oracle")
-    meter = _Budget(budget)
-    parts: dict[str, set[Row]] = {}
+    pieces: list[tuple[Query, list[Row]]] = []
     for component in build_graphs(query).relation_graph.components():
         names = sorted(component)
         head = [a for a in query.head
                 if any(a in query.schema(n).attribute_set for n in names)]
-        piece = _solve_connected(query.subquery(head, names), db.restrict(names), meter)
+        sub = query.subquery(head, names)
+        full = full_join_results(sub, db.restrict(names))
+        if not full:  # Q(D) is empty: the empty database is the witness
+            return Witness.build(query, {}, "oracle")
+        pieces.append((sub, full))
+    meter = _Budget(budget)
+    parts: dict[str, set[Row]] = {}
+    for sub, full in pieces:
+        piece = _solve_connected(sub, full, meter)
         for name, rows in piece.items():
             parts.setdefault(name, set()).update(rows)
     return Witness.build(query, parts, "oracle")

@@ -33,11 +33,14 @@ class SolveReport:
     """A witness plus the context needed to judge it."""
 
     witness: Witness
-    algorithm: str
     db_size: int
     results: frozenset[Row] = field(repr=False)  # Q(D), kept for verification
     claimed_ratio_bound: Fraction | float | None
     rho_star: Fraction | None = None
+
+    @property
+    def algorithm(self) -> str:
+        return self.witness.algorithm
 
     @property
     def witness_size(self) -> int:
@@ -70,11 +73,8 @@ def witness_for_result(query: Query, db: Database, result: Row) -> Witness:
     lexicographically smallest full join result projecting onto it."""
     if set(result.attributes) != query.head_set:
         raise ValueError(f"{result} is not a row over the head attributes")
-    matches = full_join_results(query, db, fixed=result)
-    if not matches:
-        raise ResultNotFound(result)
-    best = matches[0]
-    parts = {r.name: [best.project(r.attributes)] for r in query.relations}
+    parts: dict[str, set[Row]] = {}
+    _add_cheapest_joins(parts, query, db, [result])
     return Witness.build(query, parts, "single_result")
 
 
@@ -93,7 +93,7 @@ def _add_cheapest_joins(parts: dict[str, set[Row]], query: Query, db: Database,
     """Add, for each wanted head row, the tuples of the lexicographically
     smallest full join result projecting onto it.  One join serves every
     row: walking the sorted output, the first row per projection is the
-    one `witness_for_result` would pick."""
+    smallest."""
     cheapest: dict[Row, Row] = {}
     for fj in full_join_results(query, db):
         cheapest.setdefault(fj.project(query.head), fj)
@@ -123,7 +123,6 @@ def _report(db: Database, witness: Witness, results: frozenset[Row],
             bound: Fraction | float | None, rho: Fraction | None = None) -> SolveReport:
     return SolveReport(
         witness=witness,
-        algorithm=witness.algorithm,
         db_size=db.size,
         results=results,
         claimed_ratio_bound=bound,

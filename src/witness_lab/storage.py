@@ -39,11 +39,11 @@ def _read_rows(schema: RelationSchema, reader) -> frozenset[Row]:
     if sorted(header) != sorted(schema.attributes):
         raise HeaderMismatch(schema.name, schema.attributes, header)
     rows = set()
-    for line_no, record in enumerate(reader, start=2):
+    for record in reader:
         if not record:
             continue  # blank line
         if len(record) != len(header):
-            raise RaggedRow(schema.name, line_no)
+            raise RaggedRow(schema.name, reader.line_num)
         rows.add(Row.make(zip(header, record)))
     return frozenset(rows)
 

@@ -121,12 +121,6 @@ class JoinTree:
     def parent_of(self) -> dict[str, str]:
         return dict(self.parents)
 
-    def children_of(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for child, parent in self.parents:
-            out.setdefault(parent, []).append(child)
-        return out
-
 
 def _gyo_tree(atoms: dict[str, frozenset[str]]) -> JoinTree | None:
     """Ear removal on a named hypergraph.  An atom is an ear when every

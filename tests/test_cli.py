@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from witness_lab import cli, densest, dsf, engine, oracle, solvers
+from witness_lab import cli, densest, dsf, engine, solvers
 from witness_lab.cli import main
 from witness_lab.engine import is_witness
 from witness_lab.generators import gen_random_db
@@ -125,6 +125,7 @@ def test_solve_oversized_csv_field_is_input_error(capsys, tmp_path):
     ("approx", "Q(A) :- R1(A, B), R2(B)"),
     ("greedy", "Q(A, C) :- R1(A, B), R2(B, C)"),
     ("baseline", "Q(A, D) :- R1(A, B), R2(B, C), R3(C, D)"),
+    ("oracle", "Q(A, C) :- R1(A, B), R2(B, C)"),
 ])
 def test_solve_evaluates_once_over_db_and_once_over_witness(capsys, tmp_path, monkeypatch,
                                                             algo, text):
@@ -139,7 +140,7 @@ def test_solve_evaluates_once_over_db_and_once_over_witness(capsys, tmp_path, mo
         evaluated.append(d)
         return original(q, d)
 
-    for module in (cli, densest, dsf, engine, oracle, solvers):
+    for module in (cli, densest, dsf, engine, solvers):
         monkeypatch.setattr(module, "evaluate", counting)
     code, out, _ = run(capsys, "solve", str(tmp_path / "query.txt"), str(tmp_path),
                        "--algo", algo)

@@ -10,7 +10,6 @@ from witness_lab.densest import (
     HypergraphDensityInstance,
     densest_bipartite,
     densest_hypergraph,
-    density_network_dot,
     min_price_candidate,
 )
 from witness_lab.engine import evaluate
@@ -196,10 +195,3 @@ def test_merging_selections_never_beats_the_better_half():
             assert not finite
         else:
             assert finite and min(finite) <= merged
-
-
-def test_dot_export_mentions_every_edge():
-    edges = {frozenset({"u", "v"}): 2, frozenset({"v", "w"}): 1}
-    text = density_network_dot(edges, Fraction(1, 2))
-    assert text.startswith("digraph")
-    assert text.count("w=") == 2

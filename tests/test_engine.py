@@ -5,7 +5,7 @@ import pytest
 
 from witness_lab.engine import evaluate, full_join_results, is_witness
 from witness_lab.errors import NotASubDatabase
-from witness_lab.model import Database, Row, Witness
+from witness_lab.model import Database, Query, Row, Witness
 from witness_lab.qparser import parse_query
 
 from corpus import (
@@ -53,7 +53,11 @@ def test_matches_reference_on_random_queries():
     for _ in range(150):
         query = random_query(rng)
         db = random_db(query, rng, max_rows=4)
-        assert rows_to_tuples(query, evaluate(query, db)) == naive_evaluate(query, db)
+        results = evaluate(query, db)
+        assert rows_to_tuples(query, results) == naive_evaluate(query, db)
+        assert all(set(row.attributes) == query.head_set for row in results)
+        full = Query(query.attributes, query.relations)
+        assert rows_to_tuples(full, full_join_results(query, db)) == naive_evaluate(full, db)
 
 
 def test_full_join_binds_every_attribute():
@@ -64,17 +68,6 @@ def test_full_join_binds_every_attribute():
         assert set(row.attributes) == set(query.attributes)
         for schema in query.relations:
             assert row.project(schema.attributes) in db.instances[schema.name]
-
-
-def test_full_join_fixed_restricts_to_one_result():
-    query, db = worked_example()
-    fixed = Row.make({"A": "a1", "C": "c1", "F": "f1"})
-    rows = full_join_results(query, db, fixed=fixed)
-    assert rows
-    for row in rows:
-        assert row.project(query.head) == fixed
-    assert full_join_results(query, db, fixed=Row.make(
-        {"A": "a1", "C": "c2", "F": "f1"})) == []
 
 
 def test_is_witness_accepts_single_result_cover():

@@ -37,12 +37,6 @@ def test_row_merge_right_wins():
     assert left.merge(right) == Row.make({"A": "1", "B": "9", "C": "3"})
 
 
-def test_row_agrees_with_checks_shared_attributes_only():
-    row = Row.make({"A": "1", "B": "2"})
-    assert row.agrees_with(Row.make({"B": "2", "C": "7"}))
-    assert not row.agrees_with(Row.make({"B": "3"}))
-
-
 @given(st.dictionaries(names, values, min_size=1, max_size=5))
 def test_row_make_is_canonical(mapping):
     shuffled = sorted(mapping.items(), reverse=True)

@@ -74,6 +74,7 @@ def test_disconnected_with_one_empty_component():
     db = Database.build(query, {"R1": [{"A": "a", "B": "b"}]})  # R2 empty
     assert evaluate(query, db) == frozenset()
     assert brute_force_swp(query, db).size == 0
+    assert brute_force_swp(query, db, budget=0).size == 0  # no search node spent
 
 
 def test_matches_subset_enumeration_on_tiny_instances():

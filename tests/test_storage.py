@@ -68,10 +68,12 @@ def test_load_header_mismatch(tmp_path):
 
 def test_load_ragged_row_reports_line(tmp_path):
     query = parse_query("Q(A) :- R(A, B)")
-    (tmp_path / "R.csv").write_text("A,B\na1,b1\na2\n")
-    with pytest.raises(RaggedRow) as err:
-        load_database(query, tmp_path)
-    assert "line 3" in str(err.value)
+    # The second file's quoted field spans two physical lines.
+    for text, line in (("A,B\na1,b1\na2\n", 3), ('A,B\n"a\n1",b1\na2\n', 4)):
+        (tmp_path / "R.csv").write_text(text)
+        with pytest.raises(RaggedRow) as err:
+            load_database(query, tmp_path)
+        assert f"line {line}" in str(err.value)
 
 
 def test_write_witness_mirrors_layout(tmp_path):
