@@ -12,6 +12,7 @@ single JSON document; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -208,7 +209,9 @@ def cmd_export_dsf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parsing does not modify the parser."""
     parser = argparse.ArgumentParser(prog="witness-lab",
                                      description="smallest witness toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

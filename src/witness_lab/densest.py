@@ -3,22 +3,26 @@
 Density of a vertex set S is the total weight of (hyper)edges falling
 inside S divided by |S|.  For a guessed density g = p/q the flow network
 has source -> edge-node (weight * q), edge-node -> each endpoint
-(infinite), vertex -> sink (p).  Some S beats g exactly when the minimum
-cut is smaller than q times the total edge weight, so the optimum is
-found by a monotone search over the finite grid of candidate densities
-p/q with q at most the vertex count.  The guess is scaled to integers,
-which keeps max-flow values exact.
+(infinite), vertex -> sink (p).  The source side of the minimal minimum
+cut is the smallest set maximising q*weight(S) - p*|S|, which is
+nonempty exactly when some set is denser than g.  The guess is scaled to
+integers, which keeps max-flow values exact.
 
-The returned set is the lexicographically smallest optimal one: a first
-min-cut just below the optimum yields the union of all optimal sets, and
-a greedy scan with forced/banned vertices shrinks it.
+The optimum comes from Dinkelbach's iteration (Management Science,
+1967): start at the density of the whole vertex set and move g to the
+density of the cut set until the cut set is empty.  Each step strictly
+raises g, and only a few steps are needed in practice.
+
+The returned set is the lexicographically smallest optimal one.  One
+more cut, just below the optimum, yields the union of all optimal sets;
+every optimal set lies inside it, so the answer is the shortest prefix of
+the sorted union that reaches the optimal density.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping
+from typing import Mapping
 
 from .engine import evaluate
 from .errors import EmptyEdgeSet, InternalInconsistency, PreconditionViolated
@@ -84,7 +88,6 @@ class _Dinic:
         return seen
 
 
-Vertex = Hashable
 _WeightedEdge = tuple[frozenset, int]
 
 
@@ -100,91 +103,75 @@ class _DensityCore:
         self.edges: list[_WeightedEdge] = sorted(edges.items(), key=lambda e: sorted(map(repr, e[0])))
         self.vertices: list = sorted(set().union(*edges))
         self.total_weight = sum(w for _, w in self.edges)
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.first_vertex = 2 + len(self.edges)  # network node of vertices[0]
 
-    def _network(self, g: Fraction, forced: frozenset, banned: frozenset):
-        active = [(e, w) for e, w in self.edges if not (e & banned)]
-        nodes = sorted((set().union(*(e for e, _ in active)) if active else set()) | set(forced))
-        index = {v: i for i, v in enumerate(nodes)}
+    def _network(self, g: Fraction):
         p, q = g.numerator, g.denominator
-        total = sum(w for _, w in active)
-        infinite = q * total + p * len(nodes) + 1
-        dinic = _Dinic(2 + len(active) + len(nodes))
+        infinite = q * self.total_weight + p * len(self.vertices) + 1
+        dinic = _Dinic(2 + len(self.edges) + len(self.vertices))
         source, sink = 0, 1
-        for i, (edge, w) in enumerate(active):
+        for i, (edge, w) in enumerate(self.edges):
             dinic.add_edge(source, 2 + i, w * q)
             for v in edge:
-                dinic.add_edge(2 + i, 2 + len(active) + index[v], infinite)
-        for v in nodes:
-            dinic.add_edge(2 + len(active) + index[v], sink, p)
-        for v in forced:
-            dinic.add_edge(source, 2 + len(active) + index[v], infinite)
-        return dinic, active, nodes, q * total
+                dinic.add_edge(2 + i, self.first_vertex + self.index[v], infinite)
+        for i in range(len(self.vertices)):
+            dinic.add_edge(self.first_vertex + i, sink, p)
+        return dinic
 
-    def best_value(self, g: Fraction, forced: frozenset = frozenset(),
-                   banned: frozenset = frozenset()) -> int:
-        """max over allowed S of q*weight(S) - p*|S|, as a scaled integer."""
-        dinic, _, _, offset = self._network(g, forced, banned)
-        return offset - dinic.max_flow(0, 1)
+    def best_value(self, g: Fraction) -> int:
+        """max over S of q*weight(S) - p*|S|, as a scaled integer."""
+        return g.denominator * self.total_weight - self._network(g).max_flow(0, 1)
 
     def cut_set(self, g: Fraction) -> frozenset:
-        """Vertices on the source side of the (here unique) minimum cut."""
-        dinic, active, nodes, _ = self._network(g, frozenset(), frozenset())
+        """Vertices on the source side of the minimal minimum cut: the
+        smallest maximiser of weight(S) - g*|S|."""
+        dinic = self._network(g)
         dinic.max_flow(0, 1)
         reach = dinic.residual_reachable(0)
-        return frozenset(v for i, v in enumerate(nodes) if 2 + len(active) + i in reach)
+        return frozenset(v for i, v in enumerate(self.vertices) if self.first_vertex + i in reach)
 
-    def inside_weight(self, subset: frozenset) -> int:
-        return sum(w for e, w in self.edges if e <= subset)
+    def density(self, subset: frozenset) -> Fraction:
+        return Fraction(sum(w for e, w in self.edges if e <= subset), len(subset))
 
 
 def _max_density_set(edges: Mapping[frozenset, int]) -> tuple[frozenset, Fraction]:
     core = _DensityCore(edges)
     n_vertices = len(core.vertices)
-    grid = sorted({Fraction(p, q)
-                   for q in range(1, n_vertices + 1)
-                   for p in range(0, core.total_weight + 1)})
-    lo, hi = 0, len(grid) - 1  # decision(grid[0]=0) is true, decision(max) is false
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if core.best_value(grid[mid]) > 0:
-            lo = mid
-        else:
-            hi = mid
-    density = grid[hi] if core.best_value(grid[lo]) > 0 else grid[lo]
+
+    # Dinkelbach: each nonempty maximiser at g is strictly denser than g.
+    density = Fraction(core.total_weight, n_vertices)
+    while improving := core.cut_set(density):
+        density, previous = core.density(improving), density
+        if density <= previous:
+            raise InternalInconsistency(f"maximiser at {previous} is no denser")
     if core.best_value(density) > 0:
         raise InternalInconsistency("density search did not converge")
 
-    # Union of all optimal sets: unique min cut just below the optimum.
-    below = grid[grid.index(density) - 1]
-    union = core.cut_set(below)
+    # Union of all optimal sets: distinct densities with denominators at
+    # most n differ by at least 1/n^2, so below the optimum by half that
+    # every non-optimal set scores negative and the largest optimal set,
+    # the union, is the unique maximiser.
+    union = core.cut_set(density - Fraction(1, 2 * n_vertices * n_vertices))
     if not union:
         raise InternalInconsistency("empty maximiser below the optimal density")
 
-    # Lexicographically smallest optimal subset of the union.
-    excluded = frozenset(core.vertices) - union
-    chosen: list = []
-    while True:
-        if chosen:
-            inside = core.inside_weight(frozenset(chosen))
-            if inside * density.denominator == density.numerator * len(chosen):
-                break
-        progressed = False
-        for v in sorted(union - excluded - set(chosen)):
-            if chosen and not (v > chosen[-1]):
-                continue
-            skipped = frozenset(w for w in union
-                                if w not in chosen and w not in excluded and w < v)
-            trial = excluded | skipped
-            if core.best_value(density, forced=frozenset(chosen) | {v}, banned=trial) >= 0:
-                chosen.append(v)
-                excluded = trial
-                progressed = True
-                break
-        if not progressed:
-            raise InternalInconsistency("lexicographic extraction stalled")
-
-    subset = frozenset(chosen)
-    achieved = Fraction(core.inside_weight(subset), len(subset))
+    # Every optimal set lies inside the union, so the lexicographically
+    # smallest one is its shortest optimal prefix in sorted order.  An
+    # edge falls inside a prefix once the prefix reaches its largest vertex.
+    ordered = sorted(union)
+    position = {v: i for i, v in enumerate(ordered)}
+    weight_closed_at = [0] * len(ordered)
+    for edge, w in core.edges:
+        if edge <= union:
+            weight_closed_at[max(position[v] for v in edge)] += w
+    inside = 0
+    for size, closed in enumerate(weight_closed_at, start=1):
+        inside += closed
+        if inside * density.denominator == density.numerator * size:
+            break
+    subset = frozenset(ordered[:size])
+    achieved = core.density(subset)
     if achieved != density:
         raise InternalInconsistency(f"returned set achieves {achieved}, search said {density}")
     return subset, density

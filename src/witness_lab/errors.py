@@ -69,7 +69,8 @@ class RaggedRow(WitnessLabError):
 
 
 class MalformedCsv(WitnessLabError):
-    """The CSV reader rejected a file, e.g. a field over its size limit."""
+    """The CSV reader rejected a file, e.g. a field over its size limit or
+    bytes that are not UTF-8."""
 
     def __init__(self, relation: str, line: int, reason: str):
         super().__init__(f"line {line} of {relation!r} is not valid CSV: {reason}")

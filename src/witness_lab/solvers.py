@@ -15,6 +15,7 @@ schemes" (VLDB 1981).
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -152,7 +153,11 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
     """Price-driven cover for queries with exactly one non-output
     attribute.  Repeatedly buys the globally cheapest tuple selection at
     a single join value (ties to the smallest value) until every result
-    is reproduced.  Logarithmic approximation in the result count."""
+    is reproduced.  Logarithmic approximation in the result count.
+
+    Pricing is lazy (Minoux, 1978): covering more results never lowers a
+    value's price, so a heap of possibly stale prices is re-priced only
+    at its top, until the top entry was priced in the current round."""
     if len(query.non_output) != 1:
         raise PreconditionViolated("query must have exactly one non-output attribute")
     b_attr = query.non_output[0]
@@ -161,18 +166,29 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
     b_values = sorted({row[b_attr]
                        for schema in query.relations if b_attr in schema.attribute_set
                        for row in db.instances[schema.name]})
+    # (price bound, value, round priced in, candidate); a value appears once,
+    # so entries never compare beyond the value.
+    heap: list = [(0, b_value, -1, None) for b_value in b_values]
     covered: frozenset[Row] = frozenset()
+    round_no = 0
     while covered != results:
-        best = None
-        for b_value in b_values:
+        while heap and heap[0][2] != round_no:
+            stale_price, b_value, _, _ = heap[0]
             candidate = min_price_candidate(query, db, b_value, covered, results)
-            if candidate is not None and (best is None or candidate.price < best.price):
-                best = candidate
-        if best is None:
+            if candidate is None:  # nothing uncovered reachable, now or later
+                heapq.heappop(heap)
+            elif candidate.price < stale_price:
+                raise InternalInconsistency(
+                    f"price at {b_value!r} fell from {stale_price} to {candidate.price}")
+            else:
+                heapq.heapreplace(heap, (candidate.price, b_value, round_no, candidate))
+        if not heap:
             raise InternalInconsistency("uncovered results reachable at no join value")
+        best = heap[0][3]
         for name, rows in best.subsets.items():
             parts.setdefault(name, set()).update(rows)
         covered |= best.new_results
+        round_no += 1
     witness = Witness.build(query, parts, "greedy")
     bound = 1.0 + math.log(max(1, len(results)))
     return _report(db, witness, results, bound)

@@ -1,13 +1,15 @@
 """CSV input and output, one file per relation.
 
 A database directory holds `<RelationName>.csv` per body atom, RFC 4180
-with a header row.  Columns may come in any order; values are kept
-byte-for-byte.  Duplicate rows collapse to one tuple.  Writing is
-deterministic: schema column order, rows sorted.
+with a header row, in UTF-8 with or without a byte-order mark.  Columns
+may come in any order; values are kept byte-for-byte.  Duplicate rows
+collapse to one tuple.  Writing is deterministic: schema column order,
+rows sorted.
 """
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Mapping
 
@@ -22,12 +24,17 @@ def load_database(query: Query, directory: str | Path) -> Database:
         path = directory / f"{schema.name}.csv"
         if not path.is_file():
             raise MissingRelationFile(schema.name, str(path))
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                instances[schema.name] = _read_rows(schema, reader)
-            except csv.Error as exc:
-                raise MalformedCsv(schema.name, reader.line_num, str(exc)) from None
+        try:
+            text = path.read_bytes().decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise MalformedCsv(schema.name, line,
+                               f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            instances[schema.name] = _read_rows(schema, reader)
+        except csv.Error as exc:
+            raise MalformedCsv(schema.name, reader.line_num, str(exc)) from None
     return Database(instances)
 
 

@@ -120,6 +120,16 @@ def test_solve_oversized_csv_field_is_input_error(capsys, tmp_path):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_solve_non_utf8_csv_is_input_error(capsys, tmp_path):
+    (tmp_path / "query.txt").write_text("Q(A) :- R1(A, B)\n")
+    # The bad byte sits on line 3, inside the reader's first decoded chunk.
+    (tmp_path / "R1.csv").write_bytes(b"A,B\na0,b0\na\xff1,b1\n")
+    code, out, err = run(capsys, "solve", str(tmp_path / "query.txt"), str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3 of 'R1' is not valid CSV: byte 0xff is not UTF-8\n"
+
+
 @pytest.mark.parametrize("algo, text", [
     ("exact", "Q(A, C) :- R1(A, B), R2(A, B), R3(C, D)"),
     ("approx", "Q(A) :- R1(A, B), R2(B)"),

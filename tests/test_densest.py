@@ -8,6 +8,7 @@ import pytest
 from witness_lab.densest import (
     BipartiteDensityInstance,
     HypergraphDensityInstance,
+    _max_density_set,
     densest_bipartite,
     densest_hypergraph,
     min_price_candidate,
@@ -118,6 +119,32 @@ def test_flow_matches_enumeration_hypergraph():
             1 for e in edges if e <= s))
         assert dens == want_d and got == want_set
         assert isinstance(dens, Fraction)
+
+
+def test_weighted_mixed_rank_matches_enumeration():
+    """Pricing hands the search integer weights (results sharing a demand)
+    and edges of several ranks; check both against enumeration."""
+    rng = random.Random(4073)
+    weighted = tied = 0
+    for _ in range(150):
+        verts = [f"v{i}" for i in range(rng.randint(1, 7))]
+        edges = {}
+        for _ in range(rng.randint(1, 8)):
+            edge = frozenset(rng.sample(verts, rng.randint(1, min(4, len(verts)))))
+            edges[edge] = rng.randint(1, 5)
+
+        def weight_of(s):
+            return sum(w for e, w in edges.items() if e <= s)
+
+        got = _max_density_set(edges)
+        want = enum_densest(set(verts), weight_of)
+        assert got == want
+        weighted += max(edges.values()) > 1
+        optimal = [c for r in range(1, len(verts) + 1)
+                   for c in itertools.combinations(verts, r)
+                   if Fraction(weight_of(frozenset(c)), r) == want[1]]
+        tied += len(optimal) > 1
+    assert weighted >= 100 and tied >= 10  # the tie-break decided some answers
 
 
 COVER = "Q(A) :- R1(A, B), R2(B)"

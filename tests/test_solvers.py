@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from witness_lab import densest, solvers
 from witness_lab.engine import evaluate, full_join_results, is_witness
 from witness_lab.errors import PreconditionViolated, ResultNotFound
+from witness_lab.generators import gen_random_db
 from witness_lab.model import Database, Row, Witness
 from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import parse_query
@@ -143,6 +145,85 @@ def test_greedy_within_log_factor_on_random_instances():
         assert report.witness_size <= report.claimed_ratio_bound * max(1, optimum)
         checked += 1
     assert checked >= 12
+
+
+def eager_greedy(query, db):
+    """Reference greedy: re-price every join value in every round and keep
+    the first strictly cheaper candidate over the sorted values.  Returns
+    the witness parts, the pricing calls made and the rounds in which
+    several values shared the cheapest price."""
+    b_attr = query.non_output[0]
+    results = evaluate(query, db)
+    parts = {schema.name: {t.project(schema.attributes) for t in results}
+             for schema in query.relations if schema.attribute_set <= query.head_set}
+    b_values = sorted({row[b_attr] for schema in query.relations
+                       if b_attr in schema.attribute_set
+                       for row in db.instances[schema.name]})
+    covered, calls, tied_rounds = frozenset(), 0, 0
+    while covered != results:
+        priced = [densest.min_price_candidate(query, db, b, covered, results) for b in b_values]
+        calls += len(b_values)
+        best = None
+        for candidate in priced:
+            if candidate is not None and (best is None or candidate.price < best.price):
+                best = candidate
+        tied_rounds += sum(c is not None and c.price == best.price for c in priced) > 1
+        for name, rows in best.subsets.items():
+            parts.setdefault(name, set()).update(rows)
+        covered |= best.new_results
+    return parts, calls, tied_rounds
+
+
+def test_greedy_matches_eager_reference():
+    rng = random.Random(506)
+    tied = 0
+    for _ in range(60):
+        query = random_single_nonoutput_query(rng)
+        db = random_db(query, rng, max_rows=6, domain=3)
+        report = solve_greedy_single_nonoutput(query, db)
+        parts, _, tied_rounds = eager_greedy(query, db)
+        assert report.witness.tuples == Witness.build(query, parts, "reference").tuples
+        tied += tied_rounds > 0
+    assert tied >= 10  # ties between join values decided many witnesses
+
+
+def test_price_never_falls_as_coverage_grows():
+    rng = random.Random(507)
+    query = parse_query("Q(A, C) :- R1(A, B), R2(B, C)")
+    checked = rose = 0
+    for _ in range(40):
+        db = random_db(query, rng, max_rows=8, domain=3)
+        results = evaluate(query, db)
+        ordered = sorted(results)
+        for b_value in sorted({row["B"] for row in db.instances["R1"]}):
+            covered = frozenset(rng.sample(ordered, rng.randint(0, len(ordered) // 2)))
+            before = densest.min_price_candidate(query, db, b_value, covered, results)
+            grown = covered | frozenset(rng.sample(ordered, rng.randint(0, len(ordered) // 3)))
+            after = densest.min_price_candidate(query, db, b_value, grown, results)
+            if before is None:
+                assert after is None
+            elif after is not None:
+                assert after.price >= before.price
+                checked += 1
+                rose += after.price > before.price
+    assert checked >= 40 and rose >= 5
+
+
+def test_lazy_greedy_prices_less_than_eager(monkeypatch):
+    query = parse_query("Q(A, C) :- R1(A, B), R2(B, C)")
+    db = gen_random_db(query, 40, 8, seed=5).database
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return densest.min_price_candidate(*args)
+
+    monkeypatch.setattr(solvers, "min_price_candidate", counting)
+    report = solve_greedy_single_nonoutput(query, db)
+    parts, eager_calls, _ = eager_greedy(query, db)
+    assert report.witness.tuples == Witness.build(query, parts, "reference").tuples
+    assert calls < eager_calls
 
 
 def test_baseline_on_worked_example():

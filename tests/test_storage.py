@@ -76,6 +76,14 @@ def test_load_ragged_row_reports_line(tmp_path):
         assert f"line {line}" in str(err.value)
 
 
+def test_load_strips_utf8_byte_order_mark(tmp_path):
+    """Spreadsheet "CSV UTF-8" exports start with a byte-order mark."""
+    query = parse_query("Q(A) :- R(A, B)")
+    (tmp_path / "R.csv").write_bytes(b"\xef\xbb\xbfB,A\r\nb1,a1\r\n")
+    db = load_database(query, tmp_path)
+    assert db.instances["R"] == frozenset({Row.make({"A": "a1", "B": "b1"})})
+
+
 def test_write_witness_mirrors_layout(tmp_path):
     query = parse_query(WORKED_TEXT)
     witness = Witness.build(
