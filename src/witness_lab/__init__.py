@@ -12,7 +12,6 @@ from .oracle import DEFAULT_ORACLE_CAP, brute_force_swp
 from .qparser import format_query, parse_query
 from .solvers import (
     SolveReport,
-    remove_dangling,
     solve_approx_head_domination,
     solve_baseline_union,
     solve_exact_head_cluster,
@@ -45,7 +44,6 @@ __all__ = [
     "is_witness",
     "load_database",
     "parse_query",
-    "remove_dangling",
     "solve_approx_head_domination",
     "solve_baseline_union",
     "solve_exact_head_cluster",

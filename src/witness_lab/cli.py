@@ -160,8 +160,13 @@ def _parse_constraints(text: str) -> dict[tuple[int, int], frozenset[tuple[str, 
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    seed_env = os.environ.get("WITNESS_LAB_SEED")
-    seed = args.seed if args.seed is not None else int(seed_env) if seed_env else 0
+    seed = args.seed
+    if seed is None:
+        seed_env = os.environ.get("WITNESS_LAB_SEED", "")
+        try:
+            seed = int(seed_env) if seed_env else 0
+        except ValueError:
+            raise ValueError(f"WITNESS_LAB_SEED is not an integer: {seed_env!r}") from None
     predict = not args.no_predict
     if args.family == "cover":
         instance = gen_cover_db(_parse_sets(args.universe, args.sets), predict)
@@ -170,6 +175,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     elif args.family == "pyramid":
         instance = gen_pyramid_db(_parse_sets(args.universe, args.sets), predict)
     elif args.family == "line3":
+        if not args.constraints:
+            raise ValueError("the line3 family needs --constraints")
         lc = LabelCoverInstance(args.n, tuple(args.alphabet.split(",")),
                                 _parse_constraints(args.constraints))
         instance = gen_line3_db(lc, args.t, predict)

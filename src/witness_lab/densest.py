@@ -100,7 +100,7 @@ class _DensityCore:
         for edge in edges:
             if not edge:
                 raise ValueError("hyperedges must be nonempty")
-        self.edges: list[_WeightedEdge] = sorted(edges.items(), key=lambda e: sorted(map(repr, e[0])))
+        self.edges: list[_WeightedEdge] = list(edges.items())
         self.vertices: list = sorted(set().union(*edges))
         self.total_weight = sum(w for _, w in self.edges)
         self.index = {v: i for i, v in enumerate(self.vertices)}
@@ -239,10 +239,6 @@ class PricedCandidate:
 
     def __post_init__(self):
         object.__setattr__(self, "subsets", dict(self.subsets))
-
-    @property
-    def tuple_count(self) -> int:
-        return sum(len(rows) for rows in self.subsets.values())
 
 
 def min_price_candidate(query: Query, db: Database, b_value: str,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .errors import (
     AlphabetTooSmall,
@@ -149,10 +148,6 @@ class GeneratedInstance:
     metadata: dict = field(default_factory=dict)
 
 
-def _build(query: Query, tables: Mapping[str, set[Row]]) -> Database:
-    return Database.build(query, {name: frozenset(rows) for name, rows in tables.items()})
-
-
 def gen_cover_db(instance: SetCoverInstance, predict: bool = True) -> GeneratedInstance:
     """Membership pairs joined against a unary relation of set names.
     Smallest witness: one membership row per element plus one name per
@@ -164,7 +159,7 @@ def gen_cover_db(instance: SetCoverInstance, predict: bool = True) -> GeneratedI
     r2 = {Row.make({"B": name}) for name in names}
     k = min_cover_size(instance) if predict else None
     predicted = len(instance.universe) + k if k is not None else None
-    return GeneratedInstance(query, _build(query, {"R1": r1, "R2": r2}), predicted, {
+    return GeneratedInstance(query, Database.build(query, {"R1": r1, "R2": r2}), predicted, {
         "family": "cover",
         "universe_size": len(instance.universe),
         "set_count": len(instance.subsets),
@@ -182,7 +177,7 @@ def gen_matrix_db(n: int, k: int, predict: bool = True) -> GeneratedInstance:
     r1 = {Row.make({"A": f"u{i}", "B": f"s{(i - 1) % k + 1}"}) for i in range(1, n + 1)}
     r2 = {Row.make({"B": f"s{j}", "C": f"c{l}"})
           for j in range(1, k + 1) for l in range(1, n + 1)}
-    return GeneratedInstance(query, _build(query, {"R1": r1, "R2": r2}),
+    return GeneratedInstance(query, Database.build(query, {"R1": r1, "R2": r2}),
                              n * (k + 1) if predict else None, {
         "family": "matrix",
         "n": n,
@@ -216,7 +211,7 @@ def gen_pyramid_db(instance: SetCoverInstance, predict: bool = True) -> Generate
     }
     k = min_cover_size(instance) if predict else None
     predicted = (k + 4) * n * n + k * n if k is not None else None
-    return GeneratedInstance(query, _build(query, tables), predicted, {
+    return GeneratedInstance(query, Database.build(query, tables), predicted, {
         "family": "pyramid",
         "universe_size": n,
         "set_count": m,
@@ -241,7 +236,8 @@ def gen_line3_db(instance: LabelCoverInstance, t: int, predict: bool = True) -> 
           for l in range(1, n + 1) for y in instance.alphabet for i in range(1, t + 1)}
     cost = min_label_cover_cost(instance) if predict else None
     predicted = t * cost + n * n if cost is not None else None
-    return GeneratedInstance(query, _build(query, {"R1": r1, "R2": r2, "R3": r3}), predicted, {
+    return GeneratedInstance(query, Database.build(query, {"R1": r1, "R2": r2, "R3": r3}),
+                             predicted, {
         "family": "line3",
         "n": n,
         "alphabet_size": len(instance.alphabet),
@@ -264,7 +260,7 @@ def gen_random_db(query: Query, rows_per_relation: int, pool: int, seed: int) ->
         for _ in range(rows_per_relation):
             rows.add(Row.make({a: rng.choice(domains[a]) for a in schema.attributes}))
         tables[schema.name] = rows
-    return GeneratedInstance(query, _build(query, tables), None, {
+    return GeneratedInstance(query, Database.build(query, tables), None, {
         "family": "random",
         "rows_per_relation": rows_per_relation,
         "pool": pool,
@@ -350,7 +346,7 @@ def embed_cover_db(query: Query, instance: SetCoverInstance) -> GeneratedInstanc
                           for a in query.schema(name).attribute_set
                           if a in non_output)
     tables = _role_rows(query, instance, element_attr, set_attrs, None, [])
-    return GeneratedInstance(query, _build(query, tables), None, {
+    return GeneratedInstance(query, Database.build(query, tables), None, {
         "family": "embed-cover",
         "element_attribute": element_attr,
         "set_attributes": sorted(set_attrs),
@@ -371,7 +367,7 @@ def embed_matrix_db(query: Query, instance: SetCoverInstance) -> GeneratedInstan
     set_attrs = frozenset(attrs[1:-1])
     columns = [f"c{i}" for i in range(1, len(instance.universe) + 1)]
     tables = _role_rows(query, instance, element_attr, set_attrs, column_attr, columns)
-    return GeneratedInstance(query, _build(query, tables), None, {
+    return GeneratedInstance(query, Database.build(query, tables), None, {
         "family": "embed-matrix",
         "element_attribute": element_attr,
         "column_attribute": column_attr,

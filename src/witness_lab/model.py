@@ -56,9 +56,6 @@ class Row:
         return f"Row({inner})"
 
 
-EMPTY_ROW = Row(())
-
-
 @dataclass(frozen=True)
 class RelationSchema:
     """A body atom: relation name plus its ordered attribute list."""
@@ -124,10 +121,6 @@ class Query:
     @property
     def is_full(self) -> bool:
         return not self.non_output
-
-    @property
-    def is_boolean(self) -> bool:
-        return not self.head
 
     @cached_property
     def _by_name(self) -> dict[str, RelationSchema]:

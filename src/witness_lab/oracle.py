@@ -147,6 +147,10 @@ def brute_force_swp(query: Query, db: Database,
                     budget: int | None = None, cap: int = DEFAULT_ORACLE_CAP) -> Witness:
     """Provably minimum witness by exhaustive search.  Refuses databases
     larger than `cap` tuples; `budget` limits explored search nodes."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"search-node budget must be nonnegative, got {budget}")
+    if cap < 0:
+        raise ValueError(f"exhaustive-search cap must be nonnegative, got {cap}")
     if db.size > cap:
         raise InstanceTooLarge(db.size, cap)
     pieces: list[tuple[Query, list[Row]]] = []

@@ -26,7 +26,7 @@ from .engine import evaluate, full_join_results
 from .errors import InternalInconsistency, PreconditionViolated, ResultNotFound
 from .linprog import fractional_edge_cover
 from .model import Database, Query, Row, Witness
-from .structure import existential_components, has_head_cluster, has_head_domination, join_tree
+from .structure import existential_components, has_head_cluster, has_head_domination
 
 
 @dataclass(frozen=True)
@@ -120,24 +120,13 @@ def _component_walk(query: Query, db: Database,
     return Witness.build(query, parts, algorithm), results
 
 
-def _report(db: Database, witness: Witness, results: frozenset[Row],
-            bound: Fraction | float | None, rho: Fraction | None = None) -> SolveReport:
-    return SolveReport(
-        witness=witness,
-        db_size=db.size,
-        results=results,
-        claimed_ratio_bound=bound,
-        rho_star=rho,
-    )
-
-
 def solve_exact_head_cluster(query: Query, db: Database) -> SolveReport:
     """Minimum witness for queries where every existential component is
     dominated by each of its members."""
     if not has_head_cluster(query):
         raise PreconditionViolated("query is not head-cluster")
     witness, results = _component_walk(query, db, "exact")
-    return _report(db, witness, results, Fraction(1))
+    return SolveReport(witness, db.size, results, Fraction(1))
 
 
 def solve_approx_head_domination(query: Query, db: Database) -> SolveReport:
@@ -146,7 +135,7 @@ def solve_approx_head_domination(query: Query, db: Database) -> SolveReport:
     if not has_head_domination(query):
         raise PreconditionViolated("query is not head-dominated")
     witness, results = _component_walk(query, db, "approx")
-    return _report(db, witness, results, Fraction(2 * len(query.relations)))
+    return SolveReport(witness, db.size, results, Fraction(2 * len(query.relations)))
 
 
 def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
@@ -191,7 +180,7 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
         round_no += 1
     witness = Witness.build(query, parts, "greedy")
     bound = 1.0 + math.log(max(1, len(results)))
-    return _report(db, witness, results, bound)
+    return SolveReport(witness, db.size, results, bound)
 
 
 def solve_baseline_union(query: Query, db: Database) -> SolveReport:
@@ -204,26 +193,5 @@ def solve_baseline_union(query: Query, db: Database) -> SolveReport:
     witness = Witness.build(query, parts, "baseline")
     rho = fractional_edge_cover(query)
     bound = float(db.size) ** float(1 - Fraction(1) / rho) if db.size else 0.0
-    return _report(db, witness, results, bound, rho)
+    return SolveReport(witness, db.size, results, bound, rho)
 
-
-def remove_dangling(query: Query, db: Database) -> Database:
-    """Drop tuples joining into no full result.  Full acyclic queries
-    only: one semijoin sweep towards the join-tree root and one back."""
-    if not query.is_full:
-        raise PreconditionViolated("dangling removal requires a full query")
-    tree = join_tree(query)
-    if tree is None:
-        raise PreconditionViolated("dangling removal requires an acyclic query")
-    instances = {name: set(rows) for name, rows in db.instances.items()}
-
-    def semijoin(keep: str, against: str) -> None:
-        shared = sorted(query.schema(keep).attribute_set & query.schema(against).attribute_set)
-        present = {row.project(shared) for row in instances[against]}
-        instances[keep] = {row for row in instances[keep] if row.project(shared) in present}
-
-    for child, parent in tree.parents:  # ears removed leaf-first
-        semijoin(parent, child)
-    for child, parent in reversed(tree.parents):
-        semijoin(child, parent)
-    return Database({name: frozenset(rows) for name, rows in instances.items()})

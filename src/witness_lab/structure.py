@@ -111,62 +111,32 @@ def build_graphs(query: Query) -> StructureGraphs:
 
 # --- acyclicity via ear removal ------------------------------------------
 
-@dataclass(frozen=True)
-class JoinTree:
-    """Rooted tree over relation names; edge (child, parent) per removal."""
-
-    root: str
-    parents: tuple[tuple[str, str], ...]
-
-    def parent_of(self) -> dict[str, str]:
-        return dict(self.parents)
-
-
-def _gyo_tree(atoms: dict[str, frozenset[str]]) -> JoinTree | None:
-    """Ear removal on a named hypergraph.  An atom is an ear when every
-    attribute it shares with the rest sits inside one other atom; ties
-    break to the smallest ear name, then the smallest witness name."""
-    alive = dict(atoms)
-    parents: list[tuple[str, str]] = []
+def _acyclic(atoms: list[frozenset[str]]) -> bool:
+    """Ear removal (Graham; Yu and Ozsoyoglu, 1979).  An atom is an ear
+    when every attribute it shares with the rest sits inside one other
+    atom.  Removing an ear never changes the outcome, so any order works."""
+    alive = list(atoms)
     while len(alive) > 1:
-        removed = None
-        for name in sorted(alive):
-            attrs = alive[name]
-            others = {n: a for n, a in alive.items() if n != name}
-            shared = attrs & frozenset().union(*others.values())
-            hosts = sorted(n for n, a in others.items() if shared <= a)
-            if hosts:
-                removed = (name, hosts[0])
+        for i, attrs in enumerate(alive):
+            others = alive[:i] + alive[i + 1:]
+            shared = attrs & frozenset().union(*others)
+            if any(shared <= other for other in others):
+                del alive[i]
                 break
-        if removed is None:
-            return None
-        parents.append(removed)
-        del alive[removed[0]]
-    (root,) = alive
-    return JoinTree(root, tuple(parents))
-
-
-def join_tree(query: Query) -> JoinTree | None:
-    return _gyo_tree({r.name: r.attribute_set for r in query.relations})
+        else:
+            return False
+    return True
 
 
 def is_acyclic(query: Query) -> bool:
-    return join_tree(query) is not None
+    return _acyclic([r.attribute_set for r in query.relations])
 
 
 def is_free_connex(query: Query) -> bool:
     """Acyclic, and still acyclic after adding an atom holding exactly the
     head attributes."""
-    if not is_acyclic(query):
-        return False
-    if not query.head:
-        return True
-    atoms = {r.name: r.attribute_set for r in query.relations}
-    extra = "_head_"
-    while extra in atoms:
-        extra += "_"
-    atoms[extra] = query.head_set
-    return _gyo_tree(atoms) is not None
+    atoms = [r.attribute_set for r in query.relations]
+    return _acyclic(atoms) and _acyclic(atoms + [query.head_set])
 
 
 # --- domination -----------------------------------------------------------

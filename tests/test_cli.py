@@ -110,6 +110,18 @@ def test_solve_oracle_budget_exits_4(capsys, data_dir):
     assert code == 4
 
 
+@pytest.mark.parametrize("flag, value, wording", [
+    ("--budget", "-1", "search-node budget must be nonnegative, got -1"),
+    ("--oracle-cap", "-3", "exhaustive-search cap must be nonnegative, got -3"),
+])
+def test_solve_oracle_negative_limit_is_input_error(capsys, data_dir, flag, value, wording):
+    qpath, dpath = worked_paths(data_dir)
+    code, out, err = run(capsys, "solve", qpath, dpath, "--algo", "oracle", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {wording}\n"
+
+
 def test_solve_oversized_csv_field_is_input_error(capsys, tmp_path):
     (tmp_path / "query.txt").write_text("Q(A) :- R(A, B)\n")
     (tmp_path / "R.csv").write_text("A,B\na1,b1\na2," + "x" * 131073 + "\n")
@@ -219,6 +231,22 @@ def test_generate_random_seed_determinism(capsys, tmp_path, monkeypatch):
     run(capsys, "generate", "random", "--out", str(c), "--query", str(qfile))
     assert (a / "R1.csv").read_bytes() == (b / "R1.csv").read_bytes()
     assert (a / "R1.csv").read_bytes() == (c / "R1.csv").read_bytes()
+
+
+def test_generate_bad_seed_variable_names_it(capsys, tmp_path, monkeypatch):
+    qfile = tmp_path / "q.txt"
+    qfile.write_text("Q(A) :- R1(A, B), R2(B)\n")
+    monkeypatch.setenv("WITNESS_LAB_SEED", "abc")
+    code, _, err = run(capsys, "generate", "random", "--out", str(tmp_path / "x"),
+                       "--query", str(qfile))
+    assert code == 2
+    assert err == "error: WITNESS_LAB_SEED is not an integer: 'abc'\n"
+
+
+def test_generate_line3_needs_constraints(capsys, tmp_path):
+    code, _, err = run(capsys, "generate", "line3", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err == "error: the line3 family needs --constraints\n"
 
 
 def test_generate_line3_from_constraint_string(capsys, tmp_path):

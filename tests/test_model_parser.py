@@ -77,7 +77,7 @@ def test_query_derived_views():
     assert q.non_output == ("B", "H")
     assert q.head_of("R2") == frozenset({"C"})
     assert q.head_of("R4") == frozenset({"C"})
-    assert not q.is_full and not q.is_boolean
+    assert not q.is_full and q.head
     sub = q.subquery(("C",), ["R2", "R4"])
     assert [r.name for r in sub.relations] == ["R2", "R4"]
 
@@ -114,7 +114,7 @@ def test_parse_tolerates_whitespace_and_period():
 
 def test_parse_boolean_head():
     q = parse_query("Q() :- R(A, B)")
-    assert q.is_boolean
+    assert q.head == ()
 
 
 def test_parse_head_predicate_name_is_ignored():

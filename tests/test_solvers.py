@@ -1,4 +1,4 @@
-"""Witness construction: the four solvers and dangling-tuple removal."""
+"""Witness construction: the four solvers."""
 import math
 import random
 from fractions import Fraction
@@ -13,7 +13,6 @@ from witness_lab.model import Database, Row, Witness
 from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import parse_query
 from witness_lab.solvers import (
-    remove_dangling,
     solve_approx_head_domination,
     solve_baseline_union,
     solve_exact_head_cluster,
@@ -306,39 +305,3 @@ def test_report_json_renders_fractions_as_strings():
     assert doc["algorithm"] == "exact"
     assert doc["witness_size"] == 1
 
-
-def test_remove_dangling_requires_full_acyclic():
-    query, db = worked_example()
-    with pytest.raises(PreconditionViolated):
-        remove_dangling(query, db)  # head is not all attributes
-    cyclic = parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)")
-    with pytest.raises(PreconditionViolated):
-        remove_dangling(cyclic, Database.build(cyclic, {}))
-
-
-def test_remove_dangling_keeps_participating_tuples_only():
-    text = "Q(A, B, C, F, H) :- R1(A, B), R2(B, C), R3(C, F), R4(C, H)"
-    query = parse_query(text)
-    _, db = worked_example()
-    cleaned = remove_dangling(query, Database(db.instances))
-    survivors = {name: len(rows) for name, rows in cleaned.instances.items()}
-    assert survivors == {"R1": 3, "R2": 2, "R3": 2, "R4": 3}
-    # exactly the tuples some full result uses
-    used: dict[str, set] = {name: set() for name in db.instances}
-    for row in evaluate(query, db):
-        for schema in query.relations:
-            used[schema.name].add(row.project(schema.attributes))
-    assert {n: frozenset(v) for n, v in used.items()} == dict(cleaned.instances)
-
-
-def test_remove_dangling_random_agrees_with_participation():
-    rng = random.Random(504)
-    query = parse_query("Q(A, B, C) :- R1(A, B), R2(B, C)")
-    for _ in range(30):
-        db = random_db(query, rng, max_rows=5, domain=3)
-        cleaned = remove_dangling(query, db)
-        used: dict[str, set] = {name: set() for name in db.instances}
-        for row in evaluate(query, db):
-            for schema in query.relations:
-                used[schema.name].add(row.project(schema.attributes))
-        assert {n: frozenset(v) for n, v in used.items()} == dict(cleaned.instances)

@@ -1,4 +1,5 @@
 """Graphs, acyclicity, domination, certificates, classification."""
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,6 @@ from witness_lab.structure import (
     has_head_domination,
     is_acyclic,
     is_free_connex,
-    join_tree,
     rename,
 )
 
@@ -69,10 +69,6 @@ def test_worked_example_components():
 def test_acyclicity():
     assert is_acyclic(parse_query(WORKED_TEXT))
     assert not is_acyclic(parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)"))
-    tree = join_tree(parse_query(WORKED_TEXT))
-    assert tree is not None
-    parent = tree.parent_of()
-    assert set(parent) | {tree.root} == {"R1", "R2", "R3", "R4"}
 
 
 def test_free_connex():
@@ -80,6 +76,56 @@ def test_free_connex():
     assert not is_free_connex(parse_query(WORKED_TEXT))
     assert is_free_connex(parse_query("Q() :- R(A, B)"))  # boolean, acyclic
     assert not is_free_connex(parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)"))
+
+
+def prufer_tree(sequence, n):
+    """Edges of the labelled tree on 0..n-1 that a Pruefer sequence encodes."""
+    degree = [1] * n
+    for v in sequence:
+        degree[v] += 1
+    edges = []
+    for v in sequence:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return edges
+
+
+def has_running_intersection_tree(atoms):
+    """Reference: some spanning tree over the atoms has the running
+    intersection property, i.e. the atoms holding any one attribute span a
+    connected subtree (as many tree edges among them as they number, less
+    one).  Tries every labelled tree, one per Pruefer sequence."""
+    n = len(atoms)
+    if n <= 2:
+        return True
+    attributes = set().union(*atoms)
+    for sequence in itertools.product(range(n), repeat=n - 2):
+        edges = prufer_tree(sequence, n)
+        if all(sum(a in atoms[u] and a in atoms[v] for u, v in edges)
+               == sum(a in atoms[u] for u in range(n)) - 1
+               for a in attributes):
+            return True
+    return False
+
+
+def test_ear_removal_matches_spanning_tree_reference():
+    rng = random.Random(6021)
+    acyclic_only = free_connex = cyclic = 0
+    for _ in range(300):
+        query = random_query(rng, max_relations=5)
+        atoms = [r.attribute_set for r in query.relations]
+        want_acyclic = has_running_intersection_tree(atoms)
+        want_free_connex = want_acyclic and has_running_intersection_tree(atoms + [query.head_set])
+        assert is_acyclic(query) == want_acyclic, format_query(query)
+        assert is_free_connex(query) == want_free_connex, format_query(query)
+        acyclic_only += want_acyclic and not want_free_connex
+        free_connex += want_free_connex
+        cyclic += not want_acyclic
+    # every outcome occurs often enough for the comparison to mean something
+    assert min(acyclic_only, free_connex, cyclic) >= 10, (acyclic_only, free_connex, cyclic)
 
 
 def test_head_cluster_examples():
