@@ -7,7 +7,7 @@ instance families with known optima.
 from .engine import evaluate, full_join_results, is_witness
 from .errors import WitnessLabError
 from .linprog import agm_bound_holds, fractional_edge_cover
-from .model import Database, Query, RelationSchema, Row, Witness
+from .model import Database, Query, RelationSchema, Witness
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_swp
 from .qparser import format_query, parse_query
 from .solvers import (
@@ -30,7 +30,6 @@ __all__ = [
     "Label",
     "Query",
     "RelationSchema",
-    "Row",
     "SolveReport",
     "Witness",
     "WitnessLabError",

@@ -134,13 +134,14 @@ def _parse_sets(universe_size: int, text: str) -> SetCoverInstance:
     universe = tuple(f"u{i}" for i in range(1, universe_size + 1))
     subsets = []
     for chunk in text.split(";"):
-        indices = []
-        for piece in chunk.split(","):
-            i = int(piece)
+        try:
+            indices = {int(piece) for piece in chunk.split(",")}
+        except ValueError:
+            raise ValueError(f"--sets: {chunk!r} is not a list of element numbers") from None
+        for i in indices:
             if not 1 <= i <= universe_size:
-                raise ValueError(f"set element {i} outside 1..{universe_size}")
-            indices.append(i)
-        subsets.append(tuple(f"u{i}" for i in sorted(set(indices))))
+                raise ValueError(f"--sets: set element {i} outside 1..{universe_size}")
+        subsets.append(tuple(f"u{i}" for i in sorted(indices)))
     return SetCoverInstance(universe, tuple(subsets))
 
 
@@ -148,12 +149,15 @@ def _parse_constraints(text: str) -> dict[tuple[int, int], frozenset[tuple[str, 
     constraints: dict[tuple[int, int], frozenset[tuple[str, str]]] = {}
     for chunk in text.split(";"):
         place, _, body = chunk.partition(":")
-        u, v = (int(p) for p in place.split(","))
+        try:
+            u, v = (int(p) for p in place.split(","))
+        except ValueError:
+            raise ValueError(f"--constraints: {chunk!r} lacks a vertex pair like '1,2:'") from None
         pairs = set()
         for pair in body.split(","):
             x, _, y = pair.partition("/")
             if not x or not y:
-                raise ValueError(f"malformed label pair {pair!r}")
+                raise ValueError(f"--constraints: malformed label pair {pair!r} in {chunk!r}")
             pairs.add((x, y))
         constraints[(u, v)] = frozenset(pairs)
     return constraints

@@ -26,7 +26,7 @@ from typing import Mapping
 
 from .engine import evaluate
 from .errors import EmptyEdgeSet, InternalInconsistency, PreconditionViolated
-from .model import Database, Query, Row
+from .model import Database, Query, projection
 
 
 class _Dinic:
@@ -252,24 +252,26 @@ def min_price_candidate(query: Query, db: Database, b_value: str,
     if len(non_output) != 1:
         raise PreconditionViolated("exactly one non-output attribute")
     b_attr = non_output[0]
-    b_rels = [r for r in query.relations if b_attr in r.attribute_set]
     if results is None:
         results = evaluate(query, db)
 
+    # per relation holding b_attr: its tuples, its head values, b_attr's position
+    head = sorted(query.head)
+    b_rels = [(rel.name, db.instances[rel.name],
+               projection(head, [a for a in rel.sorted_attributes if a != b_attr]),
+               rel.sorted_attributes.index(b_attr))
+              for rel in query.relations if b_attr in rel.attribute_set]
     edge_weight: dict[frozenset, int] = {}
-    edge_results: dict[frozenset, list[Row]] = {}
+    edge_results: dict[frozenset, list[tuple[str, ...]]] = {}
     for t in sorted(results - covered):
         needed = []
-        reachable = True
-        for rel in b_rels:
-            values = {a: t[a] for a in rel.attributes if a != b_attr}
-            values[b_attr] = b_value
-            row = Row.make(values)
-            if row not in db.instances[rel.name]:
-                reachable = False
+        for name, instance, values_of, at in b_rels:
+            values = values_of(t)
+            row = values[:at] + (b_value,) + values[at:]
+            if row not in instance:
                 break
-            needed.append((rel.name, row))
-        if reachable:
+            needed.append((name, row))
+        else:
             key = frozenset(needed)
             edge_weight[key] = edge_weight.get(key, 0) + 1
             edge_results.setdefault(key, []).append(t)
@@ -281,7 +283,7 @@ def min_price_candidate(query: Query, db: Database, b_value: str,
     price = Fraction(len(subset), len(new_results))
     if price != 1 / density:
         raise InternalInconsistency(f"price {price} disagrees with density {density}")
-    parts: dict[str, set[Row]] = {}
+    parts: dict[str, set[tuple[str, ...]]] = {}
     for rel_name, row in subset:
         parts.setdefault(rel_name, set()).add(row)
     return PricedCandidate(b_value, {k: frozenset(v) for k, v in parts.items()},

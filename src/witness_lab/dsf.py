@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .engine import evaluate
 from .errors import NotALineQuery, UnreachableDemand
-from .model import Database, Query, Row, Witness
+from .model import Database, Query, Witness
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class DsfEdge:
     target: str
     weight: int
     relation: str
-    row: Row
+    row: tuple[str, ...]  # over the relation's sorted attributes
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,16 @@ def line_to_dsf(query: Query, db: Database) -> DsfInstance:
     nodes: set[str] = set()
     edges: list[DsfEdge] = []
     for hop, name in enumerate(order):
+        attrs = query.schema(name).sorted_attributes
+        at_source, at_target = attrs.index(chain[hop]), attrs.index(chain[hop + 1])
         for row in sorted(db.instances[name]):
-            source = f"{hop}:{row[chain[hop]]}"
-            target = f"{hop + 1}:{row[chain[hop + 1]]}"
+            source = f"{hop}:{row[at_source]}"
+            target = f"{hop + 1}:{row[at_target]}"
             nodes.update((source, target))
             edges.append(DsfEdge(len(edges), source, target, 1, name, row))
     last = len(chain) - 1
-    demands = sorted((f"0:{t[chain[0]]}", f"{last}:{t[chain[last]]}")
-                     for t in evaluate(query, db))
+    # results are (first, last): the chain starts at the endpoint sorting first
+    demands = sorted((f"0:{first}", f"{last}:{final}") for first, final in evaluate(query, db))
     return DsfInstance(chain, order, tuple(sorted(nodes)), tuple(edges), tuple(demands))
 
 
@@ -150,7 +152,7 @@ def witness_to_edge_ids(instance: DsfInstance, witness: Witness) -> frozenset[in
 
 
 def pull_back(query: Query, instance: DsfInstance, edge_ids: frozenset[int]) -> Witness:
-    parts: dict[str, set[Row]] = {}
+    parts: dict[str, set[tuple[str, ...]]] = {}
     for edge in instance.edges:
         if edge.id in edge_ids:
             parts.setdefault(edge.relation, set()).add(edge.row)
@@ -158,6 +160,7 @@ def pull_back(query: Query, instance: DsfInstance, edge_ids: frozenset[int]) -> 
 
 
 def dsf_to_json_dict(instance: DsfInstance) -> dict:
+    attributes = {n: sorted(instance.chain[h:h + 2]) for h, n in enumerate(instance.relation_order)}
     return {
         "spec": "1",
         "chain": list(instance.chain),
@@ -169,7 +172,7 @@ def dsf_to_json_dict(instance: DsfInstance) -> dict:
             "to": e.target,
             "weight": e.weight,
             "relation": e.relation,
-            "row": dict(e.row.items),
+            "row": dict(zip(attributes[e.relation], e.row)),
         } for e in instance.edges],
         "demands": [{"from": s, "to": t} for s, t in instance.demands],
     }

@@ -6,6 +6,11 @@ class WitnessLabError(Exception):
     """Base class for every error raised by this package."""
 
 
+def _format_row(attributes, row) -> str:
+    """A value tuple with its attribute names, e.g. (A='a1', B='b2')."""
+    return "(" + ", ".join(f"{a}={v!r}" for a, v in zip(attributes, row)) + ")"
+
+
 # --- query text and model -------------------------------------------------
 
 class QuerySyntaxError(WitnessLabError):
@@ -82,8 +87,9 @@ class MalformedCsv(WitnessLabError):
 class NotASubDatabase(WitnessLabError):
     """A candidate witness contains a tuple absent from the database."""
 
-    def __init__(self, relation: str, row):
-        super().__init__(f"candidate tuple {row} is not present in relation {relation!r}")
+    def __init__(self, relation: str, attributes, row):
+        super().__init__(f"candidate tuple {_format_row(attributes, row)} "
+                         f"is not present in relation {relation!r}")
         self.relation = relation
         self.row = row
 
@@ -93,8 +99,8 @@ class NotASubDatabase(WitnessLabError):
 class ResultNotFound(WitnessLabError):
     """No full join result projects onto the requested output tuple."""
 
-    def __init__(self, row):
-        super().__init__(f"output tuple {row} is not a query result")
+    def __init__(self, attributes, row):
+        super().__init__(f"output tuple {_format_row(attributes, row)} is not a query result")
         self.row = row
 
 

@@ -20,7 +20,7 @@ from .errors import (
     UncoverableUniverse,
     UnsatisfiableConstraint,
 )
-from .model import Database, Query, Row
+from .model import Database, Query
 from .qparser import parse_query
 from .structure import existential_components, find_free_sequence
 
@@ -154,9 +154,9 @@ def gen_cover_db(instance: SetCoverInstance, predict: bool = True) -> GeneratedI
     set in a minimum cover."""
     query = parse_query("Q(A) :- R1(A, B), R2(B)")
     names = instance.set_names
-    r1 = {Row.make({"A": u, "B": names[j]})
-          for j, subset in enumerate(instance.subsets) for u in subset}
-    r2 = {Row.make({"B": name}) for name in names}
+    r1 = [{"A": u, "B": names[j]}
+          for j, subset in enumerate(instance.subsets) for u in subset]
+    r2 = [{"B": name} for name in names]
     k = min_cover_size(instance) if predict else None
     predicted = len(instance.universe) + k if k is not None else None
     return GeneratedInstance(query, Database.build(query, {"R1": r1, "R2": r2}), predicted, {
@@ -174,9 +174,9 @@ def gen_matrix_db(n: int, k: int, predict: bool = True) -> GeneratedInstance:
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     query = parse_query("Q(A, C) :- R1(A, B), R2(B, C)")
-    r1 = {Row.make({"A": f"u{i}", "B": f"s{(i - 1) % k + 1}"}) for i in range(1, n + 1)}
-    r2 = {Row.make({"B": f"s{j}", "C": f"c{l}"})
-          for j in range(1, k + 1) for l in range(1, n + 1)}
+    r1 = [{"A": f"u{i}", "B": f"s{(i - 1) % k + 1}"} for i in range(1, n + 1)]
+    r2 = [{"B": f"s{j}", "C": f"c{l}"}
+          for j in range(1, k + 1) for l in range(1, n + 1)]
     return GeneratedInstance(query, Database.build(query, {"R1": r1, "R2": r2}),
                              n * (k + 1) if predict else None, {
         "family": "matrix",
@@ -197,17 +197,17 @@ def gen_pyramid_db(instance: SetCoverInstance, predict: bool = True) -> Generate
     b = [f"b{i}" for i in range(1, n + 1)]
     c = [f"c{i}" for i in range(1, n + 1)]
     f_all = [f"f-{j}|f+{i}" for j in range(1, m + 1) for i in range(1, n + 1)]
-    tables: dict[str, set[Row]] = {
-        "R1": {Row.make({"A": x, "B": y}) for x in a for y in b},
-        "R2": {Row.make({"A": x, "C": y}) for x in a for y in c},
-        "R3": {Row.make({"B": x, "C": y}) for x in b for y in c},
-        "R6": {Row.make({"C": y, "F": f}) for y in c for f in f_all},
-        "R4": {Row.make({"A": a[l], "F": f"f-{j + 1}|f+{x}"})
+    tables: dict[str, list[dict[str, str]]] = {
+        "R1": [{"A": x, "B": y} for x in a for y in b],
+        "R2": [{"A": x, "C": y} for x in a for y in c],
+        "R3": [{"B": x, "C": y} for x in b for y in c],
+        "R6": [{"C": y, "F": f} for y in c for f in f_all],
+        "R4": [{"A": a[l], "F": f"f-{j + 1}|f+{x}"}
                for j, subset in enumerate(instance.subsets)
                for l, u in enumerate(instance.universe) if u in subset
-               for x in range(1, n + 1)},
-        "R5": {Row.make({"B": b[i - 1], "F": f"f-{j}|f+{i}"})
-               for j in range(1, m + 1) for i in range(1, n + 1)},
+               for x in range(1, n + 1)],
+        "R5": [{"B": b[i - 1], "F": f"f-{j}|f+{i}"}
+               for j in range(1, m + 1) for i in range(1, n + 1)],
     }
     k = min_cover_size(instance) if predict else None
     predicted = (k + 4) * n * n + k * n if k is not None else None
@@ -228,12 +228,12 @@ def gen_line3_db(instance: LabelCoverInstance, t: int, predict: bool = True) -> 
         raise ValueError("t must be positive")
     query = parse_query("Q(A1, A4) :- R1(A1, A2), R2(A2, A3), R3(A3, A4)")
     n = instance.n
-    r1 = {Row.make({"A1": f"u{j}#slot{i}", "A2": f"u{j}#lab{x}"})
-          for j in range(1, n + 1) for i in range(1, t + 1) for x in instance.alphabet}
-    r2 = {Row.make({"A2": f"u{j}#lab{x}", "A3": f"v{l}#lab{y}"})
-          for (j, l), pairs in instance.constraints.items() for x, y in pairs}
-    r3 = {Row.make({"A3": f"v{l}#lab{y}", "A4": f"v{l}#slot{i}"})
-          for l in range(1, n + 1) for y in instance.alphabet for i in range(1, t + 1)}
+    r1 = [{"A1": f"u{j}#slot{i}", "A2": f"u{j}#lab{x}"}
+          for j in range(1, n + 1) for i in range(1, t + 1) for x in instance.alphabet]
+    r2 = [{"A2": f"u{j}#lab{x}", "A3": f"v{l}#lab{y}"}
+          for (j, l), pairs in instance.constraints.items() for x, y in pairs]
+    r3 = [{"A3": f"v{l}#lab{y}", "A4": f"v{l}#slot{i}"}
+          for l in range(1, n + 1) for y in instance.alphabet for i in range(1, t + 1)]
     cost = min_label_cover_cost(instance) if predict else None
     predicted = t * cost + n * n if cost is not None else None
     return GeneratedInstance(query, Database.build(query, {"R1": r1, "R2": r2, "R3": r3}),
@@ -254,12 +254,9 @@ def gen_random_db(query: Query, rows_per_relation: int, pool: int, seed: int) ->
         raise ValueError("need rows_per_relation >= 0 and pool >= 1")
     rng = random.Random(seed)
     domains = {a: [f"{a.lower()}{i}" for i in range(pool)] for a in query.attributes}
-    tables: dict[str, set[Row]] = {}
-    for schema in query.relations:
-        rows = set()
-        for _ in range(rows_per_relation):
-            rows.add(Row.make({a: rng.choice(domains[a]) for a in schema.attributes}))
-        tables[schema.name] = rows
+    tables = {schema.name: [{a: rng.choice(domains[a]) for a in schema.attributes}
+                            for _ in range(rows_per_relation)]
+              for schema in query.relations}
     return GeneratedInstance(query, Database.build(query, tables), None, {
         "family": "random",
         "rows_per_relation": rows_per_relation,
@@ -270,13 +267,13 @@ def gen_random_db(query: Query, rows_per_relation: int, pool: int, seed: int) ->
 
 def _role_rows(query: Query, instance: SetCoverInstance,
                element_attr: str, set_attrs: frozenset[str],
-               column_attr: str | None, columns: list[str]) -> dict[str, set[Row]]:
+               column_attr: str | None, columns: list[str]) -> dict[str, list[dict[str, str]]]:
     """Rows for the embedding devices.  The element attribute ranges over
     the universe, set attributes carry one set name each (equal within a
     row), the optional column attribute ranges over `columns`, and every
     other attribute is pinned to the dummy value."""
     names = instance.set_names
-    tables: dict[str, set[Row]] = {}
+    tables: dict[str, list[dict[str, str]]] = {}
     for schema in query.relations:
         attrs = schema.attribute_set
         has_element = element_attr in attrs
@@ -285,7 +282,7 @@ def _role_rows(query: Query, instance: SetCoverInstance,
         if has_element and has_column:
             raise PreconditionViolated("chosen endpoints share a relation")
 
-        def fill(element: str | None, set_name: str | None, column: str | None) -> Row:
+        def fill(element: str | None, set_name: str | None, column: str | None) -> dict[str, str]:
             values = {}
             for a in schema.attributes:
                 if a == element_attr and element is not None:
@@ -296,28 +293,28 @@ def _role_rows(query: Query, instance: SetCoverInstance,
                     values[a] = column
                 else:
                     values[a] = DUMMY
-            return Row.make(values)
+            return values
 
-        rows: set[Row] = set()
+        rows: list[dict[str, str]] = []
         if has_element and has_set:
             for j, subset in enumerate(instance.subsets):
                 for u in subset:
-                    rows.add(fill(u, names[j], None))
+                    rows.append(fill(u, names[j], None))
         elif has_set and has_column:
             for name in names:
                 for col in columns:
-                    rows.add(fill(None, name, col))
+                    rows.append(fill(None, name, col))
         elif has_element:
             for u in instance.universe:
-                rows.add(fill(u, None, None))
+                rows.append(fill(u, None, None))
         elif has_set:
             for name in names:
-                rows.add(fill(None, name, None))
+                rows.append(fill(None, name, None))
         elif has_column:
             for col in columns:
-                rows.add(fill(None, None, col))
+                rows.append(fill(None, None, col))
         else:
-            rows.add(fill(None, None, None))
+            rows.append(fill(None, None, None))
         tables[schema.name] = rows
     return tables
 

@@ -3,57 +3,38 @@
 Values are opaque strings.  Attribute names are global, so a name shared
 by two relations is the same attribute (natural-join semantics).  All
 types are immutable; operations on them are pure functions.
+
+A tuple over attributes S is a plain tuple of its values in sorted(S)
+order (`RelationSchema.sorted_attributes`, `Query.attributes` for a full
+join result, the sorted head for a result), so equal assignments are
+equal tuples and sort by value in attribute-name order.  Column order
+matters only at the CSV and JSON boundary.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DuplicateAttributeInAtom, SelfJoinError, UnboundHeadAttribute
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True, order=True)
-class Row:
-    """One tuple, stored as (attribute, value) pairs sorted by attribute.
-
-    The sort makes equal assignments compare equal regardless of how they
-    were built, and gives rows a deterministic total order.
-    """
-
-    items: tuple[tuple[str, str], ...]
-
-    @classmethod
-    def make(cls, mapping: Mapping[str, str] | Iterable[tuple[str, str]]) -> "Row":
-        pairs = mapping.items() if isinstance(mapping, Mapping) else mapping
-        return cls(tuple(sorted(pairs)))
-
-    @cached_property
-    def _map(self) -> dict[str, str]:
-        return dict(self.items)
-
-    def __getitem__(self, attribute: str) -> str:
-        return self._map[attribute]
-
-    @property
-    def attributes(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.items)
-
-    def project(self, attributes: Iterable[str]) -> "Row":
-        keep = set(attributes)
-        return Row(tuple(p for p in self.items if p[0] in keep))
-
-    def merge(self, other: "Row") -> "Row":
-        merged = dict(self.items)
-        merged.update(other.items)
-        return Row.make(merged)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{a}={v}" for a, v in self.items)
-        return f"Row({inner})"
+def projection(source: Sequence[str],
+               target: Iterable[str]) -> Callable[[Sequence[str]], tuple[str, ...]]:
+    """Maps a tuple over `source` (its values in that attribute order) to
+    one over `target`, in the order `target` lists."""
+    at = {a: i for i, a in enumerate(source)}
+    positions = [at[a] for a in target]
+    if len(positions) == 1:  # itemgetter would return a bare value
+        i = positions[0]
+        return lambda row: (row[i],)
+    if not positions:  # and itemgetter() raises
+        return lambda row: ()
+    return itemgetter(*positions)
 
 
 @dataclass(frozen=True)
@@ -79,6 +60,11 @@ class RelationSchema:
     @property
     def attribute_set(self) -> frozenset[str]:
         return frozenset(self.attributes)
+
+    @cached_property
+    def sorted_attributes(self) -> tuple[str, ...]:
+        """The attribute order of this relation's tuples."""
+        return tuple(sorted(self.attributes))
 
 
 @dataclass(frozen=True)
@@ -143,28 +129,27 @@ class Query:
 class Database:
     """Per-relation tuple sets keyed by relation name."""
 
-    instances: Mapping[str, frozenset[Row]]
+    instances: Mapping[str, frozenset[tuple[str, ...]]]
 
     def __post_init__(self):
         object.__setattr__(self, "instances", dict(self.instances))
 
     @classmethod
-    def build(cls, query: Query, data: Mapping[str, Iterable[Row | Mapping[str, str]]]) -> "Database":
+    def build(cls, query: Query, data: Mapping[str, Iterable[Mapping[str, str]]]) -> "Database":
         """Validate `data` against the query schema and freeze it.
 
-        Missing relations become empty instances; rows may be given as
-        mappings and are checked to be total on the schema attributes.
+        Missing relations become empty instances; each row is an
+        {attribute: value} mapping, checked to be total on the schema.
         """
-        instances: dict[str, frozenset[Row]] = {}
+        instances: dict[str, frozenset[tuple[str, ...]]] = {}
         for schema in query.relations:
             rows = set()
-            for raw in data.get(schema.name, ()):  # type: ignore[union-attr]
-                row = raw if isinstance(raw, Row) else Row.make(raw)
-                if set(row.attributes) != set(schema.attributes):
+            for raw in data.get(schema.name, ()):
+                if raw.keys() != schema.attribute_set:
                     raise ValueError(
-                        f"tuple {row} does not conform to {schema.name}({', '.join(schema.attributes)})"
+                        f"tuple {dict(raw)} does not conform to {schema.name}({', '.join(schema.attributes)})"
                     )
-                rows.add(row)
+                rows.add(tuple(raw[a] for a in schema.sorted_attributes))
             instances[schema.name] = frozenset(rows)
         unknown = set(data) - set(instances)
         if unknown:
@@ -184,14 +169,14 @@ class Database:
 class Witness:
     """Sub-database meant to reproduce the query result, with provenance."""
 
-    tuples: Mapping[str, frozenset[Row]]
+    tuples: Mapping[str, frozenset[tuple[str, ...]]]
     algorithm: str
 
     def __post_init__(self):
         object.__setattr__(self, "tuples", dict(self.tuples))
 
     @classmethod
-    def build(cls, query: Query, parts: Mapping[str, Iterable[Row]], algorithm: str) -> "Witness":
+    def build(cls, query: Query, parts: Mapping[str, Iterable[tuple]], algorithm: str) -> "Witness":
         tuples = {r.name: frozenset(parts.get(r.name, ())) for r in query.relations}
         return cls(tuples, algorithm)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .engine import full_join_results
 from .errors import BudgetExhausted, InstanceTooLarge
-from .model import Database, Query, Row, Witness
+from .model import Database, Query, Witness, projection
 from .structure import build_graphs
 
 DEFAULT_ORACLE_CAP = 30
@@ -30,29 +30,31 @@ class _Budget:
             raise BudgetExhausted(self.limit)
 
 
-def _solve_connected(query: Query, full: list[Row], budget: _Budget) -> dict[str, set[Row]]:
+def _solve_connected(query: Query, full: list[tuple[str, ...]],
+                     budget: _Budget) -> dict[str, set[tuple[str, ...]]]:
     """Minimum witness of one connected query from its full join results."""
     head = sorted(query.head_set)
-    results = sorted({fj.project(head) for fj in full})
+    to_head = projection(query.attributes, head)
+    results = sorted(set(map(to_head, full)))
+    to_relation = [(schema.name, projection(query.attributes, schema.sorted_attributes))
+                   for schema in query.relations]
 
-    tuple_ids: dict[tuple[str, Row], int] = {}
+    tuple_ids: dict[tuple[str, tuple[str, ...]], int] = {}
     for fj in full:
-        for schema in query.relations:
-            key = (schema.name, fj.project(schema.attributes))
-            if key not in tuple_ids:
-                tuple_ids[key] = len(tuple_ids)
+        for name, project in to_relation:
+            tuple_ids.setdefault((name, project(fj)), len(tuple_ids))
     by_id = {i: key for key, i in tuple_ids.items()}
 
-    def join_mask(fj: Row) -> int:
+    def join_mask(fj: tuple[str, ...]) -> int:
         mask = 0
-        for schema in query.relations:
-            mask |= 1 << tuple_ids[(schema.name, fj.project(schema.attributes))]
+        for name, project in to_relation:
+            mask |= 1 << tuple_ids[(name, project(fj))]
         return mask
 
     supports: list[list[int]] = [[] for _ in results]
     position = {t: i for i, t in enumerate(results)}
     for fj in full:
-        supports[position[fj.project(head)]].append(join_mask(fj))
+        supports[position[to_head(fj)]].append(join_mask(fj))
 
     all_results = (1 << len(results)) - 1
     forced = 0
@@ -72,9 +74,10 @@ def _solve_connected(query: Query, full: list[Row], budget: _Budget) -> dict[str
         for (name, _), i in tuple_ids.items():
             if name == schema.name:
                 relation_bits |= 1 << i
-        buckets: dict[Row, tuple[int, int]] = {}
+        to_projection = projection(head, proj_attrs)
+        buckets: dict[tuple[str, ...], tuple[int, int]] = {}
         for t, masks in zip(results, supports):
-            value = t.project(proj_attrs)
+            value = to_projection(t)
             rmask, tmask = buckets.get(value, (0, 0))
             rmask |= 1 << position[t]
             for m in masks:
@@ -135,7 +138,7 @@ def _solve_connected(query: Query, full: list[Row], budget: _Budget) -> dict[str
 
     search(forced, coverage(forced), forced.bit_count())
 
-    parts: dict[str, set[Row]] = {}
+    parts: dict[str, set[tuple[str, ...]]] = {}
     for i in range(best.bit_length()):
         if best >> i & 1:
             name, row = by_id[i]
@@ -153,7 +156,7 @@ def brute_force_swp(query: Query, db: Database,
         raise ValueError(f"exhaustive-search cap must be nonnegative, got {cap}")
     if db.size > cap:
         raise InstanceTooLarge(db.size, cap)
-    pieces: list[tuple[Query, list[Row]]] = []
+    pieces: list[tuple[Query, list[tuple[str, ...]]]] = []
     for component in build_graphs(query).relation_graph.components():
         names = sorted(component)
         head = [a for a in query.head
@@ -164,7 +167,7 @@ def brute_force_swp(query: Query, db: Database,
             return Witness.build(query, {}, "oracle")
         pieces.append((sub, full))
     meter = _Budget(budget)
-    parts: dict[str, set[Row]] = {}
+    parts: dict[str, set[tuple[str, ...]]] = {}
     for sub, full in pieces:
         piece = _solve_connected(sub, full, meter)
         for name, rows in piece.items():

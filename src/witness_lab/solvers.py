@@ -19,13 +19,13 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .densest import min_price_candidate
 from .engine import evaluate, full_join_results
 from .errors import InternalInconsistency, PreconditionViolated, ResultNotFound
 from .linprog import fractional_edge_cover
-from .model import Database, Query, Row, Witness
+from .model import Database, Query, Witness, projection
 from .structure import existential_components, has_head_cluster, has_head_domination
 
 
@@ -35,7 +35,7 @@ class SolveReport:
 
     witness: Witness
     db_size: int
-    results: frozenset[Row] = field(repr=False)  # Q(D), kept for verification
+    results: frozenset[tuple[str, ...]] = field(repr=False)  # Q(D), kept for verification
     claimed_ratio_bound: Fraction | float | None
     rho_star: Fraction | None = None
 
@@ -69,54 +69,57 @@ class SolveReport:
         }
 
 
-def witness_for_result(query: Query, db: Database, result: Row) -> Witness:
-    """One tuple per relation reproducing a single result row: the
-    lexicographically smallest full join result projecting onto it."""
-    if set(result.attributes) != query.head_set:
-        raise ValueError(f"{result} is not a row over the head attributes")
-    parts: dict[str, set[Row]] = {}
-    _add_cheapest_joins(parts, query, db, [result])
+def witness_for_result(query: Query, db: Database, result: Mapping[str, str]) -> Witness:
+    """One tuple per relation reproducing a single {attribute: value} result:
+    the lexicographically smallest full join result projecting onto it."""
+    if result.keys() != query.head_set:
+        raise ValueError(f"{dict(result)} is not a row over the head attributes")
+    parts: dict[str, set[tuple[str, ...]]] = {}
+    _add_cheapest_joins(parts, query, db, [tuple(result[a] for a in sorted(query.head))])
     return Witness.build(query, parts, "single_result")
 
 
-def _head_only_parts(query: Query, results: frozenset[Row]) -> dict[str, set[Row]]:
+def _head_only_parts(query: Query, results: frozenset) -> dict[str, set[tuple[str, ...]]]:
     """Atoms inside the head contribute exactly the result projections;
     every witness must contain them."""
-    parts: dict[str, set[Row]] = {}
-    for schema in query.relations:
-        if schema.attribute_set <= query.head_set:
-            parts[schema.name] = {t.project(schema.attributes) for t in results}
-    return parts
+    head = sorted(query.head)
+    return {schema.name: set(map(projection(head, schema.sorted_attributes), results))
+            for schema in query.relations if schema.attribute_set <= query.head_set}
 
 
-def _add_cheapest_joins(parts: dict[str, set[Row]], query: Query, db: Database,
-                        wanted: Iterable[Row]) -> None:
-    """Add, for each wanted head row, the tuples of the lexicographically
-    smallest full join result projecting onto it.  One join serves every
-    row: walking the sorted output, the first row per projection is the
-    smallest."""
-    cheapest: dict[Row, Row] = {}
+def _add_cheapest_joins(parts: dict[str, set[tuple[str, ...]]], query: Query, db: Database,
+                        wanted: Iterable[tuple[str, ...]]) -> None:
+    """Add, for each wanted result (a tuple over the sorted head), the
+    tuples of the lexicographically smallest full join result projecting
+    onto it.  One join serves every result: walking the sorted output,
+    the first full join result per projection is the smallest."""
+    head = sorted(query.head)
+    to_head = projection(query.attributes, head)
+    cheapest: dict[tuple[str, ...], tuple[str, ...]] = {}
     for fj in full_join_results(query, db):
-        cheapest.setdefault(fj.project(query.head), fj)
+        cheapest.setdefault(to_head(fj), fj)
+    to_relation = [(parts.setdefault(schema.name, set()),
+                    projection(query.attributes, schema.sorted_attributes))
+                   for schema in query.relations]
     for result in wanted:
         fj = cheapest.get(result)
         if fj is None:
-            raise ResultNotFound(result)
-        for schema in query.relations:
-            parts.setdefault(schema.name, set()).add(fj.project(schema.attributes))
+            raise ResultNotFound(head, result)
+        for rows, project in to_relation:
+            rows.add(project(fj))
 
 
 def _component_walk(query: Query, db: Database,
-                    algorithm: str) -> tuple[Witness, frozenset[Row]]:
+                    algorithm: str) -> tuple[Witness, frozenset[tuple[str, ...]]]:
     """The witness and the Q(D) it was built from."""
     results = evaluate(query, db)
-    parts: dict[str, set[Row]] = {}
+    parts: dict[str, set[tuple[str, ...]]] = {}
     if results:
         parts = _head_only_parts(query, results)
         for comp in existential_components(query):
             sub = query.subquery(comp.output_attributes, comp.relations)
-            _add_cheapest_joins(parts, sub, db.restrict(comp.relations),
-                                {t.project(comp.output_attributes) for t in results})
+            to_sub = projection(sorted(query.head), sorted(comp.output_attributes))
+            _add_cheapest_joins(parts, sub, db.restrict(comp.relations), set(map(to_sub, results)))
     return Witness.build(query, parts, algorithm), results
 
 
@@ -152,13 +155,13 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
     b_attr = query.non_output[0]
     results = evaluate(query, db)
     parts = _head_only_parts(query, results)
-    b_values = sorted({row[b_attr]
+    b_values = sorted({row[schema.sorted_attributes.index(b_attr)]
                        for schema in query.relations if b_attr in schema.attribute_set
                        for row in db.instances[schema.name]})
     # (price bound, value, round priced in, candidate); a value appears once,
     # so entries never compare beyond the value.
     heap: list = [(0, b_value, -1, None) for b_value in b_values]
-    covered: frozenset[Row] = frozenset()
+    covered: frozenset[tuple[str, ...]] = frozenset()
     round_no = 0
     while covered != results:
         while heap and heap[0][2] != round_no:
@@ -188,7 +191,7 @@ def solve_baseline_union(query: Query, db: Database) -> SolveReport:
     (number of atoms) * min(N, result count); the claimed ratio bound is
     N ** (1 - 1/rho) for the fractional edge cover number rho."""
     results = evaluate(query, db)
-    parts: dict[str, set[Row]] = {}
+    parts: dict[str, set[tuple[str, ...]]] = {}
     _add_cheapest_joins(parts, query, db, results)
     witness = Witness.build(query, parts, "baseline")
     rho = fractional_edge_cover(query)

@@ -3,8 +3,9 @@
 A database directory holds `<RelationName>.csv` per body atom, RFC 4180
 with a header row, in UTF-8 with or without a byte-order mark.  Columns
 may come in any order; values are kept byte-for-byte.  Duplicate rows
-collapse to one tuple.  Writing is deterministic: schema column order,
-rows sorted.
+collapse to one tuple.  Each record is permuted once from header order
+to the schema's sorted-attribute order, and back to schema column order
+on output.  Writing is deterministic: schema column order, rows sorted.
 """
 from __future__ import annotations
 
@@ -14,12 +15,12 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import HeaderMismatch, MalformedCsv, MissingRelationFile, RaggedRow
-from .model import Database, Query, RelationSchema, Row, Witness
+from .model import Database, Query, RelationSchema, Witness, projection
 
 
 def load_database(query: Query, directory: str | Path) -> Database:
     directory = Path(directory)
-    instances: dict[str, frozenset[Row]] = {}
+    instances: dict[str, frozenset[tuple[str, ...]]] = {}
     for schema in query.relations:
         path = directory / f"{schema.name}.csv"
         if not path.is_file():
@@ -38,37 +39,38 @@ def load_database(query: Query, directory: str | Path) -> Database:
     return Database(instances)
 
 
-def _read_rows(schema: RelationSchema, reader) -> frozenset[Row]:
+def _read_rows(schema: RelationSchema, reader) -> frozenset[tuple[str, ...]]:
     try:
         header = next(reader)
     except StopIteration:
         raise HeaderMismatch(schema.name, schema.attributes, ()) from None
     if sorted(header) != sorted(schema.attributes):
         raise HeaderMismatch(schema.name, schema.attributes, header)
+    to_row = projection(header, schema.sorted_attributes)
     rows = set()
     for record in reader:
         if not record:
             continue  # blank line
         if len(record) != len(header):
             raise RaggedRow(schema.name, reader.line_num)
-        rows.add(Row.make(zip(header, record)))
+        rows.add(to_row(record))
     return frozenset(rows)
 
 
-def _write_relation(path: Path, attributes: tuple[str, ...], rows: frozenset[Row]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(attributes)
-        for record in sorted(tuple(row[a] for a in attributes) for row in rows):
-            writer.writerow(record)
+def _columns(schema: RelationSchema, rows: frozenset[tuple[str, ...]]) -> list[tuple[str, ...]]:
+    """Rows in schema column order, sorted."""
+    return sorted(map(projection(schema.sorted_attributes, schema.attributes), rows))
 
 
 def write_database(query: Query, db: Database, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for schema in query.relations:
-        _write_relation(directory / f"{schema.name}.csv", schema.attributes,
-                        db.instances.get(schema.name, frozenset()))
+        path = directory / f"{schema.name}.csv"
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(schema.attributes)
+            writer.writerows(_columns(schema, db.instances.get(schema.name, frozenset())))
 
 
 def write_witness(query: Query, witness: Witness, directory: str | Path) -> None:
@@ -83,6 +85,6 @@ def witness_to_json_dict(query: Query, witness: Witness) -> Mapping[str, object]
         rows = witness.tuples.get(schema.name, frozenset())
         out[schema.name] = {
             "columns": list(schema.attributes),
-            "rows": sorted([row[a] for a in schema.attributes] for row in rows),
+            "rows": [list(row) for row in _columns(schema, rows)],
         }
     return out

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from witness_lab.model import Database, Query, RelationSchema, Row
+from witness_lab.model import Database, Query, RelationSchema
 from witness_lab.qparser import parse_query
 
 WORKED_TEXT = "Q(A, C, F) :- R1(A, B), R2(B, C), R3(C, F), R4(C, H)"
@@ -48,7 +48,7 @@ def build_db(query: Query, tables: dict[str, list[tuple[str, ...]]]) -> Database
     data = {}
     for name, rows in tables.items():
         attrs = query.schema(name).attributes
-        data[name] = frozenset(Row.make(list(zip(attrs, row))) for row in rows)
+        data[name] = [dict(zip(attrs, row)) for row in rows]
     return Database.build(query, data)
 
 
@@ -65,8 +65,7 @@ def naive_evaluate(query: Query, db: Database) -> set[tuple[str, ...]]:
         binding: dict[str, str] = {}
         consistent = True
         for schema, row in zip(query.relations, combo):
-            for attr in schema.attributes:
-                value = row[attr]
+            for attr, value in zip(sorted(schema.attributes), row):
                 if binding.get(attr, value) != value:
                     consistent = False
                     break
@@ -79,7 +78,22 @@ def naive_evaluate(query: Query, db: Database) -> set[tuple[str, ...]]:
 
 
 def rows_to_tuples(query: Query, results) -> set[tuple[str, ...]]:
-    return {tuple(t[a] for a in query.head) for t in results}
+    """Result tuples (sorted head order) re-read in the head's listed order."""
+    head = sorted(query.head)
+    return {tuple(dict(zip(head, t))[a] for a in query.head) for t in results}
+
+
+def project(attributes, row: tuple[str, ...], target) -> tuple[str, ...]:
+    """A tuple over `attributes` re-read over `target`, both stored in
+    sorted attribute order; kept independent of the package's helper."""
+    values = dict(zip(sorted(attributes), row))
+    return tuple(values[a] for a in sorted(target))
+
+
+def as_columns(schema: RelationSchema, row: tuple[str, ...]) -> tuple[str, ...]:
+    """A stored tuple (sorted attribute order) in the schema's column order."""
+    values = dict(zip(sorted(schema.attributes), row))
+    return tuple(values[a] for a in schema.attributes)
 
 
 def random_query(rng: random.Random, max_relations: int = 6,
@@ -156,11 +170,9 @@ def random_single_nonoutput_query(rng: random.Random) -> Query:
 
 def random_db(query: Query, rng: random.Random, max_rows: int = 6,
               domain: int = 3) -> Database:
-    tables: dict[str, frozenset[Row]] = {}
+    tables: dict[str, list[dict[str, str]]] = {}
     for schema in query.relations:
-        rows = set()
-        for _ in range(rng.randint(1, max_rows)):
-            rows.add(Row.make({a: f"{a.lower()}v{rng.randint(1, domain)}"
-                               for a in schema.attributes}))
-        tables[schema.name] = frozenset(rows)
-    return Database(tables)
+        tables[schema.name] = [{a: f"{a.lower()}v{rng.randint(1, domain)}"
+                                for a in schema.attributes}
+                               for _ in range(rng.randint(1, max_rows))]
+    return Database.build(query, tables)

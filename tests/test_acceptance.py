@@ -35,7 +35,6 @@ from witness_lab.generators import (
     gen_matrix_db,
 )
 from witness_lab.linprog import agm_bound_holds, fractional_edge_cover
-from witness_lab.model import Row
 from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import parse_query
 from witness_lab.solvers import (
@@ -60,6 +59,7 @@ from corpus import (
     WORKED_RESULTS,
     WORKED_SINGLE_RESULT,
     WORKED_SINGLE_WITNESS,
+    as_columns,
     random_db,
     random_head_cluster_query,
     random_head_domination_query,
@@ -114,9 +114,8 @@ def test_criterion_01_worked_example(data_dir):
         assert witness.size == WORKED_OPTIMUM
         assert is_witness(query, db, witness)
         single = witness_for_result(
-            query, db, Row.make(dict(zip(("A", "C", "F"), WORKED_SINGLE_RESULT))))
-        got = {name: {tuple(row[a] for a in query.schema(name).attributes)
-                      for row in rows}
+            query, db, dict(zip(("A", "C", "F"), WORKED_SINGLE_RESULT)))
+        got = {name: {as_columns(query.schema(name), row) for row in rows}
                for name, rows in single.tuples.items()}
         assert got == WORKED_SINGLE_WITNESS
 
@@ -243,12 +242,11 @@ def test_criterion_08_densest_and_pricing():
             values = sorted({b for _, b in rows})
             if len(values) < 2:
                 continue
-            r1 = {Row.make({"A": a, "B": b}) for a, b in rows}
             b1, b2 = rng.sample(values, 2)
 
             def price(selected_values):
-                x = [r for r in r1 if r["B"] in selected_values]
-                produced = {r["A"] for r in x}
+                x = [(a, b) for a, b in rows if b in selected_values]
+                produced = {a for a, _ in x}
                 if not produced:
                     return None
                 return Fraction(len(x) + len(selected_values), len(produced))

@@ -213,6 +213,24 @@ def test_generate_cover_validates_set_elements(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("sets", ["", "1,,2", "1;x"])
+def test_generate_cover_bad_sets_names_the_flag(capsys, tmp_path, sets):
+    code, out, err = run(capsys, "generate", "cover", "--out", str(tmp_path / "x"),
+                         "--universe", "3", "--sets", sets)
+    assert code == 2
+    assert out == ""
+    chunk = sets.split(";")[-1]
+    assert err == f"error: --sets: {chunk!r} is not a list of element numbers\n"
+
+
+def test_generate_line3_bad_constraints_names_the_flag(capsys, tmp_path):
+    code, out, err = run(capsys, "generate", "line3", "--out", str(tmp_path / "x"),
+                         "--n", "1", "--alphabet", "x,y", "--constraints", "1:x/y")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --constraints: '1:x/y' lacks a vertex pair like '1,2:'\n"
+
+
 def test_generate_random_needs_query(capsys, tmp_path):
     code, _, err = run(capsys, "generate", "random", "--out", str(tmp_path / "x"))
     assert code == 2

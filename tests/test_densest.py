@@ -15,7 +15,7 @@ from witness_lab.densest import (
 )
 from witness_lab.engine import evaluate
 from witness_lab.errors import EmptyEdgeSet, PreconditionViolated
-from witness_lab.model import Database, Row
+from witness_lab.model import Database
 from witness_lab.qparser import parse_query
 
 
@@ -169,16 +169,17 @@ def test_candidate_shares_join_tuple_across_results():
     cand = min_price_candidate(query, db, "b1", frozenset())
     assert cand.price == Fraction(3, 2)  # three tuples buy two results
     assert sum(len(rows) for rows in cand.subsets.values()) == 3
-    assert {t["A"] for t in cand.new_results} == {"a1", "a2"}
-    assert cand.subsets["R2"] == frozenset({Row.make({"B": "b1"})})
+    assert cand.new_results == {("a1",), ("a2",)}
+    assert cand.subsets["R2"] == frozenset({("b1",)})
 
 
 def test_candidate_skips_covered_results():
     query, db = cover_db([("a1", "b1"), ("a2", "b1"), ("a3", "b2")], ["b1", "b2"])
-    covered = frozenset(r for r in evaluate(query, db) if r["A"] == "a1")
+    covered = frozenset({("a1",)}) & evaluate(query, db)
+    assert covered
     cand = min_price_candidate(query, db, "b1", covered)
     assert cand.price == Fraction(2)
-    assert {t["A"] for t in cand.new_results} == {"a2"}
+    assert cand.new_results == {("a2",)}
 
 
 def test_candidate_none_when_value_reaches_nothing():
@@ -195,9 +196,9 @@ def test_candidate_requires_single_non_output():
 
 def selection_price(query, db, covered, x_rows, y_rows):
     """Price of an arbitrary two-relation selection: tuples spent over
-    results newly produced.  None stands in for an infinite price."""
-    produced = {Row.make({"A": x["A"]}) for x in x_rows
-                for y in y_rows if x["B"] == y["B"]}
+    results newly produced.  None stands in for an infinite price.
+    R1 tuples are (A, B) and R2 tuples (B,)."""
+    produced = {(a,) for a, b in x_rows for (c,) in y_rows if b == c}
     new = produced - covered
     if not new:
         return None
@@ -216,10 +217,10 @@ def test_merging_selections_never_beats_the_better_half():
         if b1 is None:
             continue
         covered = frozenset()
-        x1 = [r for r in db.instances["R1"] if r["B"] == b1]
-        y1 = [r for r in db.instances["R2"] if r["B"] == b1]
-        x2 = [r for r in db.instances["R1"] if r["B"] == b2]
-        y2 = [r for r in db.instances["R2"] if r["B"] == b2]
+        x1 = [r for r in db.instances["R1"] if r[1] == b1]
+        y1 = [r for r in db.instances["R2"] if r == (b1,)]
+        x2 = [r for r in db.instances["R1"] if r[1] == b2]
+        y2 = [r for r in db.instances["R2"] if r == (b2,)]
         p1 = selection_price(query, db, covered, x1, y1)
         p2 = selection_price(query, db, covered, x2, y2)
         merged = selection_price(query, db, covered, x1 + x2, y1 + y2)

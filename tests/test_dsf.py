@@ -81,9 +81,9 @@ def test_per_pair_paths_pick_smallest_targets():
     chosen = dsf_per_pair_paths(inst)
     # s2 reaches t1 via m1/p1, the smallest reachable targets; the m2/p2
     # detour only enters for the (s2, t2) demand
-    rows = {(e.relation, tuple(sorted(e.row.items))) for e in inst.edges if e.id in chosen}
-    assert ("R1", (("A1", "s2"), ("A2", "m1"))) in rows
-    assert ("R1", (("A1", "s2"), ("A2", "m2"))) in rows
+    rows = {(e.relation, e.row) for e in inst.edges if e.id in chosen}
+    assert ("R1", ("s2", "m1")) in rows  # over (A1, A2)
+    assert ("R1", ("s2", "m2")) in rows
 
 
 def test_unreachable_demand_raises():

@@ -5,7 +5,7 @@ import pytest
 
 from witness_lab.engine import evaluate, full_join_results, is_witness
 from witness_lab.errors import NotASubDatabase
-from witness_lab.model import Database, Query, Row, Witness
+from witness_lab.model import Database, Query, Witness
 from witness_lab.qparser import parse_query
 
 from corpus import (
@@ -35,7 +35,7 @@ def test_empty_relation_empties_result():
 def test_boolean_query_yields_empty_row():
     query = parse_query("Q() :- R(A, B)")
     db = Database.build(query, {"R": [{"A": "1", "B": "2"}]})
-    assert evaluate(query, db) == frozenset({Row(())})
+    assert evaluate(query, db) == frozenset({()})
     assert evaluate(query, Database.build(query, {})) == frozenset()
 
 
@@ -55,7 +55,7 @@ def test_matches_reference_on_random_queries():
         db = random_db(query, rng, max_rows=4)
         results = evaluate(query, db)
         assert rows_to_tuples(query, results) == naive_evaluate(query, db)
-        assert all(set(row.attributes) == query.head_set for row in results)
+        assert all(len(row) == len(query.head_set) for row in results)
         full = Query(query.attributes, query.relations)
         assert rows_to_tuples(full, full_join_results(query, db)) == naive_evaluate(full, db)
 
@@ -65,16 +65,15 @@ def test_full_join_binds_every_attribute():
     rows = full_join_results(query, db)
     assert len(rows) == len(set(rows))
     for row in rows:
-        assert set(row.attributes) == set(query.attributes)
+        assert len(row) == len(query.attributes)
+        binding = dict(zip(query.attributes, row))
         for schema in query.relations:
-            assert row.project(schema.attributes) in db.instances[schema.name]
+            assert tuple(binding[a] for a in sorted(schema.attributes)) in db.instances[schema.name]
 
 
 def test_is_witness_accepts_single_result_cover():
     query, db = worked_example()
-    single = {name: {Row.make(dict(zip(query.schema(name).attributes, row)))
-                     for row in rows}
-              for name, rows in WORKED_SINGLE_WITNESS.items()}
+    single = build_db(query, WORKED_SINGLE_WITNESS).instances
     witness = Witness.build(query, single, "frozen")
     sub_query = query  # same body, restricted data
     assert not is_witness(sub_query, db, witness)  # misses two results
@@ -84,9 +83,16 @@ def test_is_witness_accepts_single_result_cover():
 
 def test_is_witness_rejects_foreign_tuples():
     query, db = worked_example()
-    alien = Witness.build(query, {"R1": [Row.make({"A": "zz", "B": "zz"})]}, "bad")
-    with pytest.raises(NotASubDatabase):
+    alien = Witness.build(query, {"R1": [("zz", "zz")]}, "bad")
+    with pytest.raises(NotASubDatabase) as err:
         is_witness(query, db, alien)
+    assert str(err.value) == "candidate tuple (A='zz', B='zz') is not present in relation 'R1'"
+    # stored tuples hold values in attribute-name order, not column order
+    query = parse_query("Q(A) :- R1(B, A)")
+    db = Database.build(query, {"R1": [{"A": "a1", "B": "b1"}]})
+    with pytest.raises(NotASubDatabase) as err:
+        is_witness(query, db, Witness.build(query, {"R1": [("a1", "zz")]}, "bad"))
+    assert str(err.value) == "candidate tuple (A='a1', B='zz') is not present in relation 'R1'"
 
 
 def test_is_witness_empty_on_empty_result():

@@ -8,7 +8,7 @@ from witness_lab.errors import (
     SelfJoinError,
     UnboundHeadAttribute,
 )
-from witness_lab.model import Database, Query, RelationSchema, Row, Witness
+from witness_lab.model import Database, Query, RelationSchema, Witness, projection
 from witness_lab.qparser import format_query, parse_query
 
 from corpus import WORKED_TEXT
@@ -18,34 +18,34 @@ values = st.text(alphabet="abc123", min_size=1, max_size=4)
 
 
 def test_row_order_independent():
-    a = Row.make({"A": "1", "B": "2"})
-    b = Row.make([("B", "2"), ("A", "1")])
-    assert a == b
-    assert a.items == (("A", "1"), ("B", "2"))
+    q = parse_query("Q(A) :- R(B, A)")
+    db = Database.build(q, {"R": [{"A": "1", "B": "2"}, {"B": "2", "A": "1"}]})
+    assert q.schema("R").sorted_attributes == ("A", "B")
+    assert db.instances["R"] == frozenset({("1", "2")})
 
 
 def test_row_access_and_project():
-    row = Row.make({"A": "x", "B": "y", "C": "z"})
-    assert row["B"] == "y"
-    assert row.project(["C", "A"]).items == (("A", "x"), ("C", "z"))
-    assert row.attributes == ("A", "B", "C")
-
-
-def test_row_merge_right_wins():
-    left = Row.make({"A": "1", "B": "2"})
-    right = Row.make({"B": "9", "C": "3"})
-    assert left.merge(right) == Row.make({"A": "1", "B": "9", "C": "3"})
+    row = ("x", "y", "z")  # over A, B, C
+    assert projection(("A", "B", "C"), ["C", "A"])(row) == ("z", "x")
+    assert projection(("A", "B", "C"), ["B"])(row) == ("y",)
+    assert projection(("A", "B", "C"), [])(row) == ()
+    assert projection(("C", "A"), ("A", "C"))(["z", "x"]) == ("x", "z")  # lists too
 
 
 @given(st.dictionaries(names, values, min_size=1, max_size=5))
-def test_row_make_is_canonical(mapping):
-    shuffled = sorted(mapping.items(), reverse=True)
-    assert Row.make(mapping) == Row.make(shuffled)
+def test_row_build_is_canonical(mapping):
+    q = Query((), (RelationSchema("R", tuple(mapping)),))
+    shuffled = dict(sorted(mapping.items(), reverse=True))
+    rows = Database.build(q, {"R": [mapping, shuffled]}).instances["R"]
+    assert rows == frozenset({tuple(mapping[a] for a in sorted(mapping))})
 
 
 def test_rows_sort_deterministically():
-    rows = [Row.make({"A": "2"}), Row.make({"A": "1"}), Row.make({"A": "1", "B": "0"})]
-    assert sorted(rows) == [rows[1], rows[2], rows[0]]
+    q = parse_query("Q(A) :- R(B, A)")
+    db = Database.build(q, {"R": [{"B": "0", "A": "2"}, {"B": "1", "A": "1"},
+                                  {"B": "0", "A": "1"}]})
+    # values in attribute-name order, so A decides before B
+    assert sorted(db.instances["R"]) == [("1", "0"), ("1", "1"), ("2", "0")]
 
 
 def test_schema_rejects_duplicate_attribute():
@@ -87,6 +87,8 @@ def test_database_build_validates_schema():
     with pytest.raises(ValueError):
         Database.build(q, {"R": [{"A": "1"}]})
     with pytest.raises(ValueError):
+        Database.build(q, {"R": [{"A": "1", "B": "2", "C": "3"}]})
+    with pytest.raises(ValueError):
         Database.build(q, {"S": []})
     db = Database.build(q, {})
     assert db.instances["R"] == frozenset()
@@ -95,7 +97,7 @@ def test_database_build_validates_schema():
 
 def test_witness_build_fills_missing_relations():
     q = parse_query("Q(A) :- R(A, B), S(B)")
-    w = Witness.build(q, {"R": [Row.make({"A": "1", "B": "2"})]}, "test")
+    w = Witness.build(q, {"R": [("1", "2")]}, "test")
     assert w.tuples["S"] == frozenset()
     assert w.size == 1
     assert w.as_database().size == 1

@@ -6,7 +6,7 @@ import pytest
 
 from witness_lab.engine import evaluate, is_witness
 from witness_lab.errors import BudgetExhausted, InstanceTooLarge
-from witness_lab.model import Database, Row, Witness
+from witness_lab.model import Database, Witness
 from witness_lab.oracle import DEFAULT_ORACLE_CAP, brute_force_swp
 from witness_lab.qparser import parse_query
 
@@ -20,7 +20,7 @@ def exhaustive_minimum(query, db):
             for row in sorted(db.instances[name])]
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
-            parts: dict[str, set[Row]] = {}
+            parts: dict[str, set[tuple[str, ...]]] = {}
             for name, row in combo:
                 parts.setdefault(name, set()).add(row)
             witness = Witness.build(query, parts, "enum")

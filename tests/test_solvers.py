@@ -9,7 +9,7 @@ from witness_lab import densest, solvers
 from witness_lab.engine import evaluate, full_join_results, is_witness
 from witness_lab.errors import PreconditionViolated, ResultNotFound
 from witness_lab.generators import gen_random_db
-from witness_lab.model import Database, Row, Witness
+from witness_lab.model import Database, Witness
 from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import parse_query
 from witness_lab.solvers import (
@@ -25,7 +25,9 @@ from corpus import (
     WORKED_SINGLE_RESULT,
     WORKED_SINGLE_WITNESS,
     WORKED_TEXT,
+    as_columns,
     build_db,
+    project,
     worked_example,
     random_db,
     random_head_cluster_query,
@@ -36,14 +38,13 @@ from corpus import (
 
 
 def as_tables(query, witness):
-    return {name: {tuple(row[a] for a in query.schema(name).attributes)
-                   for row in rows}
+    return {name: {as_columns(query.schema(name), row) for row in rows}
             for name, rows in witness.tuples.items()}
 
 
 def test_single_result_witness_matches_worked_example():
     query, db = worked_example()
-    result = Row.make(dict(zip(("A", "C", "F"), WORKED_SINGLE_RESULT)))
+    result = dict(zip(("A", "C", "F"), WORKED_SINGLE_RESULT))
     witness = witness_for_result(query, db, result)
     assert as_tables(query, witness) == WORKED_SINGLE_WITNESS
     assert witness.size == 4
@@ -52,9 +53,12 @@ def test_single_result_witness_matches_worked_example():
 def test_single_result_witness_validates_input():
     query, db = worked_example()
     with pytest.raises(ValueError):
-        witness_for_result(query, db, Row.make({"A": "a1"}))
-    with pytest.raises(ResultNotFound):
-        witness_for_result(query, db, Row.make({"A": "a1", "C": "c2", "F": "f1"}))
+        witness_for_result(query, db, {"A": "a1"})
+    with pytest.raises(ValueError):
+        witness_for_result(query, db, {"A": "a1", "C": "c1", "F": "f1", "B": "b1"})
+    with pytest.raises(ResultNotFound) as err:
+        witness_for_result(query, db, {"F": "f1", "C": "c2", "A": "a1"})
+    assert str(err.value) == "output tuple (A='a1', C='c2', F='f1') is not a query result"
 
 
 def test_exact_requires_head_cluster():
@@ -153,10 +157,10 @@ def eager_greedy(query, db):
     several values shared the cheapest price."""
     b_attr = query.non_output[0]
     results = evaluate(query, db)
-    parts = {schema.name: {t.project(schema.attributes) for t in results}
+    parts = {schema.name: {project(query.head, t, schema.attributes) for t in results}
              for schema in query.relations if schema.attribute_set <= query.head_set}
-    b_values = sorted({row[b_attr] for schema in query.relations
-                       if b_attr in schema.attribute_set
+    b_values = sorted({project(schema.attributes, row, [b_attr])[0]
+                       for schema in query.relations if b_attr in schema.attribute_set
                        for row in db.instances[schema.name]})
     covered, calls, tied_rounds = frozenset(), 0, 0
     while covered != results:
@@ -194,7 +198,7 @@ def test_price_never_falls_as_coverage_grows():
         db = random_db(query, rng, max_rows=8, domain=3)
         results = evaluate(query, db)
         ordered = sorted(results)
-        for b_value in sorted({row["B"] for row in db.instances["R1"]}):
+        for b_value in sorted({b for _, b in db.instances["R1"]}):
             covered = frozenset(rng.sample(ordered, rng.randint(0, len(ordered) // 2)))
             before = densest.min_price_candidate(query, db, b_value, covered, results)
             grown = covered | frozenset(rng.sample(ordered, rng.randint(0, len(ordered) // 3)))
@@ -250,11 +254,12 @@ def smallest_join_per_result(parts, query, db, wanted):
     rows = full_join_results(query, db)
     ties = 0
     for result in wanted:
-        candidates = [fj for fj in rows if fj.project(query.head) == result]
+        candidates = [fj for fj in rows if project(query.attributes, fj, query.head) == result]
         ties += len(candidates) > 1
         best = min(candidates)
         for schema in query.relations:
-            parts.setdefault(schema.name, set()).add(best.project(schema.attributes))
+            parts.setdefault(schema.name, set()).add(
+                project(query.attributes, best, schema.attributes))
     return ties
 
 
@@ -264,12 +269,13 @@ def reference_component_walk(query, db):
     if results:
         for schema in query.relations:
             if schema.attribute_set <= query.head_set:
-                parts[schema.name] = {t.project(schema.attributes) for t in results}
+                parts[schema.name] = {project(query.head, t, schema.attributes)
+                                      for t in results}
         for comp in existential_components(query):
             sub = query.subquery(comp.output_attributes, comp.relations)
             ties += smallest_join_per_result(
                 parts, sub, db.restrict(comp.relations),
-                {t.project(comp.output_attributes) for t in results})
+                {project(query.head, t, comp.output_attributes) for t in results})
     return parts, ties
 
 

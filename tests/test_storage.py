@@ -2,7 +2,7 @@
 import pytest
 
 from witness_lab.errors import HeaderMismatch, MissingRelationFile, RaggedRow
-from witness_lab.model import Row, Witness
+from witness_lab.model import Witness
 from witness_lab.qparser import parse_query
 from witness_lab.storage import (
     load_database,
@@ -41,7 +41,7 @@ def test_load_accepts_reordered_columns(tmp_path):
     query = parse_query("Q(A) :- R(A, B)")
     (tmp_path / "R.csv").write_text("B,A\nb1,a1\n")
     db = load_database(query, tmp_path)
-    assert db.instances["R"] == frozenset({Row.make({"A": "a1", "B": "b1"})})
+    assert db.instances["R"] == frozenset({("a1", "b1")})
 
 
 def test_load_skips_blank_lines_and_dedups(tmp_path):
@@ -81,13 +81,13 @@ def test_load_strips_utf8_byte_order_mark(tmp_path):
     query = parse_query("Q(A) :- R(A, B)")
     (tmp_path / "R.csv").write_bytes(b"\xef\xbb\xbfB,A\r\nb1,a1\r\n")
     db = load_database(query, tmp_path)
-    assert db.instances["R"] == frozenset({Row.make({"A": "a1", "B": "b1"})})
+    assert db.instances["R"] == frozenset({("a1", "b1")})
 
 
 def test_write_witness_mirrors_layout(tmp_path):
     query = parse_query(WORKED_TEXT)
     witness = Witness.build(
-        query, {"R1": [Row.make({"A": "a1", "B": "b1"})]}, "test")
+        query, {"R1": [("a1", "b1")]}, "test")
     write_witness(query, witness, tmp_path)
     assert (tmp_path / "R1.csv").read_text() == "A,B\na1,b1\n"
     assert (tmp_path / "R3.csv").read_text() == "C,F\n"
@@ -96,7 +96,7 @@ def test_write_witness_mirrors_layout(tmp_path):
 def test_witness_json_uses_schema_column_order():
     query = parse_query(WORKED_TEXT)
     witness = Witness.build(
-        query, {"R2": [Row.make({"B": "b1", "C": "c1"})]}, "test")
+        query, {"R2": [("b1", "c1")]}, "test")
     doc = witness_to_json_dict(query, witness)
     assert doc["R2"] == {"columns": ["B", "C"], "rows": [["b1", "c1"]]}
     assert doc["R4"]["rows"] == []
