@@ -3,20 +3,28 @@
 Density of a vertex set S is the total weight of (hyper)edges falling
 inside S divided by |S|.  For a guessed density g = p/q the flow network
 has source -> edge-node (weight * q), edge-node -> each endpoint
-(infinite), vertex -> sink (p).  The source side of the minimal minimum
-cut is the smallest set maximising q*weight(S) - p*|S|, which is
-nonempty exactly when some set is denser than g.  The guess is scaled to
-integers, which keeps max-flow values exact.
+(infinite), vertex -> sink (p).  A minimum cut's source side holds a set
+maximising q*weight(S) - p*|S|, and that maximum is q*(total weight)
+minus the maximum flow.  The guess is scaled to integers, which keeps
+flow values exact.
+
+Minimum cuts form a lattice (Picard and Queyranne, Math. Prog. Study
+13, 1980): after any maximum flow, the nodes the source still reaches in
+the residual network are the smallest min-cut source side, and the nodes
+that cannot reach the sink are the largest.  So one flow yields the
+smallest maximiser, the largest maximiser and the maximum itself.
 
 The optimum comes from Dinkelbach's iteration (Management Science,
 1967): start at the density of the whole vertex set and move g to the
-density of the cut set until the cut set is empty.  Each step strictly
-raises g, and only a few steps are needed in practice.
+density of the smallest maximiser until it is empty.  Each step strictly
+raises g, and a search of k steps runs k + 1 max-flows.
 
-The returned set is the lexicographically smallest optimal one.  One
-more cut, just below the optimum, yields the union of all optimal sets;
-every optimal set lies inside it, so the answer is the shortest prefix of
-the sorted union that reaches the optimal density.
+The returned set is the lexicographically smallest optimal one.  At the
+optimal density d* the maximisers of weight(S) - d*|S| are the empty set
+and the optimal sets; they are closed under union, so the largest
+maximiser of the last flow is the union of all optimal sets.  Every
+optimal set lies inside it, so the answer is the shortest prefix of the
+sorted union that reaches the optimal density.
 """
 from __future__ import annotations
 
@@ -38,16 +46,19 @@ class _Dinic:
         self.adj[u].append([v, cap, len(self.adj[v])])
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
-    def _bfs(self, s: int, t: int) -> list[int]:
+    def levels(self, start: int, forward: bool = True) -> list[int]:
+        """Residual BFS distance of each node from `start`, or with
+        forward=False to `start`; -1 where there is no residual path."""
+        adj = self.adj
         level = [-1] * self.n
-        level[s] = 0
-        queue = [s]
+        level[start] = 0
+        queue = [start]
         for u in queue:
-            for v, cap, _ in self.adj[u]:
-                if cap > 0 and level[v] < 0:
+            for v, cap, rev in adj[u]:
+                if level[v] < 0 and (cap if forward else adj[v][rev][1]) > 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else []
+        return level
 
     def _dfs(self, u: int, t: int, flow: int, level: list[int], it: list[int]) -> int:
         if u == t:
@@ -66,26 +77,11 @@ class _Dinic:
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
-        while True:
-            level = self._bfs(s, t)
-            if not level:
-                return total
+        while (level := self.levels(s))[t] >= 0:
             it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, 1 << 62, level, it)
-                if not pushed:
-                    break
+            while pushed := self._dfs(s, t, 1 << 62, level, it):
                 total += pushed
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for v, cap, _ in self.adj[u]:
-                if cap > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+        return total
 
 
 _WeightedEdge = tuple[frozenset, int]
@@ -106,7 +102,11 @@ class _DensityCore:
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self.first_vertex = 2 + len(self.edges)  # network node of vertices[0]
 
-    def _network(self, g: Fraction):
+    def cuts(self, g: Fraction) -> tuple[frozenset, frozenset, int]:
+        """From one maximum flow at g = p/q: the smallest and the largest
+        maximiser of weight(S) - g*|S| (the vertices the source reaches in
+        the residual network, and those that cannot reach the sink), and
+        the maximum q*weight(S) - p*|S| as a scaled integer."""
         p, q = g.numerator, g.denominator
         infinite = q * self.total_weight + p * len(self.vertices) + 1
         dinic = _Dinic(2 + len(self.edges) + len(self.vertices))
@@ -117,19 +117,12 @@ class _DensityCore:
                 dinic.add_edge(2 + i, self.first_vertex + self.index[v], infinite)
         for i in range(len(self.vertices)):
             dinic.add_edge(self.first_vertex + i, sink, p)
-        return dinic
-
-    def best_value(self, g: Fraction) -> int:
-        """max over S of q*weight(S) - p*|S|, as a scaled integer."""
-        return g.denominator * self.total_weight - self._network(g).max_flow(0, 1)
-
-    def cut_set(self, g: Fraction) -> frozenset:
-        """Vertices on the source side of the minimal minimum cut: the
-        smallest maximiser of weight(S) - g*|S|."""
-        dinic = self._network(g)
-        dinic.max_flow(0, 1)
-        reach = dinic.residual_reachable(0)
-        return frozenset(v for i, v in enumerate(self.vertices) if self.first_vertex + i in reach)
+        best = q * self.total_weight - dinic.max_flow(source, sink)
+        from_source = dinic.levels(source)[self.first_vertex:]
+        to_sink = dinic.levels(sink, forward=False)[self.first_vertex:]
+        smallest = frozenset(v for v, level in zip(self.vertices, from_source) if level >= 0)
+        largest = frozenset(v for v, level in zip(self.vertices, to_sink) if level < 0)
+        return smallest, largest, best
 
     def density(self, subset: frozenset) -> Fraction:
         return Fraction(sum(w for e, w in self.edges if e <= subset), len(subset))
@@ -137,24 +130,24 @@ class _DensityCore:
 
 def _max_density_set(edges: Mapping[frozenset, int]) -> tuple[frozenset, Fraction]:
     core = _DensityCore(edges)
-    n_vertices = len(core.vertices)
 
     # Dinkelbach: each nonempty maximiser at g is strictly denser than g.
-    density = Fraction(core.total_weight, n_vertices)
-    while improving := core.cut_set(density):
+    density = Fraction(core.total_weight, len(core.vertices))
+    while True:
+        improving, union, best = core.cuts(density)
+        if not improving:
+            break
         density, previous = core.density(improving), density
         if density <= previous:
             raise InternalInconsistency(f"maximiser at {previous} is no denser")
-    if core.best_value(density) > 0:
-        raise InternalInconsistency("density search did not converge")
+    if best != 0:
+        raise InternalInconsistency(
+            f"density search did not converge: best value {best} at {density}")
 
-    # Union of all optimal sets: distinct densities with denominators at
-    # most n differ by at least 1/n^2, so below the optimum by half that
-    # every non-optimal set scores negative and the largest optimal set,
-    # the union, is the unique maximiser.
-    union = core.cut_set(density - Fraction(1, 2 * n_vertices * n_vertices))
+    # At the optimum the maximisers are the empty set and the optimal
+    # sets, so the largest one is the union of all optimal sets.
     if not union:
-        raise InternalInconsistency("empty maximiser below the optimal density")
+        raise InternalInconsistency("empty union of the optimal sets")
 
     # Every optimal set lies inside the union, so the lexicographically
     # smallest one is its shortest optimal prefix in sorted order.  An
@@ -263,7 +256,7 @@ def min_price_candidate(query: Query, db: Database, b_value: str,
               for rel in query.relations if b_attr in rel.attribute_set]
     edge_weight: dict[frozenset, int] = {}
     edge_results: dict[frozenset, list[tuple[str, ...]]] = {}
-    for t in sorted(results - covered):
+    for t in results - covered:
         needed = []
         for name, instance, values_of, at in b_rels:
             values = values_of(t)

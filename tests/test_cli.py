@@ -2,6 +2,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -299,13 +300,35 @@ def test_export_dsf_rejects_branching_query(capsys, data_dir):
     assert "error" in err
 
 
+def run_child(argv, **env):
+    """`python -m witness_lab argv` in a fresh interpreter that imports the
+    same witness_lab as this process, installed or not."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "witness_lab", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
 def test_module_entry_point_smoke(data_dir):
     qpath, _ = worked_paths(data_dir)
-    # the child imports the same witness_lab as this process, installed or not
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "witness_lab", "classify", qpath],
-                          capture_output=True, text=True, timeout=60, env=env)
+    proc = run_child(["classify", qpath])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["label"] == "LogHard"
+
+
+def test_greedy_output_independent_of_hash_seed(tmp_path):
+    """The same input gives the same bytes, whatever order string hashing
+    gives the sets and dicts inside pricing."""
+    text = "Q(A, C) :- R1(A, B), R2(B, C)"
+    query = parse_query(text)
+    write_database(query, gen_random_db(query, 120, 12, 3).database, tmp_path)
+    (tmp_path / "query.txt").write_text(text + "\n")
+    argv = ["solve", str(tmp_path / "query.txt"), str(tmp_path), "--algo", "greedy"]
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        proc = run_child(argv, PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(re.sub(r'^ *"timing_ms": .*\n', "", proc.stdout, flags=re.MULTILINE))
+    assert json.loads(outputs[0])["report"]["algorithm"] == "greedy"
+    assert outputs[0] == outputs[1]

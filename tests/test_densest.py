@@ -8,13 +8,15 @@ import pytest
 from witness_lab.densest import (
     BipartiteDensityInstance,
     HypergraphDensityInstance,
+    _DensityCore,
+    _Dinic,
     _max_density_set,
     densest_bipartite,
     densest_hypergraph,
     min_price_candidate,
 )
 from witness_lab.engine import evaluate
-from witness_lab.errors import EmptyEdgeSet, PreconditionViolated
+from witness_lab.errors import EmptyEdgeSet, InternalInconsistency, PreconditionViolated
 from witness_lab.model import Database
 from witness_lab.qparser import parse_query
 
@@ -150,7 +152,44 @@ def test_weighted_mixed_rank_matches_enumeration():
                    for c in itertools.combinations(verts, r)
                    if Fraction(weight_of(frozenset(c)), r) == want[1]]
         tied += len(optimal) > 1
+        # one flow at the optimum: no denser set, and the largest
+        # maximiser is the union of every optimal set
+        smallest, largest, best = _DensityCore(edges).cuts(want[1])
+        assert not smallest and best == 0
+        assert largest == frozenset().union(*optimal)
     assert weighted >= 100 and tied >= 10  # the tie-break decided some answers
+
+
+K4 = [frozenset(e) for e in itertools.combinations("abcd", 2)]
+
+# (edges, Dinkelbach steps, answer): a single edge is densest as a whole;
+# K4 plus a pendant edge starts at 7/5 and takes one step to K4's 3/2.
+SEARCHES = [
+    ({frozenset("ab"): 1}, 0, (frozenset("ab"), Fraction(1, 2))),
+    ({**{e: 1 for e in K4}, frozenset("de"): 1}, 1, (frozenset("abcd"), Fraction(3, 2))),
+]
+
+
+@pytest.mark.parametrize("edges, steps, answer", SEARCHES)
+def test_one_max_flow_per_dinkelbach_step(monkeypatch, edges, steps, answer):
+    calls = []
+    real = _Dinic.max_flow
+
+    def counting(self, s, t):
+        calls.append((s, t))
+        return real(self, s, t)
+
+    monkeypatch.setattr(_Dinic, "max_flow", counting)
+    assert _max_density_set(edges) == answer
+    assert len(calls) == 1 + steps
+
+
+@pytest.mark.parametrize("edges, steps, answer", SEARCHES)
+def test_convergence_check_reads_the_last_flow(monkeypatch, edges, steps, answer):
+    real = _Dinic.max_flow
+    monkeypatch.setattr(_Dinic, "max_flow", lambda self, s, t: real(self, s, t) - 1)
+    with pytest.raises(InternalInconsistency, match="did not converge"):
+        _max_density_set(edges)
 
 
 COVER = "Q(A) :- R1(A, B), R2(B)"
