@@ -58,7 +58,7 @@ EXIT_RESOURCE = 4
 
 
 def _read_query(path: str):
-    return parse_query(Path(path).read_text(encoding="utf-8"))
+    return parse_query(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _emit(document: dict) -> None:
@@ -153,6 +153,8 @@ def _parse_constraints(text: str) -> dict[tuple[int, int], frozenset[tuple[str, 
             u, v = (int(p) for p in place.split(","))
         except ValueError:
             raise ValueError(f"--constraints: {chunk!r} lacks a vertex pair like '1,2:'") from None
+        if (u, v) in constraints:
+            raise ValueError(f"--constraints: vertex pair {u},{v} is given twice")
         pairs = set()
         for pair in body.split(","):
             x, _, y = pair.partition("/")

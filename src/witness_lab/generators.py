@@ -82,6 +82,9 @@ class LabelCoverInstance:
             raise ValueError("alphabet has duplicates")
         if len(self.alphabet) <= self.n:
             raise AlphabetTooSmall(self.alphabet, self.n)
+        for u, v in self.constraints:
+            if not (1 <= u <= self.n and 1 <= v <= self.n):
+                raise ValueError(f"constraint ({u},{v}) names a vertex outside 1..{self.n}")
         letters = set(self.alphabet)
         for u in range(1, self.n + 1):
             for v in range(1, self.n + 1):

@@ -1,25 +1,28 @@
 """Exact fractional edge covers.
 
-The LP (minimise total weight, every attribute covered by weight >= 1,
-weights in [0, 1]) is solved with a small two-phase simplex over
-`fractions.Fraction`, so the optimum comes back as an exact rational.
-Bland's rule keeps the pivoting finite.
+The fractional edge cover number rho* (minimise total atom weight, every
+attribute covered by weight >= 1) is computed through its LP dual, the
+fractional vertex packing: maximise sum y_a subject to sum_{a in R} y_a <= 1
+for every atom R, y >= 0.  With one slack per atom, y = 0 is a feasible
+basis, so a single simplex phase with Bland's rule (finite) solves it over
+`fractions.Fraction`; no artificial columns and no phase 1 are needed.
+
+At the optimum the objective row's slack entries are the dual prices: an
+atom weighting.  Weak duality certifies the result: the prices must cover
+every attribute, the packing must fit under every atom, and the two sums
+must agree.  A failed check raises `InternalInconsistency`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InternalInconsistency
 from .model import Query
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-class _Unbounded(Exception):
-    pass
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    """Make column `col` basic in constraint row `row`; every other row of
+    the tableau, the objective row included, is updated."""
     pivot = tableau[row][col]
     tableau[row] = [v / pivot for v in tableau[row]]
     for r, current in enumerate(tableau):
@@ -29,95 +32,40 @@ def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) 
     basis[row] = col
 
 
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> None:
-    m = len(tableau)
-    n = len(cost)
+def fractional_edge_cover(query: Query) -> Fraction:
+    """Smallest total relation weight covering every attribute at least once.
+    Exact rational."""
+    atoms = [rel.attribute_set for rel in query.relations]
+    attrs = query.attributes
+    n, m = len(attrs), len(atoms)
+    # Rows 0..m-1: atom i's packing constraint, slack in column n + i, rhs last.
+    # Row m: the objective row, reduced costs of max sum y with the value last.
+    tableau = [[Fraction(a in atom) for a in attrs] + [Fraction(k == i) for k in range(m)]
+               + [Fraction(1)] for i, atom in enumerate(atoms)]
+    tableau.append([Fraction(-1)] * n + [Fraction(0)] * (m + 1))
+    basis = list(range(n, n + m))
     while True:
-        cb = [cost[basis[i]] for i in range(m)]
-        entering = None
-        for j in range(n):
-            if j in basis:
-                continue
-            reduced = cost[j] - sum(cb[i] * tableau[i][j] for i in range(m))
-            if reduced < 0:
-                entering = j  # Bland: smallest improving index
-                break
+        # Bland: the smallest improving column enters; among tied ratios,
+        # the row whose basic column is smallest leaves.
+        entering = next((j for j, c in enumerate(tableau[m][:-1]) if c < 0), None)
         if entering is None:
-            return
-        leaving = None
-        best: Fraction | None = None
-        for i in range(m):
-            if tableau[i][entering] > 0:
-                ratio = tableau[i][-1] / tableau[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            raise _Unbounded
+            break
+        _, _, leaving = min((tableau[i][-1] / tableau[i][entering], basis[i], i)
+                            for i in range(m) if tableau[i][entering] > 0)
         _pivot(tableau, basis, leaving, entering)
 
-
-def lp_min(rows: list[list[Fraction]], rhs: list[Fraction], cost: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-    """min cost . x  subject to  rows . x = rhs, x >= 0, rhs >= 0."""
-    m = len(rows)
-    n = len(cost)
-    tableau = [list(rows[i]) + [_ZERO] * m + [rhs[i]] for i in range(m)]
-    for i in range(m):
-        tableau[i][n + i] = _ONE
-    basis = list(range(n, n + m))
-
-    phase1 = [_ZERO] * n + [_ONE] * m
-    _run_simplex(tableau, basis, phase1)
-    if sum(tableau[i][-1] for i in range(m) if basis[i] >= n) != 0:
-        raise ValueError("infeasible linear program")
-
-    # Pivot any degenerate artificial out of the basis, or drop its row.
-    for i in range(m - 1, -1, -1):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tableau[i][j] != 0), None)
-            if col is None:
-                del tableau[i]
-                del basis[i]
-            else:
-                _pivot(tableau, basis, i, col)
-    m = len(tableau)
-    tableau = [row[:n] + [row[-1]] for row in tableau]
-
-    _run_simplex(tableau, basis, list(cost))
-    x = [_ZERO] * n
-    for i in range(m):
-        x[basis[i]] = tableau[i][-1]
-    return sum(c * v for c, v in zip(cost, x)), x
-
-
-def fractional_edge_cover(query: Query) -> Fraction:
-    """Smallest total relation weight covering every attribute at least once,
-    weights within [0, 1].  Exact rational."""
-    rels = query.relations
-    attrs = query.attributes
-    m = len(rels)
-    n = m + len(attrs) + m  # weights, coverage surplus, cap slack
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for k, attr in enumerate(attrs):
-        row = [_ZERO] * n
-        for i, rel in enumerate(rels):
-            if attr in rel.attribute_set:
-                row[i] = _ONE
-        row[m + k] = -_ONE
-        rows.append(row)
-        rhs.append(_ONE)
-    for i in range(m):
-        row = [_ZERO] * n
-        row[i] = _ONE
-        row[m + len(attrs) + i] = _ONE
-        rows.append(row)
-        rhs.append(_ONE)
-
-    cost = [_ONE] * m + [_ZERO] * (n - m)
-    value, _ = lp_min(rows, rhs, cost)
-    return value
+    prices = tableau[m][n:n + m]
+    basic = {col: tableau[i][-1] for i, col in enumerate(basis)}
+    packing = [basic.get(j, Fraction(0)) for j in range(n)]
+    covers = min(prices) >= 0 and all(
+        sum(p for p, atom in zip(prices, atoms) if a in atom) >= 1 for a in attrs)
+    packs = min(packing) >= 0 and all(
+        sum(y for y, a in zip(packing, attrs) if a in atom) <= 1 for atom in atoms)
+    if not (covers and packs and sum(prices) == sum(packing)):
+        raise InternalInconsistency(
+            f"edge cover {list(map(str, prices))} and vertex packing "
+            f"{list(map(str, packing))} do not certify each other")
+    return sum(prices)
 
 
 def agm_bound_holds(witness_size: int, result_count: int, rho: Fraction) -> bool:

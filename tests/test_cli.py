@@ -41,6 +41,21 @@ def test_classify_reports_label_and_certificate(capsys, data_dir):
     assert doc["query"].startswith("Q(A, C, F)")
 
 
+@pytest.mark.parametrize("command", ["classify", "solve"])
+def test_query_file_with_byte_order_mark(capsys, data_dir, tmp_path, command):
+    qpath, dpath = worked_paths(data_dir)
+    marked = tmp_path / "query.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(qpath).read_bytes())
+    data = [dpath] if command == "solve" else []
+    documents = []
+    for path in (qpath, str(marked)):
+        code, out, err = run(capsys, command, path, *data)
+        assert (code, err) == (0, "")
+        documents.append(json.loads(out))
+        documents[-1].pop("timing_ms", None)
+    assert documents[0] == documents[1]
+
+
 def test_classify_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "classify", str(tmp_path / "nope.txt"))
     assert code == 2
@@ -230,6 +245,25 @@ def test_generate_line3_bad_constraints_names_the_flag(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: --constraints: '1:x/y' lacks a vertex pair like '1,2:'\n"
+
+
+def test_generate_line3_rejects_vertex_outside_range(capsys, tmp_path):
+    every_pair = ";".join(f"{u},{v}:x/y" for u in (1, 2) for v in (1, 2))
+    code, out, err = run(capsys, "generate", "line3", "--out", str(tmp_path / "x"),
+                         "--n", "2", "--alphabet", "x,y,z",
+                         "--constraints", every_pair + ";5,9:x/y")
+    assert code == 2
+    assert out == ""
+    assert err == "error: constraint (5,9) names a vertex outside 1..2\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_line3_repeated_vertex_pair_names_the_flag(capsys, tmp_path):
+    code, out, err = run(capsys, "generate", "line3", "--out", str(tmp_path / "x"),
+                         "--n", "1", "--alphabet", "x,y", "--constraints", "1,1:x/y;1,1:y/y")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --constraints: vertex pair 1,1 is given twice\n"
 
 
 def test_generate_random_needs_query(capsys, tmp_path):
