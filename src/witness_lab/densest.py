@@ -2,11 +2,22 @@
 
 Density of a vertex set S is the total weight of (hyper)edges falling
 inside S divided by |S|.  For a guessed density g = p/q the flow network
-has source -> edge-node (weight * q), edge-node -> each endpoint
-(infinite), vertex -> sink (p).  A minimum cut's source side holds a set
-maximising q*weight(S) - p*|S|, and that maximum is q*(total weight)
-minus the maximum flow.  The guess is scaled to integers, which keeps
-flow values exact.
+is Goldberg's ("Finding a maximum density subgraph", UCB TR 1984), with
+weighted hyperedges: source -> hyperedge (weight * q), hyperedge -> each
+member (infinite), vertex -> sink (p).  A minimum cut's source side
+holds a set maximising q*weight(S) - p*|S|, and that maximum is
+q*(total weight) minus the maximum flow.  The guess is scaled to
+integers, which keeps flow values exact.
+
+The max-flow is written for this network alone, on plain lists: the
+spare supply of each hyperedge, the spare room of each vertex and the
+flow on each (hyperedge, member) pair.  A greedy pass pushes what fits
+along each hyperedge's members.  Shortest augmenting paths (Edmonds and
+Karp, JACM 1972) finish the flow: a breadth-first search starts at every
+hyperedge with spare supply, goes hyperedge -> member always and vertex
+-> hyperedge where that pair carries flow, and a path ends at a vertex
+with room.  Because the paths are shortest, the number of augmentations
+is bounded by the network's size whatever the capacities are.
 
 Minimum cuts form a lattice (Picard and Queyranne, Math. Prog. Study
 13, 1980): after any maximum flow, the nodes the source still reaches in
@@ -30,65 +41,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .engine import evaluate
+# Pricing no longer evaluates Q(D); `evaluate` stays importable because
+# the benchmark's traced run (bench/layers.py) wraps `densest.evaluate`.
+from .engine import evaluate, full_join_results  # noqa: F401
 from .errors import EmptyEdgeSet, InternalInconsistency, PreconditionViolated
 from .model import Database, Query, projection
-
-
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def levels(self, start: int, forward: bool = True) -> list[int]:
-        """Residual BFS distance of each node from `start`, or with
-        forward=False to `start`; -1 where there is no residual path."""
-        adj = self.adj
-        level = [-1] * self.n
-        level[start] = 0
-        queue = [start]
-        for u in queue:
-            for v, cap, rev in adj[u]:
-                if level[v] < 0 and (cap if forward else adj[v][rev][1]) > 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
-
-    def _dfs(self, u: int, t: int, flow: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return flow
-        while it[u] < len(self.adj[u]):
-            edge = self.adj[u][it[u]]
-            v, cap, rev = edge
-            if cap > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs(v, t, min(flow, cap), level, it)
-                if pushed:
-                    edge[1] -= pushed
-                    self.adj[v][rev][1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while (level := self.levels(s))[t] >= 0:
-            it = [0] * self.n
-            while pushed := self._dfs(s, t, 1 << 62, level, it):
-                total += pushed
-        return total
 
 
 _WeightedEdge = tuple[frozenset, int]
 
 
 class _DensityCore:
-    """One weighted hypergraph plus the flow-based decision oracles."""
+    """One weighted hypergraph plus the flow-based decision oracles.
+
+    Hyperedges and vertices are numbered: `members[e]` lists the vertex
+    indices of hyperedge e, and `incident[v]` the (hyperedge, position)
+    pairs that hold vertex v."""
 
     def __init__(self, edges: Mapping[frozenset, int]):
         if not edges:
@@ -99,8 +69,70 @@ class _DensityCore:
         self.edges: list[_WeightedEdge] = list(edges.items())
         self.vertices: list = sorted(set().union(*edges))
         self.total_weight = sum(w for _, w in self.edges)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.first_vertex = 2 + len(self.edges)  # network node of vertices[0]
+        index = {v: i for i, v in enumerate(self.vertices)}
+        self.members = [sorted(index[v] for v in edge) for edge, _ in self.edges]
+        self.incident: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for e, members in enumerate(self.members):
+            for k, v in enumerate(members):
+                self.incident[v].append((e, k))
+
+    def max_flow(self, supply: list[int], room: list[int],
+                 flow: list[list[int]]) -> tuple[int, list]:
+        """Saturates the network in place: `supply[e]` is the spare
+        capacity of source -> e, `room[v]` that of v -> sink, `flow[e][k]`
+        the flow on e -> members[e][k].  Returns the flow value and, per
+        vertex, the arc by which the last (failing) search reached it."""
+        members, incident = self.members, self.incident
+        total = sum(supply)
+        for e, ms in enumerate(members):  # greedy: push what fits
+            for k, v in enumerate(ms):
+                x = flow[e][k] = min(supply[e], room[v])
+                supply[e] -= x
+                room[v] -= x
+        while True:
+            # Shortest augmenting paths: hyperedge -> member always, vertex
+            # -> hyperedge where that pair carries flow; a path ends at a
+            # vertex with room.
+            via: list = [None] * len(self.vertices)  # (e, k) reaching each vertex
+            # per hyperedge: -1 at a start, else k of the vertex reaching it
+            back: list = [-1 if s else None for s in supply]
+            frontier = [e for e, s in enumerate(supply) if s]
+            ends: list[int] = []
+            while frontier and not ends:
+                reached = []
+                for e in frontier:
+                    for k, v in enumerate(members[e]):
+                        if via[v] is None:
+                            via[v] = (e, k)
+                            (ends if room[v] else reached).append(v)
+                frontier = []
+                if not ends:
+                    for v in reached:
+                        for e, k in incident[v]:
+                            if back[e] is None and flow[e][k]:
+                                back[e] = k
+                                frontier.append(e)
+            if not ends:
+                return total - sum(supply), via
+            # Augmenting never shortens a residual distance, so a tree
+            # path to a later end whose arcs all keep spare capacity is
+            # again a shortest path.
+            for end in ends:
+                path, v = [], end  # (hyperedge, member position) arcs
+                while True:
+                    e, k = via[v]
+                    path.append((e, k))
+                    if back[e] < 0:
+                        break
+                    v = members[e][back[e]]
+                x = min(room[end], supply[e], *(flow[f][back[f]] for f, _ in path[:-1]))
+                if x:
+                    room[end] -= x
+                    supply[e] -= x
+                    for f, k in path:
+                        flow[f][k] += x
+                        if back[f] >= 0:
+                            flow[f][back[f]] -= x
 
     def cuts(self, g: Fraction) -> tuple[frozenset, frozenset, int]:
         """From one maximum flow at g = p/q: the smallest and the largest
@@ -108,21 +140,26 @@ class _DensityCore:
         the residual network, and those that cannot reach the sink), and
         the maximum q*weight(S) - p*|S| as a scaled integer."""
         p, q = g.numerator, g.denominator
-        infinite = q * self.total_weight + p * len(self.vertices) + 1
-        dinic = _Dinic(2 + len(self.edges) + len(self.vertices))
-        source, sink = 0, 1
-        for i, (edge, w) in enumerate(self.edges):
-            dinic.add_edge(source, 2 + i, w * q)
-            for v in edge:
-                dinic.add_edge(2 + i, self.first_vertex + self.index[v], infinite)
-        for i in range(len(self.vertices)):
-            dinic.add_edge(self.first_vertex + i, sink, p)
-        best = q * self.total_weight - dinic.max_flow(source, sink)
-        from_source = dinic.levels(source)[self.first_vertex:]
-        to_sink = dinic.levels(sink, forward=False)[self.first_vertex:]
-        smallest = frozenset(v for v, level in zip(self.vertices, from_source) if level >= 0)
-        largest = frozenset(v for v, level in zip(self.vertices, to_sink) if level < 0)
-        return smallest, largest, best
+        supply = [w * q for _, w in self.edges]
+        room = [p] * len(self.vertices)
+        flow = [[0] * len(ms) for ms in self.members]
+        pushed, via = self.max_flow(supply, room, flow)
+        # backwards from the sink: v -> sink with room, e -> any member,
+        # and a member -> e where the pair carries flow
+        drains = [bool(r) for r in room]
+        stack = [v for v, r in enumerate(room) if r]
+        seen = [False] * len(self.members)
+        while stack:
+            for e, _ in self.incident[stack.pop()]:
+                if not seen[e]:
+                    seen[e] = True
+                    for k, u in enumerate(self.members[e]):
+                        if not drains[u] and flow[e][k]:
+                            drains[u] = True
+                            stack.append(u)
+        smallest = frozenset(v for v, arc in zip(self.vertices, via) if arc is not None)
+        largest = frozenset(v for v, d in zip(self.vertices, drains) if not d)
+        return smallest, largest, q * self.total_weight - pushed
 
     def density(self, subset: frozenset) -> Fraction:
         return Fraction(sum(w for e, w in self.edges if e <= subset), len(subset))
@@ -234,38 +271,46 @@ class PricedCandidate:
         object.__setattr__(self, "subsets", dict(self.subsets))
 
 
-def min_price_candidate(query: Query, db: Database, b_value: str,
-                        covered: frozenset, results: frozenset | None = None) -> PricedCandidate | None:
+_Group = list[tuple[tuple[str, ...], frozenset]]
+
+
+def demand_groups(query: Query, rows: Iterable[tuple[str, ...]]) -> dict[str, _Group]:
+    """Full join results grouped by the value of the single non-output
+    attribute b: per value, (result, demand key) pairs in row order.  A
+    result reachable at b demands one tuple per relation holding b, and
+    its key is the frozenset of those (relation name, tuple) pairs."""
+    b_attr, = query.non_output
+    at = query.attributes.index(b_attr)
+    to_head = projection(query.attributes, sorted(query.head))
+    b_rels = [(rel.name, projection(query.attributes, rel.sorted_attributes))
+              for rel in query.relations if b_attr in rel.attribute_set]
+    groups: dict[str, _Group] = {}
+    for fj in rows:
+        key = frozenset([(name, to_rel(fj)) for name, to_rel in b_rels])
+        groups.setdefault(fj[at], []).append((to_head(fj), key))
+    return groups
+
+
+def min_price_candidate(query: Query, db: Database, b_value: str, covered: frozenset,
+                        results: frozenset | None = None,
+                        group: _Group | None = None) -> PricedCandidate | None:
     """Cheapest tuple selection at one value of the single non-output
     attribute.  Each yet-uncovered result reachable at the value demands
     one specific tuple per relation containing that attribute, so the
     best selection is a maximum-density vertex set; identical demands
-    from several results count with multiplicity."""
-    non_output = query.non_output
-    if len(non_output) != 1:
-        raise PreconditionViolated("exactly one non-output attribute")
-    b_attr = non_output[0]
-    if results is None:
-        results = evaluate(query, db)
+    from several results count with multiplicity.
 
-    # per relation holding b_attr: its tuples, its head values, b_attr's position
-    head = sorted(query.head)
-    b_rels = [(rel.name, db.instances[rel.name],
-               projection(head, [a for a in rel.sorted_attributes if a != b_attr]),
-               rel.sorted_attributes.index(b_attr))
-              for rel in query.relations if b_attr in rel.attribute_set]
+    `group` is the value's entry of `demand_groups`; without it pricing
+    joins the query itself.  The group holds only results in Q(D), so
+    `results` (Q(D) where the caller has it) adds nothing to it."""
+    if len(query.non_output) != 1:
+        raise PreconditionViolated("exactly one non-output attribute")
+    if group is None:
+        group = demand_groups(query, full_join_results(query, db)).get(b_value, [])
     edge_weight: dict[frozenset, int] = {}
     edge_results: dict[frozenset, list[tuple[str, ...]]] = {}
-    for t in results - covered:
-        needed = []
-        for name, instance, values_of, at in b_rels:
-            values = values_of(t)
-            row = values[:at] + (b_value,) + values[at:]
-            if row not in instance:
-                break
-            needed.append((name, row))
-        else:
-            key = frozenset(needed)
+    for t, key in group:
+        if t not in covered:
             edge_weight[key] = edge_weight.get(key, 0) + 1
             edge_results.setdefault(key, []).append(t)
     if not edge_weight:
@@ -281,4 +326,3 @@ def min_price_candidate(query: Query, db: Database, b_value: str,
         parts.setdefault(rel_name, set()).add(row)
     return PricedCandidate(b_value, {k: frozenset(v) for k, v in parts.items()},
                            new_results, price)
-

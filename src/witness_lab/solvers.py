@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .densest import min_price_candidate
+from .densest import demand_groups, min_price_candidate
 from .engine import evaluate, full_join_results
 from .errors import InternalInconsistency, PreconditionViolated, ResultNotFound
 from .linprog import fractional_edge_cover
@@ -152,21 +152,21 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
     at its top, until the top entry was priced in the current round."""
     if len(query.non_output) != 1:
         raise PreconditionViolated("query must have exactly one non-output attribute")
-    b_attr = query.non_output[0]
-    results = evaluate(query, db)
+    rows = full_join_results(query, db)
+    results = frozenset(map(projection(query.attributes, sorted(query.head)), rows))
+    groups = demand_groups(query, rows)
     parts = _head_only_parts(query, results)
-    b_values = sorted({row[schema.sorted_attributes.index(b_attr)]
-                       for schema in query.relations if b_attr in schema.attribute_set
-                       for row in db.instances[schema.name]})
     # (price bound, value, round priced in, candidate); a value appears once,
-    # so entries never compare beyond the value.
-    heap: list = [(0, b_value, -1, None) for b_value in b_values]
+    # so entries never compare beyond the value.  Only values joined with
+    # some result are seeded; no other value can ever cover one.
+    heap: list = [(0, b_value, -1, None) for b_value in sorted(groups)]
     covered: frozenset[tuple[str, ...]] = frozenset()
     round_no = 0
     while covered != results:
         while heap and heap[0][2] != round_no:
             stale_price, b_value, _, _ = heap[0]
-            candidate = min_price_candidate(query, db, b_value, covered, results)
+            candidate = min_price_candidate(query, db, b_value, covered, results,
+                                            groups[b_value])
             if candidate is None:  # nothing uncovered reachable, now or later
                 heapq.heappop(heap)
             elif candidate.price < stale_price:
@@ -177,8 +177,8 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
         if not heap:
             raise InternalInconsistency("uncovered results reachable at no join value")
         best = heap[0][3]
-        for name, rows in best.subsets.items():
-            parts.setdefault(name, set()).update(rows)
+        for name, chosen in best.subsets.items():
+            parts.setdefault(name, set()).update(chosen)
         covered |= best.new_results
         round_no += 1
     witness = Witness.build(query, parts, "greedy")

@@ -171,23 +171,33 @@ def test_solve_evaluates_once_over_db_and_once_over_witness(capsys, tmp_path, mo
     db = gen_random_db(query, 12, 4, seed=3).database
     write_database(query, db, tmp_path)
     (tmp_path / "query.txt").write_text(text + "\n")
-    evaluated = []
-    original = engine.evaluate
+    evaluated, joined = [], []
+    original, original_join = engine.evaluate, engine.full_join_results
 
     def counting(q, d):
         evaluated.append(d)
         return original(q, d)
 
+    def counting_joins(q, d):
+        joined.append(d)
+        return original_join(q, d)
+
     for module in (cli, densest, dsf, engine, solvers):
         monkeypatch.setattr(module, "evaluate", counting)
+    monkeypatch.setattr(solvers, "full_join_results", counting_joins)
     code, out, _ = run(capsys, "solve", str(tmp_path / "query.txt"), str(tmp_path),
                        "--algo", algo)
     assert code == 0
     doc = json.loads(out)
     assert doc["report"]["algorithm"] == algo
     assert doc["report"]["result_count"] > 0
-    assert len(evaluated) == 2
-    assert evaluated[0] == db
+    if algo == "greedy":
+        # the greedy route reads Q(D) off its one full join over the database
+        assert joined == [db]
+        assert len(evaluated) == 1
+    else:
+        assert len(evaluated) == 2
+        assert evaluated[0] == db
 
 
 def test_generate_cover_writes_standard_layout(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Flow-based densest subgraph against subset enumeration, and pricing."""
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from witness_lab.densest import (
     BipartiteDensityInstance,
     HypergraphDensityInstance,
     _DensityCore,
-    _Dinic,
     _max_density_set,
     densest_bipartite,
     densest_hypergraph,
@@ -160,6 +160,72 @@ def test_weighted_mixed_rank_matches_enumeration():
     assert weighted >= 100 and tied >= 10  # the tie-break decided some answers
 
 
+def enum_cuts(vertices, edges, g):
+    """Reference cut readouts at g = p/q over every subset S, the empty
+    set included: the intersection and the union of the maximisers of
+    q*weight(S) - p*|S|, and that maximum."""
+    p, q = g.numerator, g.denominator
+    value = {}
+    for r in range(len(vertices) + 1):
+        for combo in itertools.combinations(vertices, r):
+            s = frozenset(combo)
+            value[s] = q * sum(w for e, w in edges.items() if e <= s) - p * len(s)
+    best = max(value.values())
+    maximisers = [s for s, v in value.items() if v == best]
+    return frozenset.intersection(*maximisers), frozenset().union(*maximisers), best
+
+
+def random_weighted_edges(rng, max_vertices=7, max_weight=5):
+    verts = [f"v{i}" for i in range(rng.randint(1, max_vertices))]
+    edges = {}
+    for _ in range(rng.randint(1, 8)):
+        edges[frozenset(rng.sample(verts, rng.randint(1, min(4, len(verts)))))] = \
+            rng.randint(1, max_weight)
+    return verts, edges
+
+
+def test_cuts_match_enumeration_at_every_guess():
+    """One flow's three readouts, at guesses below, at and above the
+    optimal density, on weighted hypergraphs of mixed rank."""
+    rng = random.Random(4075)
+    below = above = split = 0
+    for _ in range(160):
+        verts, edges = random_weighted_edges(rng)
+        optimum = _max_density_set(edges)[1]
+        core = _DensityCore(edges)
+        guesses = [optimum, optimum / 2, optimum * Fraction(9, 10), optimum + Fraction(1, 7),
+                   optimum * 2, Fraction(rng.randint(1, 40), rng.randint(1, 9))]
+        for g in guesses:
+            assert core.cuts(g) == enum_cuts(verts, edges, g), (edges, g)
+            below += g < optimum
+            above += g > optimum
+            smallest, largest, _ = core.cuts(g)
+            split += smallest != largest
+    assert below >= 300 and above >= 300 and split >= 50
+
+
+def test_cuts_with_large_capacities_stay_fast():
+    """Scaling g to p/q with q near 10**6 multiplies every capacity by
+    about 10**6; shortest augmenting paths keep the work independent of
+    that, so the flows finish at once."""
+    rng = random.Random(4076)
+    verts = [f"v{i}" for i in range(12)]
+    edges = {}
+    for _ in range(12):  # a heavy core on five vertices, light edges anywhere
+        edges[frozenset(rng.sample(verts[:5], rng.randint(1, 3)))] = rng.randint(5, 9)
+    for _ in range(20):
+        edges[frozenset(rng.sample(verts, rng.randint(1, 4)))] = rng.randint(1, 3)
+    optimum = _max_density_set(edges)[1]
+    q = 999_983
+    guesses = [optimum + Fraction(k, q) for k in (-1, 1, -3 * q // 4, -q // 3, 12_345)]
+    assert all(g > 0 and g.denominator >= q for g in guesses)
+    core = _DensityCore(edges)
+    started = time.perf_counter()
+    got = [core.cuts(g) for g in guesses]
+    assert time.perf_counter() - started < 1.0
+    assert got == [enum_cuts(verts, edges, g) for g in guesses]
+
+
 K4 = [frozenset(e) for e in itertools.combinations("abcd", 2)]
 
 # (edges, Dinkelbach steps, answer): a single edge is densest as a whole;
@@ -173,21 +239,26 @@ SEARCHES = [
 @pytest.mark.parametrize("edges, steps, answer", SEARCHES)
 def test_one_max_flow_per_dinkelbach_step(monkeypatch, edges, steps, answer):
     calls = []
-    real = _Dinic.max_flow
+    real = _DensityCore.max_flow
 
-    def counting(self, s, t):
-        calls.append((s, t))
-        return real(self, s, t)
+    def counting(self, *state):
+        calls.append(state)
+        return real(self, *state)
 
-    monkeypatch.setattr(_Dinic, "max_flow", counting)
+    monkeypatch.setattr(_DensityCore, "max_flow", counting)
     assert _max_density_set(edges) == answer
     assert len(calls) == 1 + steps
 
 
 @pytest.mark.parametrize("edges, steps, answer", SEARCHES)
 def test_convergence_check_reads_the_last_flow(monkeypatch, edges, steps, answer):
-    real = _Dinic.max_flow
-    monkeypatch.setattr(_Dinic, "max_flow", lambda self, s, t: real(self, s, t) - 1)
+    real = _DensityCore.max_flow
+
+    def under_reported(self, *state):
+        pushed, reached = real(self, *state)
+        return pushed - 1, reached
+
+    monkeypatch.setattr(_DensityCore, "max_flow", under_reported)
     with pytest.raises(InternalInconsistency, match="did not converge"):
         _max_density_set(edges)
 

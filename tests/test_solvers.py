@@ -9,7 +9,7 @@ from witness_lab import densest, solvers
 from witness_lab.engine import evaluate, full_join_results, is_witness
 from witness_lab.errors import PreconditionViolated, ResultNotFound
 from witness_lab.generators import gen_random_db
-from witness_lab.model import Database, Witness
+from witness_lab.model import Database, Query, Witness
 from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import parse_query
 from witness_lab.solvers import (
@@ -227,6 +227,90 @@ def test_lazy_greedy_prices_less_than_eager(monkeypatch):
     parts, eager_calls, _ = eager_greedy(query, db)
     assert report.witness.tuples == Witness.build(query, parts, "reference").tuples
     assert calls < eager_calls
+
+
+def probe_price(query, db, b_value, covered, results):
+    """Reference pricing: probe, for each uncovered result, the one tuple
+    per relation holding the non-output attribute at `b_value`; weight
+    each demand by the results sharing it.  Returns None, or the subsets,
+    new results and price of the densest demand set."""
+    b_attr = query.non_output[0]
+    head = sorted(query.head)
+    edge_weight, edge_results = {}, {}
+    for t in sorted(results - covered):
+        values = dict(zip(head, t), **{b_attr: b_value})
+        needed = []
+        for schema in query.relations:
+            if b_attr in schema.attribute_set:
+                row = tuple(values[a] for a in schema.sorted_attributes)
+                if row not in db.instances[schema.name]:
+                    break
+                needed.append((schema.name, row))
+        else:
+            key = frozenset(needed)
+            edge_weight[key] = edge_weight.get(key, 0) + 1
+            edge_results.setdefault(key, []).append(t)
+    if not edge_weight:
+        return None
+    subset, density = densest._max_density_set(edge_weight)
+    subsets = {}
+    for name, row in subset:
+        subsets.setdefault(name, set()).add(row)
+    new_results = {t for key, ts in edge_results.items() if key <= subset for t in ts}
+    return ({name: frozenset(rows) for name, rows in subsets.items()},
+            frozenset(new_results), 1 / density)
+
+
+def test_grouped_pricing_matches_per_result_probes():
+    rng = random.Random(508)
+    priced = nones = 0
+    for _ in range(200):
+        query = random_single_nonoutput_query(rng)
+        db = random_db(query, rng, max_rows=6, domain=3)
+        rows = full_join_results(query, db)
+        results = frozenset(project(query.attributes, fj, query.head) for fj in rows)
+        groups = densest.demand_groups(query, rows)
+        b_values = {project(schema.attributes, row, ["B"])[0]
+                    for schema in query.relations if "B" in schema.attribute_set
+                    for row in db.instances[schema.name]}
+        ordered = sorted(results)
+        for b_value in sorted(b_values | {"b_absent"}):
+            covered = frozenset(rng.sample(ordered, rng.randint(0, len(ordered) // 2)))
+            want = probe_price(query, db, b_value, covered, results)
+            got = densest.min_price_candidate(query, db, b_value, covered, results,
+                                              groups.get(b_value, []))
+            unjoined = densest.min_price_candidate(query, db, b_value, covered)
+            assert got == unjoined
+            if want is None:
+                assert got is None
+                nones += 1
+            else:
+                assert (got.subsets, got.new_results, got.price) == want
+                assert got.b_value == b_value
+                priced += 1
+    assert priced >= 120 and nones >= 200
+
+
+def renamed(db, prefix):
+    return Database({name: frozenset(tuple(prefix + v for v in row) for row in rows)
+                     for name, rows in db.instances.items()})
+
+
+def test_greedy_ignores_atom_order_and_order_preserving_renaming():
+    """A fixed prefix keeps the order of string values, and the atom order
+    plays no part in a greedy witness."""
+    rng = random.Random(11)
+    for _ in range(400):
+        query = random_single_nonoutput_query(rng)
+        db = random_db(query, rng, max_rows=7, domain=3)
+        witness = solve_greedy_single_nonoutput(query, db).witness.tuples
+        atoms = list(query.relations)
+        rng.shuffle(atoms)
+        shuffled = Query(query.head, tuple(atoms))
+        assert solve_greedy_single_nonoutput(shuffled, db).witness.tuples == witness
+        renamed_witness = renamed(Witness(witness, "greedy").as_database(), "w_").instances
+        assert solve_greedy_single_nonoutput(query, renamed(db, "w_")).witness.tuples \
+            == renamed_witness
 
 
 def test_baseline_on_worked_example():
