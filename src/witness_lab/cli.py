@@ -8,16 +8,22 @@ query instance as a directed Steiner forest JSON document.
 Exit codes: 0 success, 2 bad input, 3 precondition not met by the
 requested operation, 4 resource limit hit.  Reports go to stdout as a
 single JSON document; diagnostics go to stderr.
+
+Every document, on stdout or in a file, is written by `format_json`: the
+bytes of `json.dumps(document, indent=2, sort_keys=True)`, produced by a
+small recursive writer over the C string escaper, since `json` falls back
+to its pure-Python encoder whenever `indent` is set.  A document is
+encoded in full before any of it is written.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 from .dsf import dsf_to_json_dict, line_to_dsf
@@ -61,9 +67,65 @@ def _read_query(path: str):
     return parse_query(Path(path).read_text(encoding="utf-8-sig"))
 
 
-def _emit(document: dict) -> None:
-    json.dump(document, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def format_json(value: object, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, for
+    values built from dict, list, tuple, str, int, float, bool and None.
+    Dict keys must be str; anything else raises `TypeError`."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            items.append(_escape(key) + ": " + (
+                _escape(item) if type(item) is str else format_json(item, inner)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # all strings, as in witness rows: one join
+            body = ("," + inner).join(map(_escape, value))
+        except TypeError:
+            body = ("," + inner).join([format_json(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(document: dict, copy: Path | None = None) -> None:
+    """Encode `document` once, then write it to `copy` (if given) and stdout."""
+    text = format_json(document) + "\n"
+    if copy is not None:
+        copy.write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
+
+
+def _out_dir(text: str) -> Path:
+    """The `--out` directory, checked before any work is done: neither it
+    nor any of its ancestors may be an existing file."""
+    out = Path(text)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValueError(f"--out: {str(path)!r} exists and is not a directory")
+            break
+    return out
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -86,6 +148,7 @@ def _route(query, label: Label) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
+    out = _out_dir(args.out) if args.out else None
     db = load_database(query, Path(args.data))
     classification = classify(query)
     algo = args.algo if args.algo != "auto" else _route(query, classification.label)
@@ -121,8 +184,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         },
         "witness": witness_to_json_dict(query, report.witness),
     }
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_witness(query, report.witness, out)
         document["out_dir"] = str(out)
@@ -166,6 +228,7 @@ def _parse_constraints(text: str) -> dict[tuple[int, int], frozenset[tuple[str, 
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     seed = args.seed
     if seed is None:
         seed_env = os.environ.get("WITNESS_LAB_SEED", "")
@@ -191,7 +254,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise ValueError("the random family needs --query")
         query = _read_query(args.query)
         instance = gen_random_db(query, args.rows, args.pool, seed)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "query.txt").write_text(format_query(instance.query) + "\n", encoding="utf-8")
     write_database(instance.query, instance.database, out)
@@ -205,20 +267,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "metadata": instance.metadata,
         "out_dir": str(out),
     }
-    (out / "metadata.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
-                                       encoding="utf-8")
-    _emit(document)
+    _emit(document, out / "metadata.json")
     return EXIT_OK
 
 
 def cmd_export_dsf(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
     db = load_database(query, Path(args.data))
-    document = dsf_to_json_dict(line_to_dsf(query, db))
-    if args.out:
-        Path(args.out).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
-                                  encoding="utf-8")
-    _emit(document)
+    _emit(dsf_to_json_dict(line_to_dsf(query, db)), Path(args.out) if args.out else None)
     return EXIT_OK
 
 

@@ -210,8 +210,7 @@ def test_generate_cover_writes_standard_layout(capsys, tmp_path):
     assert doc["metadata"]["min_cover"] == 1
     for name in ("query.txt", "R1.csv", "R2.csv", "metadata.json"):
         assert (out / name).is_file()
-    saved = json.loads((out / "metadata.json").read_text())
-    assert saved["db_size"] == doc["db_size"]
+    assert (out / "metadata.json").read_text(encoding="utf-8") == stdout
 
 
 def test_generate_then_solve_auto_uses_greedy(capsys, tmp_path):
@@ -332,9 +331,40 @@ def test_export_dsf_emits_layered_graph(capsys, tmp_path):
     code, stdout, _ = run(capsys, "export-dsf", str(out / "query.txt"), str(out),
                           "--out", str(target))
     assert code == 0
-    doc = json.loads(stdout)
-    assert doc["chain"] == ["A1", "A2", "A3", "A4"]
-    assert json.loads(target.read_text()) == doc
+    assert json.loads(stdout)["chain"] == ["A1", "A2", "A3", "A4"]
+    assert target.read_text(encoding="utf-8") == stdout
+
+
+def test_solve_out_on_an_existing_file_names_the_flag_before_loading(capsys, data_dir,
+                                                                     tmp_path, monkeypatch):
+    qpath, dpath = worked_paths(data_dir)
+    blocker = tmp_path / "R1.csv"
+    blocker.write_text("A,B\n")
+
+    def no_load(*_):
+        raise AssertionError("data loaded before --out was checked")
+
+    monkeypatch.setattr(cli, "load_database", no_load)
+    for target in (blocker, blocker / "sub"):
+        code, out, err = run(capsys, "solve", qpath, dpath, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: --out: {str(blocker)!r} exists and is not a directory\n"
+    assert blocker.read_text() == "A,B\n"
+
+
+def test_generate_out_on_an_existing_file_names_the_flag(capsys, tmp_path):
+    blocker = tmp_path / "inst"
+    blocker.write_text("")
+    code, out, err = run(capsys, "generate", "matrix", "--out", str(blocker))
+    assert (code, out) == (2, "")
+    assert err == f"error: --out: {str(blocker)!r} exists and is not a directory\n"
+
+
+def test_solve_out_into_an_existing_directory(capsys, data_dir, tmp_path):
+    qpath, dpath = worked_paths(data_dir)
+    code, out, _ = run(capsys, "solve", qpath, dpath, "--out", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["out_dir"] == str(tmp_path)
 
 
 def test_export_dsf_rejects_branching_query(capsys, data_dir):

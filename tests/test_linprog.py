@@ -132,6 +132,36 @@ def test_certificate_rejects_a_wrong_objective_row(monkeypatch, corrupt):
         fractional_edge_cover(parse_query("Q(A, C) :- R1(A, B), R2(B, C)"))
 
 
+@pytest.mark.parametrize("packing", [
+    pytest.param({"A1": 2}, id="packing-over-an-atom-bound"),
+    pytest.param({"A1": 2, "A2": -1, "A4": 1}, id="packing-below-zero"),
+])
+def test_certificate_rejects_an_infeasible_packing(monkeypatch, packing):
+    """The optimal prices are left alone, so they still cover every
+    attribute, and the packing still sums to rho* = 2: only the packing's
+    own constraints (y >= 0, at most 1 under every atom) can catch it."""
+    query = parse_query("Q(A1, A4) :- R1(A1, A2), R2(A2, A3), R3(A3, A4)")
+    attrs, m = query.attributes, len(query.relations)
+    real_pivot = linprog._pivot
+    corrupted = []
+
+    def faulty_pivot(tableau, basis, row, col):
+        real_pivot(tableau, basis, row, col)
+        if min(tableau[-1][:-1]) >= 0:  # optimal: make `packing` the basic solution
+            cells = [(attrs.index(a), Fraction(y)) for a, y in packing.items()]
+            cells += [(len(attrs) + i, Fraction(0)) for i in range(m - len(cells))]
+            for i, (j, y) in enumerate(cells):
+                basis[i] = j
+                tableau[i][-1] = y
+            corrupted.append(True)
+
+    monkeypatch.setattr(linprog, "_pivot", faulty_pivot)
+    assert sum(packing.values()) == 2
+    with pytest.raises(InternalInconsistency):
+        fractional_edge_cover(query)
+    assert corrupted
+
+
 def test_agm_bound_exact_integers():
     assert agm_bound_holds(3, 9, Fraction(2))      # 3^2 == 9
     assert not agm_bound_holds(3, 10, Fraction(2))  # 3^2 < 10
