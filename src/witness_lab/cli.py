@@ -128,6 +128,17 @@ def _out_dir(text: str) -> Path:
     return out
 
 
+def _out_file(text: str) -> Path:
+    """The `--out` file, checked before any work is done: it may not be an
+    existing directory, and its parent must be one."""
+    out = Path(text)
+    if out.is_dir():
+        raise ValueError(f"--out: {text!r} is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"--out: {str(out.parent)!r} is not an existing directory")
+    return out
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
     document = classification_to_json_dict(classify(query))
@@ -273,8 +284,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_export_dsf(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
+    out = _out_file(args.out) if args.out else None
     db = load_database(query, Path(args.data))
-    _emit(dsf_to_json_dict(line_to_dsf(query, db)), Path(args.out) if args.out else None)
+    _emit(dsf_to_json_dict(line_to_dsf(query, db)), out)
     return EXIT_OK
 
 

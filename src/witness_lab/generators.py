@@ -2,11 +2,9 @@
 
 Cover and matrix databases make the witness problem simulate set cover;
 the pyramid family does the same for a query with no free sequence; the
-line3 family encodes label cover into a three-hop path query.  The two
-embed routines plant the cover and matrix shapes inside an arbitrary
-query through a chosen attribute pair, padding everything else with a
-single dummy value.  Predicted sizes are exact optima except for line3,
-where the prediction is the size of the canonical integral construction.
+line3 family encodes label cover into a three-hop path query.  Predicted
+sizes are exact optima except for line3, where the prediction is the size
+of the canonical integral construction.
 """
 from __future__ import annotations
 
@@ -14,17 +12,9 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .errors import (
-    AlphabetTooSmall,
-    PreconditionViolated,
-    UncoverableUniverse,
-    UnsatisfiableConstraint,
-)
+from .errors import AlphabetTooSmall, UncoverableUniverse, UnsatisfiableConstraint
 from .model import Database, Query
 from .qparser import parse_query
-from .structure import existential_components, find_free_sequence
-
-DUMMY = "*"
 
 
 @dataclass(frozen=True)
@@ -265,113 +255,4 @@ def gen_random_db(query: Query, rows_per_relation: int, pool: int, seed: int) ->
         "rows_per_relation": rows_per_relation,
         "pool": pool,
         "seed": seed,
-    })
-
-
-def _role_rows(query: Query, instance: SetCoverInstance,
-               element_attr: str, set_attrs: frozenset[str],
-               column_attr: str | None, columns: list[str]) -> dict[str, list[dict[str, str]]]:
-    """Rows for the embedding devices.  The element attribute ranges over
-    the universe, set attributes carry one set name each (equal within a
-    row), the optional column attribute ranges over `columns`, and every
-    other attribute is pinned to the dummy value."""
-    names = instance.set_names
-    tables: dict[str, list[dict[str, str]]] = {}
-    for schema in query.relations:
-        attrs = schema.attribute_set
-        has_element = element_attr in attrs
-        has_set = bool(attrs & set_attrs)
-        has_column = column_attr is not None and column_attr in attrs
-        if has_element and has_column:
-            raise PreconditionViolated("chosen endpoints share a relation")
-
-        def fill(element: str | None, set_name: str | None, column: str | None) -> dict[str, str]:
-            values = {}
-            for a in schema.attributes:
-                if a == element_attr and element is not None:
-                    values[a] = element
-                elif a in set_attrs and set_name is not None:
-                    values[a] = set_name
-                elif a == column_attr and column is not None:
-                    values[a] = column
-                else:
-                    values[a] = DUMMY
-            return values
-
-        rows: list[dict[str, str]] = []
-        if has_element and has_set:
-            for j, subset in enumerate(instance.subsets):
-                for u in subset:
-                    rows.append(fill(u, names[j], None))
-        elif has_set and has_column:
-            for name in names:
-                for col in columns:
-                    rows.append(fill(None, name, col))
-        elif has_element:
-            for u in instance.universe:
-                rows.append(fill(u, None, None))
-        elif has_set:
-            for name in names:
-                rows.append(fill(None, name, None))
-        elif has_column:
-            for col in columns:
-                rows.append(fill(None, None, col))
-        else:
-            rows.append(fill(None, None, None))
-        tables[schema.name] = rows
-    return tables
-
-
-def embed_cover_db(query: Query, instance: SetCoverInstance) -> GeneratedInstance:
-    """Plant the cover structure inside any query that is not
-    head-cluster: the first undominated pair supplies an output attribute
-    for elements and its component's non-output attributes for set names."""
-    chosen = None
-    for comp in existential_components(query):
-        covered = set()
-        for name in sorted(comp.relations):
-            covered.update(query.head_of(name))
-        for name in sorted(comp.relations):
-            missing = sorted(covered - set(query.head_of(name)))
-            if missing:
-                chosen = (comp, missing[0])
-                break
-        if chosen:
-            break
-    if chosen is None:
-        raise PreconditionViolated("query is head-cluster; no undominated pair to embed into")
-    comp, element_attr = chosen
-    non_output = set(query.non_output)
-    set_attrs = frozenset(a for name in comp.relations
-                          for a in query.schema(name).attribute_set
-                          if a in non_output)
-    tables = _role_rows(query, instance, element_attr, set_attrs, None, [])
-    return GeneratedInstance(query, Database.build(query, tables), None, {
-        "family": "embed-cover",
-        "element_attribute": element_attr,
-        "set_attributes": sorted(set_attrs),
-        "universe_size": len(instance.universe),
-        "set_count": len(instance.subsets),
-    })
-
-
-def embed_matrix_db(query: Query, instance: SetCoverInstance) -> GeneratedInstance:
-    """Plant the matrix structure along a free sequence: elements at one
-    endpoint, a fresh column domain at the other, set names across the
-    interior."""
-    seq = find_free_sequence(query)
-    if seq is None:
-        raise PreconditionViolated("query has no free sequence to embed along")
-    attrs = seq.attributes
-    element_attr, column_attr = attrs[0], attrs[-1]
-    set_attrs = frozenset(attrs[1:-1])
-    columns = [f"c{i}" for i in range(1, len(instance.universe) + 1)]
-    tables = _role_rows(query, instance, element_attr, set_attrs, column_attr, columns)
-    return GeneratedInstance(query, Database.build(query, tables), None, {
-        "family": "embed-matrix",
-        "element_attribute": element_attr,
-        "column_attribute": column_attr,
-        "set_attributes": sorted(set_attrs),
-        "universe_size": len(instance.universe),
-        "set_count": len(instance.subsets),
     })

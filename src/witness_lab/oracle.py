@@ -14,7 +14,7 @@ from __future__ import annotations
 from .engine import full_join_results
 from .errors import BudgetExhausted, InstanceTooLarge
 from .model import Database, Query, Witness, projection
-from .structure import build_graphs
+from .structure import relation_components
 
 DEFAULT_ORACLE_CAP = 30
 
@@ -157,7 +157,7 @@ def brute_force_swp(query: Query, db: Database,
     if db.size > cap:
         raise InstanceTooLarge(db.size, cap)
     pieces: list[tuple[Query, list[tuple[str, ...]]]] = []
-    for component in build_graphs(query).relation_graph.components():
+    for component in relation_components(query):
         names = sorted(component)
         head = [a for a in query.head
                 if any(a in query.schema(n).attribute_set for n in names)]

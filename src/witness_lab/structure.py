@@ -9,6 +9,11 @@ Three graphs drive everything:
 * non-output co-occurrence graph: one vertex per non-output attribute,
   an edge when two sit together in some atom.
 
+Only their connected components are ever used, and each is found as the
+overlap components of one set per vertex: an atom's attributes, an
+atom's non-output attributes, or the atoms holding a non-output
+attribute.
+
 A component of the existential graph is "dominated" when some relation's
 output attributes cover the output attributes of the whole component.
 Domination everywhere yields constant-factor approximability; if every
@@ -36,77 +41,23 @@ class Label(str, enum.Enum):
     LOG_HARD = "LogHard"
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Tiny undirected graph with deterministic component order."""
-
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]  # each edge stored as a sorted pair
-
-    def neighbours(self, v: str) -> list[str]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return sorted(out)
-
-    def components(self) -> tuple[tuple[str, ...], ...]:
-        remaining = set(self.vertices)
-        comps: list[tuple[str, ...]] = []
-        while remaining:
-            start = min(remaining)
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for w in self.neighbours(v):
-                    if w in remaining and w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            remaining -= seen
-            comps.append(tuple(sorted(seen)))
-        return tuple(sorted(comps, key=lambda c: c[0]))
-
-    @property
-    def connected(self) -> bool:
-        return len(self.components()) <= 1
+def _overlap_components(sets: dict[str, frozenset[str]]) -> tuple[tuple[str, ...], ...]:
+    """Names grouped when their sets share a member, closed transitively.
+    Each group is sorted; groups are ordered by their first name."""
+    groups: list[tuple[set[str], set[str]]] = []  # (names, union of their sets)
+    for name in sorted(sets):
+        names, members = {name}, set(sets[name])
+        for group in [g for g in groups if g[1] & members]:
+            groups.remove(group)
+            names |= group[0]
+            members |= group[1]
+        groups.append((names, members))
+    return tuple(sorted(tuple(sorted(names)) for names, _ in groups))
 
 
-@dataclass(frozen=True)
-class StructureGraphs:
-    relation_graph: Graph
-    existential_graph: Graph
-    nonoutput_graph: Graph
-
-
-def build_graphs(query: Query) -> StructureGraphs:
-    rels = query.relations
-    head = query.head_set
-
-    rel_edges = set()
-    for a, b in combinations(rels, 2):
-        if a.attribute_set & b.attribute_set:
-            rel_edges.add(tuple(sorted((a.name, b.name))))
-    relation_graph = Graph(tuple(sorted(r.name for r in rels)), frozenset(rel_edges))
-
-    exist_rels = [r for r in rels if r.attribute_set - head]
-    exist_edges = set()
-    for a, b in combinations(exist_rels, 2):
-        if (a.attribute_set & b.attribute_set) - head:
-            exist_edges.add(tuple(sorted((a.name, b.name))))
-    existential_graph = Graph(tuple(sorted(r.name for r in exist_rels)), frozenset(exist_edges))
-
-    nonoutput = [a for a in query.attributes if a not in head]
-    no_edges = set()
-    for r in rels:
-        private = sorted(r.attribute_set - head)
-        for a, b in combinations(private, 2):
-            no_edges.add((a, b))
-    nonoutput_graph = Graph(tuple(nonoutput), frozenset(no_edges))
-
-    return StructureGraphs(relation_graph, existential_graph, nonoutput_graph)
+def relation_components(query: Query) -> tuple[tuple[str, ...], ...]:
+    """Components of the relation graph."""
+    return _overlap_components({r.name: r.attribute_set for r in query.relations})
 
 
 # --- acyclicity via ear removal ------------------------------------------
@@ -152,9 +103,10 @@ class Component:
 
 
 def existential_components(query: Query) -> tuple[Component, ...]:
-    graphs = build_graphs(query)
+    head = query.head_set
     comps = []
-    for members in graphs.existential_graph.components():
+    for members in _overlap_components({r.name: r.attribute_set - head
+                                        for r in query.relations if r.attribute_set - head}):
         covered = frozenset().union(*(query.head_of(name) for name in members))
         dominant = None
         for name in members:
@@ -261,8 +213,9 @@ def find_free_sequence(query: Query) -> FreeSequence | None:
 def rename(query: Query) -> Query:
     """Collapse each component of the non-output co-occurrence graph into
     one fresh attribute; output attributes stay put."""
-    graphs = build_graphs(query)
-    comps = graphs.nonoutput_graph.components()
+    comps = _overlap_components({a: frozenset(r.name for r in query.relations
+                                              if a in r.attribute_set)
+                                 for a in query.non_output})
     taken = set(query.attributes)
     fresh: dict[frozenset[str], str] = {}
     counter = 1
@@ -320,7 +273,6 @@ class Classification:
 
 
 def classify(query: Query) -> Classification:
-    graphs = build_graphs(query)
     components = existential_components(query)
     cluster = has_head_cluster(query)
     domination = all(c.dominant is not None for c in components)
@@ -345,7 +297,7 @@ def classify(query: Query) -> Classification:
 
     return Classification(
         label=label,
-        connected=graphs.relation_graph.connected,
+        connected=len(relation_components(query)) <= 1,
         acyclic=is_acyclic(query),
         free_connex=is_free_connex(query),
         full=query.is_full,

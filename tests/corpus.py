@@ -44,6 +44,12 @@ CATALOG = [
 ]
 
 
+# Five output attributes, four existential components, one of them
+# undominated: exercises every branch of the component analysis.
+WIDE_TEXT = ("Q(A1, A2, A3, A4, A5) :- R1(A1, B1), R2(B1, B2), R3(A2, B2, B3), "
+             "R4(A2, A3, B4), R5(A1, A2), R6(A4, B5), R7(B5, A5), R8(B6, B7)")
+
+
 def build_db(query: Query, tables: dict[str, list[tuple[str, ...]]]) -> Database:
     data = {}
     for name, rows in tables.items():

@@ -360,6 +360,26 @@ def test_generate_out_on_an_existing_file_names_the_flag(capsys, tmp_path):
     assert err == f"error: --out: {str(blocker)!r} exists and is not a directory\n"
 
 
+def test_export_dsf_bad_out_names_the_flag_before_loading(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "lc"
+    run(capsys, "generate", "line3", "--out", str(out), "--n", "1",
+        "--alphabet", "x,y", "--constraints", "1,1:x/x", "--t", "1")
+
+    def no_load(*_):
+        raise AssertionError("data loaded before --out was checked")
+
+    monkeypatch.setattr(cli, "load_database", no_load)
+    missing = tmp_path / "nodir"
+    for target, wording in ((out, f"{str(out)!r} is a directory"),
+                            (missing / "x.json",
+                             f"{str(missing)!r} is not an existing directory")):
+        code, stdout, err = run(capsys, "export-dsf", str(out / "query.txt"), str(out),
+                                "--out", str(target))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --out: {wording}\n"
+    assert not missing.exists()
+
+
 def test_solve_out_into_an_existing_directory(capsys, data_dir, tmp_path):
     qpath, dpath = worked_paths(data_dir)
     code, out, _ = run(capsys, "solve", qpath, dpath, "--out", str(tmp_path))
@@ -389,6 +409,30 @@ def test_module_entry_point_smoke(data_dir):
     proc = run_child(["classify", qpath])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["label"] == "LogHard"
+
+
+STDLIB_ONLY_CHILD = """
+import contextlib, io, json, sys
+started = set(sys.modules)  # whatever site start-up imported, before witness_lab
+src, qpath, dpath = sys.argv[1:]
+sys.path.insert(0, src)
+from witness_lab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["classify", qpath]), cli.main(["solve", qpath, dpath])]
+imported = {name.partition(".")[0] for name in set(sys.modules) - started}
+print(json.dumps([codes, sorted(imported - set(sys.stdlib_module_names))]))
+"""
+
+
+def test_classify_and_solve_import_only_the_standard_library(data_dir):
+    """Run in isolated mode (`-I`: no PYTHONPATH, no user site-packages), so
+    nothing reaches witness_lab but its own imports."""
+    qpath, dpath = worked_paths(data_dir)
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", STDLIB_ONLY_CHILD, src, qpath, dpath],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], ["witness_lab"]]
 
 
 def test_greedy_output_independent_of_hash_seed(tmp_path):

@@ -1,18 +1,12 @@
-"""Instance families and the two embedding devices."""
+"""Instance families: set cover and label cover instances, the cover,
+matrix, pyramid, line3 and random families, and their predicted sizes."""
 import pytest
 
 from witness_lab.engine import evaluate
-from witness_lab.errors import (
-    AlphabetTooSmall,
-    PreconditionViolated,
-    UncoverableUniverse,
-    UnsatisfiableConstraint,
-)
+from witness_lab.errors import AlphabetTooSmall, UncoverableUniverse, UnsatisfiableConstraint
 from witness_lab.generators import (
     LabelCoverInstance,
     SetCoverInstance,
-    embed_cover_db,
-    embed_matrix_db,
     gen_cover_db,
     gen_line3_db,
     gen_matrix_db,
@@ -147,37 +141,3 @@ def test_random_family_is_seed_deterministic():
         gen_random_db(query, rows_per_relation=-1, pool=3, seed=0)
     with pytest.raises(ValueError):
         gen_random_db(query, rows_per_relation=1, pool=0, seed=0)
-
-
-def test_embed_cover_refuses_head_cluster_queries():
-    triangle = parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)")
-    with pytest.raises(PreconditionViolated):
-        embed_cover_db(triangle, cover("uv", "uv"))
-
-
-def test_embed_cover_into_worked_example():
-    query = parse_query("Q(A, C, F) :- R1(A, B), R2(B, C), R3(C, F), R4(C, H)")
-    inst = cover(["u1", "u2", "u3"], ["u1", "u2"], ["u3"], ["u1", "u2", "u3"])
-    gi = embed_cover_db(query, inst)
-    assert gi.metadata["element_attribute"] == "C"
-    assert gi.metadata["set_attributes"] == ["B"]
-    n, k = 3, 1
-    # one membership row per element, a cover of set names, and one
-    # dummy-padded row per element in each of the two tail relations
-    assert brute_force_swp(gi.query, gi.database).size == 3 * n + k
-
-
-def test_embed_matrix_needs_a_free_sequence():
-    dominated = parse_query("Q(A) :- R1(A, B), R2(B)")
-    with pytest.raises(PreconditionViolated):
-        embed_matrix_db(dominated, cover("uv", "uv"))
-
-
-def test_embed_matrix_into_worked_example():
-    query = parse_query("Q(A, C, F) :- R1(A, B), R2(B, C), R3(C, F), R4(C, H)")
-    inst = cover(["u1", "u2"], ["u1", "u2"], ["u1"], ["u2"])
-    gi = embed_matrix_db(query, inst)
-    assert gi.metadata["element_attribute"] == "A"
-    assert gi.metadata["column_attribute"] == "C"
-    n, k = 2, 1
-    assert brute_force_swp(gi.query, gi.database).size == n + k * n + 2 * n

@@ -1,10 +1,13 @@
-"""Byte-identity guard: `solve` and `export-dsf` output on fixed inputs.
+"""Byte-identity guard: `solve`, `export-dsf` and `classify` output on
+fixed inputs.
 
-Each case runs the CLI on the worked example or on a seeded random
-instance and hashes stdout with the `timing_ms` and `out_dir` lines
-removed, followed by any `--out` CSV files in name order.  The hashes
-pin witness choice, row order, column order and report numbers; a
-change that alters any of them must say so and update this table.
+Each solve or export case runs the CLI on the worked example or on a
+seeded random instance and hashes stdout with the `timing_ms` and
+`out_dir` lines removed, followed by any `--out` CSV files in name order.
+The hashes pin witness choice, row order, column order and report
+numbers.  Each classify case hashes the whole document, pinning the
+components, their dominant relations and the hardness certificate.  A
+change that alters any of them must say so and update these tables.
 """
 import hashlib
 import re
@@ -16,7 +19,7 @@ from witness_lab.generators import gen_random_db
 from witness_lab.qparser import parse_query
 from witness_lab.storage import write_database
 
-from corpus import WORKED_TEXT
+from corpus import CATALOG, WIDE_TEXT, WORKED_TEXT
 
 VOLATILE = re.compile(r'^ *"(timing_ms|out_dir)": .*\n', re.MULTILINE)
 
@@ -91,3 +94,28 @@ def output_digest(capsys, tmp_path, data_dir, argv, text, spec) -> str:
                          [case[1:] for case in CASES], ids=[case[0] for case in CASES])
 def test_output_bytes_unchanged(capsys, tmp_path, data_dir, argv, text, spec, expected):
     assert output_digest(capsys, tmp_path, data_dir, argv, text, spec) == expected
+
+
+# catalog name, expected sha256 of `witness-lab classify` stdout
+CLASSIFY_CASES = [
+    ("worked", "bff977ec0075cd56179ca76ee53d1a7d646d74485e6722f9c3a33659c0f675f5"),
+    ("cover", "c0cc31a49494b20c39b0f2c2818634e273f18aa491f4a9ca8ce22a2ee845b65d"),
+    ("matrix", "7b9603d785d5a59b3869cf90cf045582f1045d616dabd4f77c7531e4c10efebc"),
+    ("pyramid", "501daed77898963cc19bb8fe47e438c9bf72b3fe2e2700899e9db7ab82787771"),
+    ("line3", "5f5c5c4ffe2977f35ada6468954017b4aa62e8afec1a2e5656f6b3b45e1c2dd6"),
+    ("triangle", "8a9632be9008ccabe5bb156c4fff1b211cbd47bd12480afc36233a54d309e2d1"),
+    ("star3", "003a351bb5f9df3edfdf10574d70602c006c8f5055b2e1cb559d9eecd2acac00"),
+    ("acyclic_list", "b1c3b838d08204cb0ba7074344a0292766d8a103642fbb3b8497524b50201af5"),
+    ("two_hop_tail", "608d383d27a292203124eb89c6dfb638e0e39afab7e116fda78e52757f3b7f44"),
+    ("boolean_edge", "d66f1ccb98595de0773987f5f3b8939f4cbd105bbd82cd9548495d4f936ce103"),
+    ("wide", "9002cc392e122bbe294e27aadb97816bd3a705380054b742b2597ae341bafa69"),
+]
+QUERY_TEXTS = {name: text for name, text, _ in CATALOG} | {"wide": WIDE_TEXT}
+
+
+@pytest.mark.parametrize("name, expected", CLASSIFY_CASES, ids=[c[0] for c in CLASSIFY_CASES])
+def test_classify_bytes_unchanged(capsys, tmp_path, name, expected):
+    qpath = tmp_path / "query.txt"
+    qpath.write_text(QUERY_TEXTS[name] + "\n")
+    assert main(["classify", str(qpath)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected

@@ -1,4 +1,4 @@
-"""Graphs, acyclicity, domination, certificates, classification."""
+"""Components, acyclicity, domination, certificates, classification."""
 import itertools
 import random
 
@@ -9,7 +9,6 @@ from witness_lab.structure import (
     FreeSequence,
     Label,
     NestedClique,
-    build_graphs,
     classification_to_json_dict,
     classify,
     existential_components,
@@ -19,25 +18,58 @@ from witness_lab.structure import (
     has_head_domination,
     is_acyclic,
     is_free_connex,
+    relation_components,
     rename,
 )
 
-from corpus import CATALOG, WORKED_TEXT, random_query
-
-# Five output attributes, four existential components, one of them
-# undominated: exercises every branch of the component analysis.
-WIDE_TEXT = ("Q(A1, A2, A3, A4, A5) :- R1(A1, B1), R2(B1, B2), R3(A2, B2, B3), "
-             "R4(A2, A3, B4), R5(A1, A2), R6(A4, B5), R7(B5, A5), R8(B6, B7)")
+from corpus import CATALOG, WIDE_TEXT, WORKED_TEXT, random_query
 
 
 def test_graphs_of_wide_query():
-    graphs = build_graphs(parse_query(WIDE_TEXT))
-    assert graphs.relation_graph.components() == (
+    wide = parse_query(WIDE_TEXT)
+    assert relation_components(wide) == (
         ("R1", "R2", "R3", "R4", "R5"), ("R6", "R7"), ("R8",))
-    assert graphs.existential_graph.components() == (
+    assert tuple(c.relations for c in existential_components(wide)) == (
         ("R1", "R2", "R3"), ("R4",), ("R6", "R7"), ("R8",))
-    assert graphs.nonoutput_graph.components() == (
-        ("B1", "B2", "B3"), ("B4",), ("B5",), ("B6", "B7"))
+
+
+def pairwise_components(sets):
+    """Reference: breadth-first search over the graph with an edge between
+    every two names whose sets intersect, started from each unseen name
+    in sorted order."""
+    seen = set()
+    components = []
+    for start in sorted(sets):
+        if start in seen:
+            continue
+        reached = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in sets:
+                if w not in reached and sets[v] & sets[w]:
+                    reached.add(w)
+                    frontier.append(w)
+        seen |= reached
+        components.append(tuple(sorted(reached)))
+    return tuple(components)
+
+
+def test_components_match_pairwise_edge_search():
+    rng = random.Random(4411)
+    split = 0
+    for _ in range(3000):
+        query = random_query(rng, max_relations=8, max_attributes=9)
+        atoms = {r.name: r.attribute_set for r in query.relations}
+        private = {name: attrs - query.head_set for name, attrs in atoms.items()
+                   if attrs - query.head_set}
+        want = pairwise_components(atoms)
+        assert relation_components(query) == want, format_query(query)
+        assert (tuple(c.relations for c in existential_components(query))
+                == pairwise_components(private)), format_query(query)
+        split += len(want) > 1
+    # connected and disconnected queries both occur often
+    assert 300 <= split <= 2700, split
 
 
 def test_components_of_wide_query():
@@ -162,8 +194,8 @@ def test_rename_collapses_attribute_groups():
     assert format_query(wide) == ("Q(A1, A2, A3, A4, A5) :- R1(A1, F1), R2(F1), "
                                   "R3(A2, F1), R4(A2, A3, F2), R5(A1, A2), "
                                   "R6(A4, F3), R7(A5, F3), R8(F4)")
-    # collapsing leaves no two non-output attributes in a common atom
-    assert build_graphs(wide).nonoutput_graph.edges == frozenset()
+    # collapsing leaves no atom holding two non-output attributes
+    assert all(len(r.attribute_set - wide.head_set) <= 1 for r in wide.relations)
 
 
 def test_nested_clique_of_pyramid():
