@@ -75,7 +75,8 @@ def witness_for_result(query: Query, db: Database, result: Mapping[str, str]) ->
     if result.keys() != query.head_set:
         raise ValueError(f"{dict(result)} is not a row over the head attributes")
     parts: dict[str, set[tuple[str, ...]]] = {}
-    _add_cheapest_joins(parts, query, db, [tuple(result[a] for a in sorted(query.head))])
+    _add_cheapest_joins(parts, query, _cheapest_joins(query, full_join_results(query, db)),
+                        [tuple(result[a] for a in sorted(query.head))])
     return Witness.build(query, parts, "single_result")
 
 
@@ -87,24 +88,33 @@ def _head_only_parts(query: Query, results: frozenset) -> dict[str, set[tuple[st
             for schema in query.relations if schema.attribute_set <= query.head_set}
 
 
-def _add_cheapest_joins(parts: dict[str, set[tuple[str, ...]]], query: Query, db: Database,
-                        wanted: Iterable[tuple[str, ...]]) -> None:
-    """Add, for each wanted result (a tuple over the sorted head), the
-    tuples of the lexicographically smallest full join result projecting
-    onto it.  One join serves every result: walking the sorted output,
-    the first full join result per projection is the smallest."""
-    head = sorted(query.head)
-    to_head = projection(query.attributes, head)
+def _cheapest_joins(query: Query,
+                    rows: Iterable[tuple[str, ...]]) -> dict[tuple[str, ...], tuple[str, ...]]:
+    """Per result (a tuple over the sorted head), the lexicographically
+    smallest of the full join results `rows`, given in any order, that
+    projects onto it.  One join serves every result; its keys are Q(D)."""
+    to_head = projection(query.attributes, sorted(query.head))
     cheapest: dict[tuple[str, ...], tuple[str, ...]] = {}
-    for fj in full_join_results(query, db):
-        cheapest.setdefault(to_head(fj), fj)
+    for fj in rows:
+        t = to_head(fj)
+        best = cheapest.get(t)
+        if best is None or fj < best:
+            cheapest[t] = fj
+    return cheapest
+
+
+def _add_cheapest_joins(parts: dict[str, set[tuple[str, ...]]], query: Query,
+                        cheapest: Mapping[tuple[str, ...], tuple[str, ...]],
+                        wanted: Iterable[tuple[str, ...]]) -> None:
+    """Add, for each wanted result, the tuples of its entry in `cheapest`
+    (from `_cheapest_joins`)."""
     to_relation = [(parts.setdefault(schema.name, set()),
                     projection(query.attributes, schema.sorted_attributes))
                    for schema in query.relations]
     for result in wanted:
         fj = cheapest.get(result)
         if fj is None:
-            raise ResultNotFound(head, result)
+            raise ResultNotFound(sorted(query.head), result)
         for rows, project in to_relation:
             rows.add(project(fj))
 
@@ -119,7 +129,8 @@ def _component_walk(query: Query, db: Database,
         for comp in existential_components(query):
             sub = query.subquery(comp.output_attributes, comp.relations)
             to_sub = projection(sorted(query.head), sorted(comp.output_attributes))
-            _add_cheapest_joins(parts, sub, db.restrict(comp.relations), set(map(to_sub, results)))
+            rows = full_join_results(sub, db.restrict(comp.relations))
+            _add_cheapest_joins(parts, sub, _cheapest_joins(sub, rows), set(map(to_sub, results)))
     return Witness.build(query, parts, algorithm), results
 
 
@@ -190,9 +201,10 @@ def solve_baseline_union(query: Query, db: Database) -> SolveReport:
     """Union of one single-result witness per result row.  Size is at most
     (number of atoms) * min(N, result count); the claimed ratio bound is
     N ** (1 - 1/rho) for the fractional edge cover number rho."""
-    results = evaluate(query, db)
+    cheapest = _cheapest_joins(query, full_join_results(query, db))
+    results = frozenset(cheapest)
     parts: dict[str, set[tuple[str, ...]]] = {}
-    _add_cheapest_joins(parts, query, db, results)
+    _add_cheapest_joins(parts, query, cheapest, results)
     witness = Witness.build(query, parts, "baseline")
     rho = fractional_edge_cover(query)
     bound = float(db.size) ** float(1 - Fraction(1) / rho) if db.size else 0.0

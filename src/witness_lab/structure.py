@@ -130,6 +130,11 @@ def has_head_cluster(query: Query) -> bool:
     """Pairwise form: relations with different output-attribute sets may
     only share output attributes.  Cross-validated against the
     component-wise form (every member dominates its component)."""
+    return _head_cluster(query, existential_components(query))
+
+
+def _head_cluster(query: Query, components: tuple[Component, ...]) -> bool:
+    """`has_head_cluster` over the query's existential components."""
     head = query.head_set
     pairwise = True
     for a, b in combinations(query.relations, 2):
@@ -139,7 +144,7 @@ def has_head_cluster(query: Query) -> bool:
                 break
     by_components = all(
         query.head_of(name) == frozenset(c.output_attributes)
-        for c in existential_components(query)
+        for c in components
         for name in c.relations
     )
     if pairwise != by_components:
@@ -274,7 +279,7 @@ class Classification:
 
 def classify(query: Query) -> Classification:
     components = existential_components(query)
-    cluster = has_head_cluster(query)
+    cluster = _head_cluster(query, components)
     domination = all(c.dominant is not None for c in components)
 
     certificate: FreeSequence | NestedClique | None = None

@@ -191,8 +191,8 @@ def test_solve_evaluates_once_over_db_and_once_over_witness(capsys, tmp_path, mo
     doc = json.loads(out)
     assert doc["report"]["algorithm"] == algo
     assert doc["report"]["result_count"] > 0
-    if algo == "greedy":
-        # the greedy route reads Q(D) off its one full join over the database
+    if algo in ("greedy", "baseline"):
+        # these routes read Q(D) off their one full join over the database
         assert joined == [db]
         assert len(evaluated) == 1
     else:

@@ -60,6 +60,34 @@ def test_matches_reference_on_random_queries():
         assert rows_to_tuples(full, full_join_results(query, db)) == naive_evaluate(full, db)
 
 
+# Each query steers one atom of `engine._join` onto one of its paths.
+JOIN_PATHS = [
+    ("first-atom-projected", "Q(C) :- R1(A, B), R2(B, C)"),
+    ("first-atom-projected-to-nothing", "Q(C) :- R1(A), R2(C)"),
+    ("adds-nothing-shared", "Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)"),
+    ("adds-nothing-shared-projected", "Q(A) :- R1(A, B), R2(B, C), R3(A, C)"),
+    ("adds-nothing-disconnected", "Q(A) :- R1(A), R2(B)"),
+    ("full-sorted-concatenation", "Q(A, B, C) :- R1(A, B), R2(B, C)"),
+    ("full-reordered", "Q(A, B, C) :- R1(B, C), R2(A, B)"),
+]
+
+
+@pytest.mark.parametrize("text", [t for _, t in JOIN_PATHS], ids=[n for n, _ in JOIN_PATHS])
+def test_join_paths_match_reference(text):
+    query = parse_query(text)
+    full = Query(query.attributes, query.relations)
+    rng = random.Random(text)
+    for round_no in range(30):
+        db = random_db(query, rng, max_rows=5, domain=3)
+        if round_no % 5 == 0:  # empty the last atom or the one before it
+            name = query.relations[-1 - round_no % 2].name
+            db = Database({**db.instances, name: frozenset()})
+        assert rows_to_tuples(query, evaluate(query, db)) == naive_evaluate(query, db)
+        rows = full_join_results(query, db)
+        assert len(rows) == len(set(rows))
+        assert rows_to_tuples(full, rows) == naive_evaluate(full, db)
+
+
 def test_full_join_binds_every_attribute():
     query, db = worked_example()
     rows = full_join_results(query, db)

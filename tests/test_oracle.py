@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from witness_lab import oracle
 from witness_lab.engine import evaluate, is_witness
 from witness_lab.errors import BudgetExhausted, InstanceTooLarge
 from witness_lab.model import Database, Witness
@@ -101,3 +102,28 @@ def test_oracle_result_is_minimal_dropping_any_tuple_breaks_it():
             smaller = {n: set(rows) for n, rows in witness.tuples.items()}
             smaller[name].discard(row)
             assert not is_witness(query, db, Witness.build(query, smaller, "probe"))
+
+
+@pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
+def test_witness_ignores_full_join_row_order(monkeypatch, reorder):
+    """The oracle numbers tuples in row order, so it sorts the join rows it
+    is given: their order must not reach the witness."""
+    rng = random.Random(703)
+    original = oracle.full_join_results
+
+    def reordered(query, db):
+        rows = sorted(original(query, db), reverse=True)
+        if reorder == "shuffled":
+            rng.shuffle(rows)
+        return rows
+
+    cases = [worked_example()]
+    while len(cases) < 40:
+        query = random_query(rng, max_relations=3, max_attributes=4)
+        db = random_db(query, rng, max_rows=4, domain=2)
+        if db.size <= DEFAULT_ORACLE_CAP:
+            cases.append((query, db))
+    expected = [brute_force_swp(query, db) for query, db in cases]
+    monkeypatch.setattr(oracle, "full_join_results", reordered)
+    for (query, db), want in zip(cases, expected):
+        assert brute_force_swp(query, db) == want

@@ -387,6 +387,38 @@ def test_witness_is_smallest_full_join_per_result(make_query, solve, reference):
     assert tied >= 10  # the tie-break decided the witness on many instances
 
 
+@pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
+def test_cheapest_join_ignores_row_order(monkeypatch, reorder):
+    """The full join comes in no particular order; each result still gets
+    the lexicographically smallest full join result projecting onto it."""
+    rng = random.Random(517)
+    original = solvers.full_join_results
+
+    def reordered(query, db):
+        rows = sorted(original(query, db), reverse=True)
+        if reorder == "shuffled":
+            rng.shuffle(rows)
+        return rows
+
+    cases = []
+    for _ in range(40):
+        query = random_query(rng)
+        db = random_db(query, rng, max_rows=6, domain=3)
+        results = sorted(evaluate(query, db))
+        cases.append((query, db, results[:3], solve_baseline_union(query, db).witness))
+    monkeypatch.setattr(solvers, "full_join_results", reordered)
+    tied = 0
+    for query, db, results, baseline in cases:
+        assert solve_baseline_union(query, db).witness == baseline
+        for t in results:
+            parts: dict = {}
+            tied += smallest_join_per_result(parts, query, db, [t])
+            result = dict(zip(sorted(query.head), t))
+            assert witness_for_result(query, db, result).tuples == \
+                Witness.build(query, parts, "reference").tuples
+    assert tied >= 10
+
+
 def test_report_json_renders_fractions_as_strings():
     query = parse_query("Q(A, B) :- R(A, B)")
     db = Database.build(query, {"R": [{"A": "1", "B": "2"}]})

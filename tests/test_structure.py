@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from witness_lab import structure
+from witness_lab.errors import InternalInconsistency
 from witness_lab.qparser import format_query, parse_query
 from witness_lab.structure import (
+    Component,
     FreeSequence,
     Label,
     NestedClique,
@@ -165,6 +168,31 @@ def test_head_cluster_examples():
     assert has_head_cluster(parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)"))
     assert not has_head_cluster(parse_query("Q(A) :- R1(A, B), R2(B)"))
     assert not has_head_cluster(parse_query(WORKED_TEXT))
+
+
+def test_classify_computes_the_components_once(monkeypatch):
+    calls = []
+    original = structure.existential_components
+
+    def counting(query):
+        calls.append(query)
+        return original(query)
+
+    monkeypatch.setattr(structure, "existential_components", counting)
+    for text in (WORKED_TEXT, WIDE_TEXT, "Q(A) :- R1(A, B), R2(A, B)"):
+        calls.clear()
+        classify(parse_query(text))
+        assert len(calls) == 1, text
+
+
+def test_head_cluster_cross_check_still_runs_in_classify(monkeypatch):
+    query = parse_query("Q(A) :- R1(A, B), R2(A, B)")  # head-cluster
+    real = existential_components(query)
+    # a component whose members' output attributes differ from its own
+    skewed = tuple(Component(c.relations, ("A", "Z"), c.dominant) for c in real)
+    monkeypatch.setattr(structure, "existential_components", lambda q: skewed)
+    with pytest.raises(InternalInconsistency, match="head-cluster checks disagree"):
+        classify(query)
 
 
 def test_head_domination_examples():
