@@ -43,11 +43,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-# Pricing no longer evaluates Q(D); `evaluate` stays importable because
-# the benchmark's traced run (bench/layers.py) wraps `densest.evaluate`.
-from .engine import evaluate, full_join_results  # noqa: F401
-from .errors import EmptyEdgeSet, InternalInconsistency, PreconditionViolated
-from .model import Database, Query, projection
+# Pricing never evaluates Q(D); `evaluate` stays importable because the
+# benchmark's traced run (bench/layers.py) wraps `densest.evaluate`.
+from .engine import evaluate  # noqa: F401
+from .errors import EmptyEdgeSet, InternalInconsistency
+from .model import Query, projection
 
 
 _WeightedEdge = tuple[frozenset, int]
@@ -207,54 +207,6 @@ def _max_density_set(edges: Mapping[frozenset, int]) -> tuple[frozenset, Fractio
     return subset, density
 
 
-# --- public instances -----------------------------------------------------
-
-@dataclass(frozen=True)
-class BipartiteDensityInstance:
-    left: tuple
-    right: tuple
-    edges: frozenset  # of (left vertex, right vertex) pairs
-
-    def __post_init__(self):
-        left, right = set(self.left), set(self.right)
-        for x, y in self.edges:
-            if x not in left or y not in right:
-                raise ValueError(f"edge ({x!r}, {y!r}) leaves the vertex sets")
-
-
-@dataclass(frozen=True)
-class HypergraphDensityInstance:
-    vertices: tuple
-    edges: frozenset  # of frozensets, all the same rank
-
-    def __post_init__(self):
-        ranks = {len(e) for e in self.edges}
-        if len(ranks) > 1:
-            raise ValueError(f"mixed hyperedge ranks {sorted(ranks)}")
-        vertex_set = set(self.vertices)
-        for edge in self.edges:
-            if not edge:
-                raise ValueError("hyperedges must be nonempty")
-            if not set(edge) <= vertex_set:
-                raise ValueError(f"hyperedge {sorted(map(repr, edge))} leaves the vertex set")
-
-
-def densest_bipartite(instance: BipartiteDensityInstance) -> tuple[frozenset, frozenset, Fraction]:
-    """Densest subgraph (edges inside over vertices chosen); isolated
-    vertices never help, so they are dropped up front."""
-    edges = {frozenset({("L", x), ("R", y)}): 1 for x, y in instance.edges}
-    subset, density = _max_density_set(edges)
-    chosen_left = frozenset(v for side, v in subset if side == "L")
-    chosen_right = frozenset(v for side, v in subset if side == "R")
-    return chosen_left, chosen_right, density
-
-
-def densest_hypergraph(instance: HypergraphDensityInstance) -> tuple[frozenset, Fraction]:
-    edges = {frozenset(e): 1 for e in instance.edges}
-    subset, density = _max_density_set(edges)
-    return subset, density
-
-
 # --- pricing for the greedy cover solver ----------------------------------
 
 @dataclass(frozen=True)
@@ -262,13 +214,9 @@ class PricedCandidate:
     """Per-relation tuple subsets at one join value, with the results they
     newly cover and the exact price (tuples spent per new result)."""
 
-    b_value: str
     subsets: Mapping[str, frozenset]
     new_results: frozenset
     price: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "subsets", dict(self.subsets))
 
 
 _Group = list[tuple[tuple[str, ...], frozenset]]
@@ -291,22 +239,13 @@ def demand_groups(query: Query, rows: Iterable[tuple[str, ...]]) -> dict[str, _G
     return groups
 
 
-def min_price_candidate(query: Query, db: Database, b_value: str, covered: frozenset,
-                        results: frozenset | None = None,
-                        group: _Group | None = None) -> PricedCandidate | None:
+def min_price_candidate(group: _Group, covered: frozenset) -> PricedCandidate | None:
     """Cheapest tuple selection at one value of the single non-output
-    attribute.  Each yet-uncovered result reachable at the value demands
-    one specific tuple per relation containing that attribute, so the
-    best selection is a maximum-density vertex set; identical demands
-    from several results count with multiplicity.
-
-    `group` is the value's entry of `demand_groups`; without it pricing
-    joins the query itself.  The group holds only results in Q(D), so
-    `results` (Q(D) where the caller has it) adds nothing to it."""
-    if len(query.non_output) != 1:
-        raise PreconditionViolated("exactly one non-output attribute")
-    if group is None:
-        group = demand_groups(query, full_join_results(query, db)).get(b_value, [])
+    attribute, from that value's entry of `demand_groups`.  Each
+    yet-uncovered result in the group demands one specific tuple per
+    relation containing that attribute, so the best selection is a
+    maximum-density vertex set; identical demands from several results
+    count with multiplicity."""
     edge_weight: dict[frozenset, int] = {}
     edge_results: dict[frozenset, list[tuple[str, ...]]] = {}
     for t, key in group:
@@ -324,5 +263,4 @@ def min_price_candidate(query: Query, db: Database, b_value: str, covered: froze
     parts: dict[str, set[tuple[str, ...]]] = {}
     for rel_name, row in subset:
         parts.setdefault(rel_name, set()).add(row)
-    return PricedCandidate(b_value, {k: frozenset(v) for k, v in parts.items()},
-                           new_results, price)
+    return PricedCandidate({k: frozenset(v) for k, v in parts.items()}, new_results, price)

@@ -71,7 +71,7 @@ class LabelCoverInstance:
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet has duplicates")
         if len(self.alphabet) <= self.n:
-            raise AlphabetTooSmall(self.alphabet, self.n)
+            raise AlphabetTooSmall(len(self.alphabet), self.n)
         for u, v in self.constraints:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"constraint ({u},{v}) names a vertex outside 1..{self.n}")

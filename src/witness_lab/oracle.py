@@ -113,15 +113,21 @@ def _solve_connected(query: Query, full: list[tuple[str, ...]],
     best = greedy_complete(forced)
     best_size = best.bit_count()
 
-    def search(chosen: int, covered: int, size: int) -> None:
-        nonlocal best, best_size
+    # Depth first with an explicit stack, so deep searches cannot
+    # overflow Python's recursion limit.  Children are pushed in reverse,
+    # so they are visited, ticked and pruned in branch order.
+    stack = [forced]
+    while stack:
+        chosen = stack.pop()
         budget.tick()
+        covered = coverage(chosen)
+        size = chosen.bit_count()
         if covered == all_results:
             if size < best_size:
                 best, best_size = chosen, size
-            return
+            continue
         if size + lower_bound(chosen, ~covered & all_results) >= best_size:
-            return
+            continue
         branch_deltas: list[int] | None = None
         for i, masks in enumerate(supports):
             if covered >> i & 1:
@@ -132,11 +138,7 @@ def _solve_connected(query: Query, full: list[tuple[str, ...]],
                 if len(deltas) == 1:
                     break
         assert branch_deltas
-        for delta in branch_deltas:
-            grown = chosen | delta
-            search(grown, coverage(grown), grown.bit_count())
-
-    search(forced, coverage(forced), forced.bit_count())
+        stack.extend(chosen | delta for delta in reversed(branch_deltas))
 
     parts: dict[str, set[tuple[str, ...]]] = {}
     for i in range(best.bit_length()):

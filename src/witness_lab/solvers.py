@@ -176,8 +176,7 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
     while covered != results:
         while heap and heap[0][2] != round_no:
             stale_price, b_value, _, _ = heap[0]
-            candidate = min_price_candidate(query, db, b_value, covered, results,
-                                            groups[b_value])
+            candidate = min_price_candidate(groups[b_value], covered)
             if candidate is None:  # nothing uncovered reachable, now or later
                 heapq.heappop(heap)
             elif candidate.price < stale_price:

@@ -2,6 +2,7 @@
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -124,6 +125,34 @@ def test_solve_oracle_budget_exits_4(capsys, data_dir):
     code, _, _ = run(capsys, "solve", qpath, dpath, "--algo", "oracle",
                      "--budget", "0")
     assert code == 4
+
+
+def frame_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_oracle_search_exits_4_not_recursion_error(capsys, tmp_path):
+    """The oracle's depth-first search dives past 100 nodes deep on this
+    cover instance within 300 nodes.  A search that recursed once per
+    node would overflow the lowered limit; the explicit stack runs out
+    of budget instead."""
+    rng = random.Random(1)
+    (tmp_path / "query.txt").write_text("Q(A) :- R1(A, B), R2(B)\n")
+    (tmp_path / "R1.csv").write_text("A,B\n" + "".join(
+        f"a{i:03d},b{j:02d}\n" for i in range(120) for j in rng.sample(range(41), 2)))
+    (tmp_path / "R2.csv").write_text("B\n" + "".join(f"b{j:02d}\n" for j in range(41)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 80)
+    try:
+        code, out, err = run(capsys, "solve", str(tmp_path / "query.txt"), str(tmp_path),
+                             "--algo", "oracle", "--oracle-cap", "1000", "--budget", "300")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (4, "")
+    assert err == "error: no witness within the search-node budget 300\n"
 
 
 @pytest.mark.parametrize("flag, value, wording", [

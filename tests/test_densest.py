@@ -6,17 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from witness_lab.densest import (
-    BipartiteDensityInstance,
-    HypergraphDensityInstance,
-    _DensityCore,
-    _max_density_set,
-    densest_bipartite,
-    densest_hypergraph,
-    min_price_candidate,
-)
-from witness_lab.engine import evaluate
-from witness_lab.errors import EmptyEdgeSet, InternalInconsistency, PreconditionViolated
+from witness_lab.densest import _DensityCore, _max_density_set, demand_groups, min_price_candidate
+from witness_lab.engine import evaluate, full_join_results
+from witness_lab.errors import EmptyEdgeSet, InternalInconsistency
 from witness_lab.model import Database
 from witness_lab.qparser import parse_query
 
@@ -37,60 +29,55 @@ def enum_densest(vertices, weight_of):
     return min(best_sets, key=lambda s: tuple(sorted(s))), best_d
 
 
+def bipartite(pairs):
+    """Unit-weight edges {("L", x), ("R", y)} of a bipartite graph."""
+    return {frozenset({("L", x), ("R", y)}): 1 for x, y in pairs}
+
+
+def sides(subset):
+    return (frozenset(v for side, v in subset if side == "L"),
+            frozenset(v for side, v in subset if side == "R"))
+
+
 def test_complete_bipartite_takes_everything():
-    inst = BipartiteDensityInstance(
-        ("x0", "x1"), ("y0", "y1"),
-        frozenset({("x0", "y0"), ("x0", "y1"), ("x1", "y0"), ("x1", "y1")}))
-    left, right, density = densest_bipartite(inst)
-    assert (left, right) == (frozenset({"x0", "x1"}), frozenset({"y0", "y1"}))
+    subset, density = _max_density_set(
+        bipartite([("x0", "y0"), ("x0", "y1"), ("x1", "y0"), ("x1", "y1")]))
+    assert sides(subset) == (frozenset({"x0", "x1"}), frozenset({"y0", "y1"}))
     assert density == 1
 
 
 def test_star_keeps_all_leaves():
-    inst = BipartiteDensityInstance(
-        ("x0",), ("y0", "y1", "y2"),
-        frozenset({("x0", "y0"), ("x0", "y1"), ("x0", "y2")}))
-    left, right, density = densest_bipartite(inst)
-    assert left == frozenset({"x0"}) and right == frozenset({"y0", "y1", "y2"})
+    subset, density = _max_density_set(bipartite([("x0", "y0"), ("x0", "y1"), ("x0", "y2")]))
+    assert sides(subset) == (frozenset({"x0"}), frozenset({"y0", "y1", "y2"}))
     assert density == Fraction(3, 4)
 
 
 def test_tie_resolves_to_smallest_vertex_tuple():
     """Two disjoint edges: both singletons and their union sit at 1/2.
     The union's sorted tuple starts (L,x0),(L,x1) and wins."""
-    inst = BipartiteDensityInstance(
-        ("x0", "x1"), ("y0", "y1"), frozenset({("x0", "y1"), ("x1", "y0")}))
-    left, right, density = densest_bipartite(inst)
+    subset, density = _max_density_set(bipartite([("x0", "y1"), ("x1", "y0")]))
     assert density == Fraction(1, 2)
-    assert left == frozenset({"x0", "x1"}) and right == frozenset({"y0", "y1"})
+    assert sides(subset) == (frozenset({"x0", "x1"}), frozenset({"y0", "y1"}))
 
 
 def test_single_triangle_hyperedge():
-    inst = HypergraphDensityInstance(
-        ("a", "b", "c", "d"), frozenset({frozenset({"a", "b", "c"})}))
-    subset, density = densest_hypergraph(inst)
+    subset, density = _max_density_set({frozenset({"a", "b", "c"}): 1})
     assert subset == frozenset({"a", "b", "c"})
     assert density == Fraction(1, 3)
 
 
 def test_overlapping_triangles_merge():
-    inst = HypergraphDensityInstance(
-        ("a", "b", "c", "d"),
-        frozenset({frozenset({"a", "b", "c"}), frozenset({"a", "b", "d"})}))
-    subset, density = densest_hypergraph(inst)
+    subset, density = _max_density_set(
+        {frozenset({"a", "b", "c"}): 1, frozenset({"a", "b", "d"}): 1})
     assert subset == frozenset({"a", "b", "c", "d"})
     assert density == Fraction(1, 2)
 
 
 def test_rejects_degenerate_instances():
     with pytest.raises(EmptyEdgeSet):
-        densest_bipartite(BipartiteDensityInstance(("x",), ("y",), frozenset()))
-    with pytest.raises(ValueError):
-        BipartiteDensityInstance(("x",), ("y",), frozenset({("x", "z")}))
-    with pytest.raises(ValueError):
-        HypergraphDensityInstance(
-            ("a", "b", "c"),
-            frozenset({frozenset({"a", "b"}), frozenset({"a", "b", "c"})}))
+        _max_density_set({})
+    with pytest.raises(ValueError, match="nonempty"):
+        _max_density_set({frozenset({"a"}): 1, frozenset(): 1})
 
 
 def test_flow_matches_enumeration_bipartite():
@@ -101,12 +88,11 @@ def test_flow_matches_enumeration_bipartite():
         right = tuple(f"y{i}" for i in range(nr))
         pool = [(a, b) for a in left for b in right]
         edges = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
-        cl, cr, dens = densest_bipartite(BipartiteDensityInstance(left, right, edges))
+        got, dens = _max_density_set(bipartite(edges))
         verts = {("L", v) for v in left} | {("R", v) for v in right}
         want_set, want_d = enum_densest(verts, lambda s: sum(
             1 for a, b in edges if ("L", a) in s and ("R", b) in s))
-        assert dens == want_d
-        assert frozenset({("L", v) for v in cl} | {("R", v) for v in cr}) == want_set
+        assert dens == want_d and got == want_set
 
 
 def test_flow_matches_enumeration_hypergraph():
@@ -116,7 +102,7 @@ def test_flow_matches_enumeration_hypergraph():
         verts = tuple(f"v{i}" for i in range(n))
         pool = [frozenset(c) for c in itertools.combinations(verts, 3)]
         edges = frozenset(rng.sample(pool, rng.randint(1, min(len(pool), 6))))
-        got, dens = densest_hypergraph(HypergraphDensityInstance(verts, edges))
+        got, dens = _max_density_set(dict.fromkeys(edges, 1))
         want_set, want_d = enum_densest(set(verts), lambda s: sum(
             1 for e in edges if e <= s))
         assert dens == want_d and got == want_set
@@ -274,9 +260,13 @@ def cover_db(r1_pairs, r2_values):
     })
 
 
+def group_at(query, db, b_value):
+    return demand_groups(query, full_join_results(query, db)).get(b_value, [])
+
+
 def test_candidate_shares_join_tuple_across_results():
     query, db = cover_db([("a1", "b1"), ("a2", "b1"), ("a3", "b2")], ["b1", "b2"])
-    cand = min_price_candidate(query, db, "b1", frozenset())
+    cand = min_price_candidate(group_at(query, db, "b1"), frozenset())
     assert cand.price == Fraction(3, 2)  # three tuples buy two results
     assert sum(len(rows) for rows in cand.subsets.values()) == 3
     assert cand.new_results == {("a1",), ("a2",)}
@@ -287,21 +277,16 @@ def test_candidate_skips_covered_results():
     query, db = cover_db([("a1", "b1"), ("a2", "b1"), ("a3", "b2")], ["b1", "b2"])
     covered = frozenset({("a1",)}) & evaluate(query, db)
     assert covered
-    cand = min_price_candidate(query, db, "b1", covered)
+    cand = min_price_candidate(group_at(query, db, "b1"), covered)
     assert cand.price == Fraction(2)
     assert cand.new_results == {("a2",)}
 
 
 def test_candidate_none_when_value_reaches_nothing():
     query, db = cover_db([("a1", "b1")], ["b1", "b9"])
-    assert min_price_candidate(query, db, "b9", frozenset()) is None
-
-
-def test_candidate_requires_single_non_output():
-    query = parse_query("Q(A) :- R1(A, B), R2(B, C)")
-    db = Database.build(query, {})
-    with pytest.raises(PreconditionViolated):
-        min_price_candidate(query, db, "b1", frozenset())
+    assert group_at(query, db, "b9") == []
+    assert min_price_candidate([], frozenset()) is None
+    assert min_price_candidate(group_at(query, db, "b1"), frozenset({("a1",)})) is None
 
 
 def selection_price(query, db, covered, x_rows, y_rows):

@@ -48,6 +48,10 @@ def lc(n, alphabet, constraints):
 
 
 def test_label_cover_instance_validation():
+    with pytest.raises(AlphabetTooSmall) as raised:
+        lc(3, "xyz", {(1, 1): {("x", "y")}})
+    assert str(raised.value) == "alphabet size 3 must exceed the vertex count 3"
+    assert (raised.value.alphabet, raised.value.n) == (3, 3)
     with pytest.raises(AlphabetTooSmall):
         lc(1, "x", {(1, 1): {("x", "x")}})
     with pytest.raises(UnsatisfiableConstraint):
