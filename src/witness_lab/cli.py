@@ -64,7 +64,14 @@ EXIT_RESOURCE = 4
 
 
 def _read_query(path: str):
-    return parse_query(Path(path).read_text(encoding="utf-8-sig"))
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line} of query file {path!r}: "
+                         f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+    # universal newlines, so a CRLF file reports an LF file's error offsets
+    return parse_query(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -240,13 +247,6 @@ def _parse_constraints(text: str) -> dict[tuple[int, int], frozenset[tuple[str, 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
-    seed = args.seed
-    if seed is None:
-        seed_env = os.environ.get("WITNESS_LAB_SEED", "")
-        try:
-            seed = int(seed_env) if seed_env else 0
-        except ValueError:
-            raise ValueError(f"WITNESS_LAB_SEED is not an integer: {seed_env!r}") from None
     predict = not args.no_predict
     if args.family == "cover":
         instance = gen_cover_db(_parse_sets(args.universe, args.sets), predict)
@@ -263,6 +263,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         if not args.query:
             raise ValueError("the random family needs --query")
+        seed = args.seed
+        if seed is None:
+            seed_env = os.environ.get("WITNESS_LAB_SEED", "")
+            try:
+                seed = int(seed_env) if seed_env else 0
+            except ValueError:
+                raise ValueError(f"WITNESS_LAB_SEED is not an integer: {seed_env!r}") from None
         query = _read_query(args.query)
         instance = gen_random_db(query, args.rows, args.pool, seed)
     out.mkdir(parents=True, exist_ok=True)

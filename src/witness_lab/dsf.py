@@ -84,18 +84,15 @@ def line_to_dsf(query: Query, db: Database) -> DsfInstance:
     return DsfInstance(chain, order, tuple(sorted(nodes)), tuple(edges), tuple(demands))
 
 
-def _reaches(instance: DsfInstance, target: str) -> set[str]:
-    incoming: dict[str, list[DsfEdge]] = {}
-    for edge in instance.edges:
-        incoming.setdefault(edge.target, []).append(edge)
-    seen = {target}
-    frontier = [target]
+def _reach(adjacency: dict[str, list[str]], start: str) -> set[str]:
+    """The nodes `adjacency` leads to from `start`, `start` included."""
+    seen = {start}
+    frontier = [start]
     while frontier:
-        node = frontier.pop()
-        for edge in incoming.get(node, []):
-            if edge.source not in seen:
-                seen.add(edge.source)
-                frontier.append(edge.source)
+        for node in adjacency.get(frontier.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
     return seen
 
 
@@ -103,14 +100,14 @@ def dsf_per_pair_paths(instance: DsfInstance) -> frozenset[int]:
     """One path per demand, each the lexicographically smallest among the
     demand's paths; returns the union of their edge ids."""
     outgoing: dict[str, list[DsfEdge]] = {}
+    incoming: dict[str, list[str]] = {}
     for edge in instance.edges:
         outgoing.setdefault(edge.source, []).append(edge)
-    reach_cache: dict[str, set[str]] = {}
+        incoming.setdefault(edge.target, []).append(edge.source)
+    reaches = {target: _reach(incoming, target) for _, target in instance.demands}
     chosen: set[int] = set()
     for source, target in instance.demands:
-        if target not in reach_cache:
-            reach_cache[target] = _reaches(instance, target)
-        reach = reach_cache[target]
+        reach = reaches[target]
         if source not in reach:
             raise UnreachableDemand((source, target))
         node = source
@@ -124,26 +121,12 @@ def dsf_per_pair_paths(instance: DsfInstance) -> frozenset[int]:
 
 def edges_connect_demands(instance: DsfInstance, edge_ids: frozenset[int]) -> bool:
     """Whether the edge selection routes every demand pair."""
-    outgoing: dict[str, list[DsfEdge]] = {}
+    outgoing: dict[str, list[str]] = {}
     for edge in instance.edges:
         if edge.id in edge_ids:
-            outgoing.setdefault(edge.source, []).append(edge)
-    for source, target in instance.demands:
-        seen = {source}
-        frontier = [source]
-        found = False
-        while frontier and not found:
-            node = frontier.pop()
-            for edge in outgoing.get(node, []):
-                if edge.target == target:
-                    found = True
-                    break
-                if edge.target not in seen:
-                    seen.add(edge.target)
-                    frontier.append(edge.target)
-        if not found:
-            return False
-    return True
+            outgoing.setdefault(edge.source, []).append(edge.target)
+    reaches = {source: _reach(outgoing, source) for source, _ in instance.demands}
+    return all(target in reaches[source] for source, target in instance.demands)
 
 
 def witness_to_edge_ids(instance: DsfInstance, witness: Witness) -> frozenset[int]:

@@ -4,10 +4,11 @@ Tuples that survive dangling elimination are numbered into a bitmask.
 Each result row owns the set of full join results producing it; a tuple
 shared by every one of them is forced into any witness.  The search
 branches on the uncovered result with the fewest distinct ways to cover
-it, adding one full-join-result delta at a time, and prunes with an
-admissible bound: distinct head projections still missing from a
-relation each cost at least one tuple.  Connected pieces of the query
-are solved independently and their minima summed.
+it, adding one full-join-result delta at a time; each node rescans only
+the results its parent left uncovered.  It prunes with an admissible
+bound: distinct head projections still missing from a relation each
+cost at least one tuple.  Connected pieces of the query are solved
+independently and their minima summed.
 """
 from __future__ import annotations
 
@@ -35,26 +36,26 @@ def _solve_connected(query: Query, full: list[tuple[str, ...]],
     """Minimum witness of one connected query from its full join results."""
     head = sorted(query.head_set)
     to_head = projection(query.attributes, head)
-    results = sorted(set(map(to_head, full)))
     to_relation = [(schema.name, projection(query.attributes, schema.sorted_attributes))
                    for schema in query.relations]
 
+    # One pass numbers the tuples, records each relation's bits and
+    # collects each result's support masks.
     tuple_ids: dict[tuple[str, tuple[str, ...]], int] = {}
+    relation_bits = [0] * len(to_relation)
+    by_result: dict[tuple[str, ...], list[int]] = {}
     for fj in full:
-        for name, project in to_relation:
-            tuple_ids.setdefault((name, project(fj)), len(tuple_ids))
-    by_id = {i: key for key, i in tuple_ids.items()}
-
-    def join_mask(fj: tuple[str, ...]) -> int:
         mask = 0
-        for name, project in to_relation:
-            mask |= 1 << tuple_ids[(name, project(fj))]
-        return mask
-
-    supports: list[list[int]] = [[] for _ in results]
-    position = {t: i for i, t in enumerate(results)}
-    for fj in full:
-        supports[position[to_head(fj)]].append(join_mask(fj))
+        for k, (name, project) in enumerate(to_relation):
+            key = (name, project(fj))
+            bit = tuple_ids.get(key)
+            if bit is None:
+                bit = tuple_ids[key] = len(tuple_ids)
+                relation_bits[k] |= 1 << bit
+            mask |= 1 << bit
+        by_result.setdefault(to_head(fj), []).append(mask)
+    results = sorted(by_result)
+    supports = [by_result[t] for t in results]
 
     all_results = (1 << len(results)) - 1
     forced = 0
@@ -68,23 +69,18 @@ def _solve_connected(query: Query, full: list[tuple[str, ...]],
     # demanded by an uncovered result and absent from the chosen set
     # needs its own tuple.
     classes: list[tuple[int, int]] = []  # (result mask, tuple mask) per projection
-    for schema in query.relations:
-        proj_attrs = sorted(schema.attribute_set & query.head_set)
-        relation_bits = 0
-        for (name, _), i in tuple_ids.items():
-            if name == schema.name:
-                relation_bits |= 1 << i
-        to_projection = projection(head, proj_attrs)
+    for schema, bits in zip(query.relations, relation_bits):
+        to_projection = projection(head, sorted(schema.attribute_set & query.head_set))
         buckets: dict[tuple[str, ...], tuple[int, int]] = {}
-        for t, masks in zip(results, supports):
+        for i, (t, masks) in enumerate(zip(results, supports)):
             value = to_projection(t)
             rmask, tmask = buckets.get(value, (0, 0))
-            rmask |= 1 << position[t]
+            rmask |= 1 << i
             for m in masks:
                 tmask |= m
             buckets[value] = (rmask, tmask)
         for rmask, tmask in buckets.values():
-            classes.append((rmask, tmask & relation_bits))
+            classes.append((rmask, tmask & bits))
 
     def lower_bound(chosen: int, uncovered: int) -> int:
         count = 0
@@ -93,57 +89,57 @@ def _solve_connected(query: Query, full: list[tuple[str, ...]],
                 count += 1
         return count
 
-    def coverage(chosen: int) -> int:
-        mask = 0
-        for i, masks in enumerate(supports):
-            if any(m & chosen == m for m in masks):
-                mask |= 1 << i
-        return mask
+    def scan(chosen: int, open_results: int) -> tuple[int, list[set[int]]]:
+        """The results in `open_results` that `chosen` leaves uncovered, and
+        each one's distinct deltas, in result order.  A result is covered
+        when one of its masks minus `chosen` is empty."""
+        uncovered = 0
+        deltas: list[set[int]] = []
+        unchosen = ~chosen
+        while open_results:
+            low = open_results & -open_results
+            open_results ^= low
+            ways = set(map(unchosen.__and__, supports[low.bit_length() - 1]))
+            if 0 not in ways:
+                uncovered |= low
+                deltas.append(ways)
+        return uncovered, deltas
 
-    def greedy_complete(chosen: int) -> int:
-        while True:
-            covered = coverage(chosen)
-            if covered == all_results:
-                return chosen
-            i = (~covered & all_results).bit_length() - 1
-            delta = min((m & ~chosen for m in supports[i]),
-                        key=lambda d: (d.bit_count(), d))
-            chosen |= delta
+    def branch_order(delta: int) -> tuple[int, int]:
+        return delta.bit_count(), delta
 
-    best = greedy_complete(forced)
+    # Greedy incumbent: cover the highest open result by its smallest delta.
+    best = forced
+    uncovered, deltas = scan(best, all_results)
+    while uncovered:
+        best |= min(deltas[-1], key=branch_order)
+        uncovered, deltas = scan(best, uncovered)
     best_size = best.bit_count()
 
     # Depth first with an explicit stack, so deep searches cannot
-    # overflow Python's recursion limit.  Children are pushed in reverse,
-    # so they are visited, ticked and pruned in branch order.
-    stack = [forced]
+    # overflow Python's recursion limit.  Each entry carries its parent's
+    # uncovered results, the only ones its node must rescan.  Children are
+    # pushed in reverse, so they are visited, ticked and pruned in branch
+    # order.
+    stack = [(forced, all_results)]
     while stack:
-        chosen = stack.pop()
+        chosen, uncovered = stack.pop()
         budget.tick()
-        covered = coverage(chosen)
+        uncovered, deltas = scan(chosen, uncovered)
         size = chosen.bit_count()
-        if covered == all_results:
+        if not uncovered:
             if size < best_size:
                 best, best_size = chosen, size
             continue
-        if size + lower_bound(chosen, ~covered & all_results) >= best_size:
+        if size + lower_bound(chosen, uncovered) >= best_size:
             continue
-        branch_deltas: list[int] | None = None
-        for i, masks in enumerate(supports):
-            if covered >> i & 1:
-                continue
-            deltas = sorted({m & ~chosen for m in masks}, key=lambda d: (d.bit_count(), d))
-            if branch_deltas is None or len(deltas) < len(branch_deltas):
-                branch_deltas = deltas
-                if len(deltas) == 1:
-                    break
-        assert branch_deltas
-        stack.extend(chosen | delta for delta in reversed(branch_deltas))
+        ways = min(deltas, key=len)  # the first open result with the fewest
+        stack.extend((chosen | delta, uncovered)
+                     for delta in sorted(ways, key=branch_order, reverse=True))
 
     parts: dict[str, set[tuple[str, ...]]] = {}
-    for i in range(best.bit_length()):
+    for i, (name, row) in enumerate(tuple_ids):  # ids count up in insertion order
         if best >> i & 1:
-            name, row = by_id[i]
             parts.setdefault(name, set()).add(row)
     return parts
 

@@ -36,7 +36,7 @@ class SolveReport:
     witness: Witness
     db_size: int
     results: frozenset[tuple[str, ...]] = field(repr=False)  # Q(D), kept for verification
-    claimed_ratio_bound: Fraction | float | None
+    claimed_ratio_bound: Fraction | float
     rho_star: Fraction | None = None
 
     @property
@@ -52,19 +52,13 @@ class SolveReport:
         return len(self.results)
 
     def to_json_dict(self) -> dict:
-        bound: object
-        if self.claimed_ratio_bound is None:
-            bound = None
-        elif isinstance(self.claimed_ratio_bound, Fraction):
-            bound = str(self.claimed_ratio_bound)
-        else:
-            bound = self.claimed_ratio_bound
+        bound = self.claimed_ratio_bound
         return {
             "algorithm": self.algorithm,
             "witness_size": self.witness_size,
             "db_size": self.db_size,
             "result_count": self.result_count,
-            "claimed_ratio_bound": bound,
+            "claimed_ratio_bound": str(bound) if isinstance(bound, Fraction) else bound,
             "rho_star": str(self.rho_star) if self.rho_star is not None else None,
         }
 

@@ -187,6 +187,29 @@ def test_solve_non_utf8_csv_is_input_error(capsys, tmp_path):
     assert err == "error: line 3 of 'R1' is not valid CSV: byte 0xff is not UTF-8\n"
 
 
+def test_non_utf8_query_file_names_file_line_and_byte(capsys, tmp_path):
+    qfile = tmp_path / "q.txt"
+    qfile.write_bytes(b"Q(A) :-\r\n  R1(A\xff, B)\n")
+    code, out, err = run(capsys, "classify", str(qfile))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 2 of query file {str(qfile)!r}: byte 0xff is not UTF-8\n"
+
+
+def test_query_file_line_endings_do_not_move_error_offsets(capsys, tmp_path):
+    """Query files are read with universal newlines: a CR or CRLF file
+    reports the offsets its LF twin does."""
+    errors = []
+    for name, newline in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        qfile = tmp_path / f"{name}.txt"
+        qfile.write_bytes(b"Q(A) :-" + newline + b"  R1(A, B) R2(B)" + newline)
+        code, _, err = run(capsys, "classify", str(qfile))
+        assert code == 2
+        errors.append(err)
+    assert errors[0] == errors[1] == errors[2]
+    assert "(at offset 21)" in errors[0]
+
+
 @pytest.mark.parametrize("algo, text", [
     ("exact", "Q(A, C) :- R1(A, B), R2(A, B), R3(C, D)"),
     ("approx", "Q(A) :- R1(A, B), R2(B)"),
@@ -322,6 +345,14 @@ def test_generate_random_seed_determinism(capsys, tmp_path, monkeypatch):
     run(capsys, "generate", "random", "--out", str(c), "--query", str(qfile))
     assert (a / "R1.csv").read_bytes() == (b / "R1.csv").read_bytes()
     assert (a / "R1.csv").read_bytes() == (c / "R1.csv").read_bytes()
+
+
+def test_generate_seedless_family_ignores_seed_variable(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("WITNESS_LAB_SEED", "abc")
+    code, out, err = run(capsys, "generate", "cover", "--out", str(tmp_path / "c"))
+    assert code == 0, err
+    assert err == ""
+    assert json.loads(out)["family"] == "cover"
 
 
 def test_generate_bad_seed_variable_names_it(capsys, tmp_path, monkeypatch):

@@ -7,11 +7,12 @@ import pytest
 from witness_lab import oracle
 from witness_lab.engine import evaluate, is_witness
 from witness_lab.errors import BudgetExhausted, InstanceTooLarge
+from witness_lab.generators import gen_random_db
 from witness_lab.model import Database, Witness
 from witness_lab.oracle import DEFAULT_ORACLE_CAP, brute_force_swp
 from witness_lab.qparser import parse_query
 
-from corpus import WORKED_OPTIMUM, worked_example, random_db, random_query
+from corpus import CATALOG, WORKED_OPTIMUM, worked_example, random_db, random_query
 
 
 def exhaustive_minimum(query, db):
@@ -127,3 +128,27 @@ def test_witness_ignores_full_join_row_order(monkeypatch, reorder):
     monkeypatch.setattr(oracle, "full_join_results", reordered)
     for (query, db), want in zip(cases, expected):
         assert brute_force_swp(query, db) == want
+
+
+# Search nodes a full search ticks on gen_random_db(query, 12, 4, seed) for
+# seeds 0-5 (every instance has at most 45 tuples).
+PINNED_NODES = {
+    "worked": (307, 567, 555, 99, 1, 369),
+    "cover": (5, 1, 13, 1, 4, 1),
+    "matrix": (7, 9, 130, 3, 3, 5),
+    "line3": (74, 41, 301, 23, 11, 9),
+    "star3": (1, 3, 1, 1, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_NODES))
+def test_node_counts_pin_the_search_order(name):
+    """The search branches on the first open result with the fewest
+    deltas and visits its children by (size, delta); any other order
+    ticks a different number of nodes on some of these instances."""
+    query = parse_query(next(text for n, text, _ in CATALOG if n == name))
+    for seed, nodes in enumerate(PINNED_NODES[name]):
+        db = gen_random_db(query, 12, 4, seed).database
+        brute_force_swp(query, db, budget=nodes, cap=45)
+        with pytest.raises(BudgetExhausted):
+            brute_force_swp(query, db, budget=nodes - 1, cap=45)
