@@ -9,11 +9,13 @@ Exit codes: 0 success, 2 bad input, 3 precondition not met by the
 requested operation, 4 resource limit hit.  Reports go to stdout as a
 single JSON document; diagnostics go to stderr.
 
-Every document, on stdout or in a file, is written by `format_json`: the
-bytes of `json.dumps(document, indent=2, sort_keys=True)`, produced by a
-small recursive writer over the C string escaper, since `json` falls back
-to its pure-Python encoder whenever `indent` is set.  A document is
-encoded in full before any of it is written.
+Every document, on stdout or in a file, has the bytes of
+`json.dumps(document, indent=2, sort_keys=True)`.  `json` falls back to
+its pure-Python encoder whenever `indent` is set, so reports go through
+`format_json`, a small recursive writer over the C string escaper, and
+the Steiner forest document is filled into templates by
+`dsf.dsf_to_json_text`.  A document is encoded in full before any of it
+is written.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
-from .dsf import dsf_to_json_dict, line_to_dsf
+from .dsf import dsf_to_json_text, line_to_dsf
 from .engine import evaluate, is_witness
 from .errors import (
     BudgetExhausted,
@@ -115,9 +117,10 @@ def format_json(value: object, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(document: dict, copy: Path | None = None) -> None:
-    """Encode `document` once, then write it to `copy` (if given) and stdout."""
-    text = format_json(document) + "\n"
+def _emit(text: str, copy: Path | None = None) -> None:
+    """Write an encoded document, and a final newline, to `copy` (if
+    given) and stdout."""
+    text += "\n"
     if copy is not None:
         copy.write_text(text, encoding="utf-8")
     sys.stdout.write(text)
@@ -150,7 +153,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
     document = classification_to_json_dict(classify(query))
     document["query"] = format_query(query)
-    _emit(document)
+    _emit(format_json(document))
     return EXIT_OK
 
 
@@ -206,7 +209,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_witness(query, report.witness, out)
         document["out_dir"] = str(out)
-    _emit(document)
+    _emit(format_json(document))
     return EXIT_OK
 
 
@@ -285,7 +288,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "metadata": instance.metadata,
         "out_dir": str(out),
     }
-    _emit(document, out / "metadata.json")
+    _emit(format_json(document), out / "metadata.json")
     return EXIT_OK
 
 
@@ -293,7 +296,7 @@ def cmd_export_dsf(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
     out = _out_file(args.out) if args.out else None
     db = load_database(query, Path(args.data))
-    _emit(dsf_to_json_dict(line_to_dsf(query, db)), out)
+    _emit(dsf_to_json_text(line_to_dsf(query, db)), out)
     return EXIT_OK
 
 

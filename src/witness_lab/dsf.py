@@ -9,6 +9,7 @@ demand-connecting edge set pulls back to a witness of the same size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 
 from .engine import evaluate
 from .errors import NotALineQuery, UnreachableDemand
@@ -142,20 +143,37 @@ def pull_back(query: Query, instance: DsfInstance, edge_ids: frozenset[int]) -> 
     return Witness.build(query, parts, "dsf")
 
 
-def dsf_to_json_dict(instance: DsfInstance) -> dict:
-    attributes = {n: sorted(instance.chain[h:h + 2]) for h, n in enumerate(instance.relation_order)}
-    return {
-        "spec": "1",
-        "chain": list(instance.chain),
-        "relation_order": list(instance.relation_order),
-        "nodes": list(instance.nodes),
-        "edges": [{
-            "id": e.id,
-            "from": e.source,
-            "to": e.target,
-            "weight": e.weight,
-            "relation": e.relation,
-            "row": dict(zip(attributes[e.relation], e.row)),
-        } for e in instance.edges],
-        "demands": [{"from": s, "to": t} for s, t in instance.demands],
-    }
+def _json_list(items: list[str]) -> str:
+    """A list of encoded items as the value of a top-level key."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _literal(text: str) -> str:
+    """`text` encoded as a JSON string, ready to sit in a %-template."""
+    return _escape(text).replace("%", "%%")
+
+
+def dsf_to_json_text(instance: DsfInstance) -> str:
+    """The export document, as `json.dumps(document, indent=2,
+    sort_keys=True)` would write it, filled into templates: one per
+    relation for its edges (a `row` maps the sorted attribute pair to the
+    edge's row) and one for demands.  Strings go through `json`'s own
+    ASCII escaper."""
+    edge_template = {}
+    for hop, name in enumerate(instance.relation_order):
+        first, second = sorted(instance.chain[hop:hop + 2])
+        edge_template[name] = ('{\n      "from": %s,\n      "id": %d,\n      "relation": '
+                               + _literal(name) + ',\n      "row": {\n        '
+                               + _literal(first) + ': %s,\n        ' + _literal(second)
+                               + ': %s\n      },\n      "to": %s,\n      "weight": %d\n    }')
+    demand_template = '{\n      "from": %s,\n      "to": %s\n    }'
+    return ('{\n  "chain": %s,\n  "demands": %s,\n  "edges": %s,\n  "nodes": %s,\n'
+            '  "relation_order": %s,\n  "spec": "1"\n}') % (
+        _json_list([_escape(a) for a in instance.chain]),
+        _json_list([demand_template % (_escape(s), _escape(t)) for s, t in instance.demands]),
+        _json_list([edge_template[e.relation] % (_escape(e.source), e.id, _escape(e.row[0]),
+                                                 _escape(e.row[1]), _escape(e.target), e.weight)
+                    for e in instance.edges]),
+        _json_list([_escape(n) for n in instance.nodes]),
+        _json_list([_escape(n) for n in instance.relation_order]),
+    )

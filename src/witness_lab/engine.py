@@ -7,7 +7,7 @@ loop, differing only in what each step keeps.  Set semantics throughout.
 
 Every intermediate tuple holds its values in sorted attribute order (see
 `model`); each step resolves its key and output positions once, so the
-inner loop only indexes, concatenates and hashes plain tuples.  Three
+inner loop only indexes, concatenates and hashes plain tuples.  Four
 steps skip work the general one would do:
 
 * the first atom's rows, or their projection, are the accumulator: no
@@ -15,7 +15,11 @@ steps skip work the general one would do:
 * an atom that adds no needed attribute only filters: the accumulator
   keeps the tuples whose shared values the atom holds, then projects;
 * when the accumulated and new attributes are already in sorted order,
-  the concatenation is the output tuple and is not reordered.
+  the concatenation is the output tuple and is not reordered;
+* when the step drops accumulated attributes and the ones it keeps,
+  followed by the new ones, are in sorted order, each accumulated tuple
+  is projected once and that projection is concatenated with each match,
+  with no reorder per pair.
 
 `full_join_results` returns its rows in no particular order (set
 iteration order, which depends on the string-hash seed); callers that
@@ -49,7 +53,8 @@ def _join(query: Query, db: Database,
         rows = db.instances[schema.name]
         attrs = schema.sorted_attributes
         new = tuple(a for a in attrs if a in needed[i] and a not in acc_attrs)
-        keep = tuple(sorted(new + tuple(a for a in acc_attrs if a in needed[i])))
+        kept = tuple(a for a in acc_attrs if a in needed[i])
+        keep = tuple(sorted(new + kept))
         shared = [a for a in acc_attrs if a in schema.attribute_set]
         left_key, right_key = projection(acc_attrs, shared), projection(attrs, shared)
         if i == 0:
@@ -68,6 +73,10 @@ def _join(query: Query, db: Database,
                 index.setdefault(right_key(row), set()).add(right_new(row))
             if acc_attrs + new == keep:  # already in sorted order
                 acc = {left + extra for left in acc for extra in index.get(left_key(left), ())}
+            elif kept + new == keep:  # sorted once the left tuple is projected
+                left_kept = projection(acc_attrs, kept)
+                acc = {part + extra for left in acc for part in (left_kept(left),)
+                       for extra in index.get(left_key(left), ())}
             else:
                 out = projection(acc_attrs + new, keep)
                 acc = {out(left + extra)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import AlphabetTooSmall, UncoverableUniverse, UnsatisfiableConstraint
-from .model import Database, Query
+from .model import Database, Query, projection
 from .qparser import parse_query
 
 
@@ -247,10 +247,15 @@ def gen_random_db(query: Query, rows_per_relation: int, pool: int, seed: int) ->
         raise ValueError("need rows_per_relation >= 0 and pool >= 1")
     rng = random.Random(seed)
     domains = {a: [f"{a.lower()}{i}" for i in range(pool)] for a in query.attributes}
-    tables = {schema.name: [{a: rng.choice(domains[a]) for a in schema.attributes}
-                            for _ in range(rows_per_relation)]
-              for schema in query.relations}
-    return GeneratedInstance(query, Database.build(query, tables), None, {
+    instances = {}
+    # every value is drawn from its own attribute's pool, so the rows fit
+    # the schema: no `Database.build` check is needed
+    for schema in query.relations:
+        pools = [domains[a] for a in schema.attributes]
+        rows = [tuple([rng.choice(p) for p in pools]) for _ in range(rows_per_relation)]
+        to_sorted = projection(schema.attributes, schema.sorted_attributes)
+        instances[schema.name] = frozenset(map(to_sorted, rows))
+    return GeneratedInstance(query, Database(instances), None, {
         "family": "random",
         "rows_per_relation": rows_per_relation,
         "pool": pool,

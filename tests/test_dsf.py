@@ -1,11 +1,15 @@
 """Path queries as layered directed Steiner forest instances."""
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from witness_lab.dsf import (
     DsfEdge,
     DsfInstance,
     dsf_per_pair_paths,
-    dsf_to_json_dict,
+    dsf_to_json_text,
     edges_connect_demands,
     line_to_dsf,
     pull_back,
@@ -127,9 +131,86 @@ def test_edges_connect_demands_spots_gaps():
 
 def test_json_document_shape():
     query, db = line3_db()
-    doc = dsf_to_json_dict(line_to_dsf(query, db))
+    doc = json.loads(dsf_to_json_text(line_to_dsf(query, db)))
     assert doc["spec"] == "1"
     assert doc["chain"] == ["A1", "A2", "A3", "A4"]
     assert len(doc["edges"]) == db.size
     assert doc["edges"][0]["weight"] == 1
     assert {"from", "to"} <= set(doc["demands"][0])
+
+
+def reference_document(instance: DsfInstance) -> dict:
+    """The export document as a tree of dicts and lists, for `json.dumps`."""
+    attributes = {n: sorted(instance.chain[h:h + 2]) for h, n in enumerate(instance.relation_order)}
+    return {
+        "spec": "1",
+        "chain": list(instance.chain),
+        "relation_order": list(instance.relation_order),
+        "nodes": list(instance.nodes),
+        "edges": [{
+            "id": e.id,
+            "from": e.source,
+            "to": e.target,
+            "weight": e.weight,
+            "relation": e.relation,
+            "row": dict(zip(attributes[e.relation], e.row)),
+        } for e in instance.edges],
+        "demands": [{"from": s, "to": t} for s, t in instance.demands],
+    }
+
+
+def assert_text_matches_reference(instance: DsfInstance) -> None:
+    expected = json.dumps(reference_document(instance), indent=2, sort_keys=True)
+    assert dsf_to_json_text(instance) == expected
+
+
+# Values JSON must escape (quote, backslash, control characters, a lone
+# surrogate), non-ASCII text, and a template's own `%s`.
+VALUES = ["a", "b", "", '"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\U0001f600", "\ud800", "%s"]
+
+
+@st.composite
+def line_instances(draw):
+    """A line query of one to four hops from A to Z, its middle attributes
+    in a random name order, each atom's columns in either direction and
+    the atoms in any order, over rows drawn from a few awkward values."""
+    hops = draw(st.integers(1, 4))
+    chain = ("A", *draw(st.permutations("BCDE"))[:hops - 1], "Z")
+    atoms = []
+    for hop in range(hops):
+        pair = chain[hop:hop + 2]
+        if draw(st.booleans()):
+            pair = pair[::-1]
+        atoms.append(f"R{hop + 1}({pair[0]}, {pair[1]})")
+    head = draw(st.sampled_from(["A, Z", "Z, A"]))
+    query = parse_query(f"Q({head}) :- {', '.join(draw(st.permutations(atoms)))}")
+    values = st.sampled_from(draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=4,
+                                           unique=True)))
+    db = Database({schema.name: frozenset(draw(st.lists(st.tuples(values, values), max_size=6)))
+                   for schema in query.relations})
+    return line_to_dsf(query, db)
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_instances())
+def test_json_text_matches_json_dumps_of_reference(instance):
+    assert_text_matches_reference(instance)
+
+
+@pytest.mark.parametrize("text,rows", [
+    (LINE3, {}),
+    ("Q(A1, A4) :- R1(A1, A2), R2(A3, A2), R3(A3, A4)", {
+        "R1": [{"A1": "s\"1", "A2": "m\\1"}, {"A1": "s\x002", "A2": "m\u00e91"}],
+        "R2": [{"A2": "m\\1", "A3": "p\n1"}, {"A2": "m\u00e91", "A3": "p\u2028"}],
+        "R3": [{"A3": "p\n1", "A4": "t\U0001f600"}, {"A3": "p\u2028", "A4": "t%d"}],
+    }),
+], ids=["empty", "reversed-atom-and-escapes"])
+def test_json_text_on_edge_cases(text, rows):
+    query = parse_query(text)
+    instance = line_to_dsf(query, Database.build(query, rows))
+    assert len(instance.demands) == (2 if rows else 0)
+    assert_text_matches_reference(instance)
+
+
+def test_json_text_of_an_instance_with_no_layers():
+    assert_text_matches_reference(DsfInstance((), (), (), (), ()))

@@ -69,6 +69,9 @@ JOIN_PATHS = [
     ("adds-nothing-disconnected", "Q(A) :- R1(A), R2(B)"),
     ("full-sorted-concatenation", "Q(A, B, C) :- R1(A, B), R2(B, C)"),
     ("full-reordered", "Q(A, B, C) :- R1(B, C), R2(A, B)"),
+    ("left-projected-line3", "Q(A1, A4) :- R1(A1, A2), R2(A2, A3), R3(A3, A4)"),
+    ("left-projected-two-hop", "Q(A, C) :- R1(A, B), R2(B, C)"),
+    ("left-projected-star3", "Q(A1, A2, A3) :- R1(A1, B), R2(A2, B), R3(A3, B)"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Instance families: set cover and label cover instances, the cover,
 matrix, pyramid, line3 and random families, and their predicted sizes."""
+import random
+
 import pytest
 
 from witness_lab.engine import evaluate
@@ -15,8 +17,11 @@ from witness_lab.generators import (
     min_cover_size,
     min_label_cover_cost,
 )
+from witness_lab.model import Database
 from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import parse_query
+
+from corpus import random_query
 
 
 def cover(universe, *subsets):
@@ -145,3 +150,23 @@ def test_random_family_is_seed_deterministic():
         gen_random_db(query, rows_per_relation=-1, pool=3, seed=0)
     with pytest.raises(ValueError):
         gen_random_db(query, rows_per_relation=1, pool=0, seed=0)
+
+
+def build_random_db(query, rows_per_relation, pool, seed):
+    """The random family's draws, as per-row dicts through `Database.build`."""
+    rng = random.Random(seed)
+    domains = {a: [f"{a.lower()}{i}" for i in range(pool)] for a in query.attributes}
+    tables = {schema.name: [{a: rng.choice(domains[a]) for a in schema.attributes}
+                            for _ in range(rows_per_relation)]
+              for schema in query.relations}
+    return Database.build(query, tables)
+
+
+def test_random_family_matches_build_reference():
+    rng = random.Random(243)
+    queries = [parse_query("Q(A, C) :- R1(B, A), R2(D, C, B), R3(E)")]
+    queries += [random_query(rng) for _ in range(80)]
+    for query in queries:
+        rows, pool, seed = rng.randint(0, 30), rng.randint(1, 6), rng.randrange(1 << 30)
+        got = gen_random_db(query, rows, pool, seed).database
+        assert got == build_random_db(query, rows, pool, seed)

@@ -57,5 +57,5 @@ def test_other_types_raise_type_error(document):
 
 def test_failed_encoding_writes_nothing(capsys):
     with pytest.raises(TypeError):
-        cli._emit({"a": ["row"] * 1000, "z": {1, 2}})
+        cli._emit(format_json({"a": ["row"] * 1000, "z": {1, 2}}))
     assert capsys.readouterr().out == ""
