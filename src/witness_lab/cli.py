@@ -300,11 +300,18 @@ def cmd_export_dsf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line, with no usage
+    block, and exits 2; subcommand parsers share the class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process; parsing does not modify the parser."""
-    parser = argparse.ArgumentParser(prog="witness-lab",
-                                     description="smallest witness toolkit")
+    parser = _Parser(prog="witness-lab", description="smallest witness toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="structural class of a query")

@@ -1,47 +1,38 @@
-"""Densest-set search by parametric minimum cut, in exact rationals.
+"""Densest-set search by parametric minimum cut, in exact integers.
 
-Density of a vertex set S is the total weight of (hyper)edges falling
-inside S divided by |S|.  For a guessed density g = p/q the flow network
-is Goldberg's ("Finding a maximum density subgraph", UCB TR 1984), with
-weighted hyperedges: source -> hyperedge (weight * q), hyperedge -> each
-member (infinite), vertex -> sink (p).  A minimum cut's source side
-holds a set maximising q*weight(S) - p*|S|, and that maximum is
-q*(total weight) minus the maximum flow.  The guess is scaled to
-integers, which keeps flow values exact.
-
-The max-flow is written for this network alone, on plain lists: the
-spare supply of each hyperedge, the spare room of each vertex and the
-flow on each (hyperedge, member) pair.  A greedy pass pushes what fits
-along each hyperedge's members.  Shortest augmenting paths (Edmonds and
-Karp, JACM 1972) finish the flow: a breadth-first search starts at every
-hyperedge with spare supply, goes hyperedge -> member always and vertex
--> hyperedge where that pair carries flow, and a path ends at a vertex
-with room.  Because the paths are shortest, the number of augmentations
-is bounded by the network's size whatever the capacities are.
+Density of a vertex set S is the total weight of the (hyper)edges inside
+S divided by |S|.  For a guessed density p/q the network is Goldberg's
+("Finding a maximum density subgraph", UCB TR 1984) with weighted
+hyperedges: source -> hyperedge (weight * q), hyperedge -> each member
+(infinite), vertex -> sink (p).  A minimum cut's source side maximises
+q*weight(S) - p*|S|, which is q*(total weight) minus the maximum flow.
+The max-flow, on plain lists, is a greedy pass and then shortest
+augmenting paths (Edmonds and Karp, JACM 1972), whose number is bounded
+by the network's size whatever the capacities are.
 
 Minimum cuts form a lattice (Picard and Queyranne, Math. Prog. Study
 13, 1980): after any maximum flow, the nodes the source still reaches in
-the residual network are the smallest min-cut source side, and the nodes
-that cannot reach the sink are the largest.  So one flow yields the
-smallest maximiser, the largest maximiser and the maximum itself.
+the residual network are the smallest min-cut source side and the nodes
+that cannot reach the sink the largest.  Dinkelbach's iteration
+(Management Science, 1967) starts at the density of the whole vertex set
+and moves to the density of the smallest maximiser until that is empty;
+each step strictly raises the density, so k steps run k + 1 max-flows.
+At the optimum the maximisers are the empty set and the optimal sets,
+closed under union, so the last flow's largest maximiser is the union of
+all optimal sets, and its shortest sorted prefix that reaches the
+optimum is the lexicographically smallest optimal set.
 
-The optimum comes from Dinkelbach's iteration (Management Science,
-1967): start at the density of the whole vertex set and move g to the
-density of the smallest maximiser until it is empty.  Each step strictly
-raises g, and a search of k steps runs k + 1 max-flows.
-
-The returned set is the lexicographically smallest optimal one.  At the
-optimal density d* the maximisers of weight(S) - d*|S| are the empty set
-and the optimal sets; they are closed under union, so the largest
-maximiser of the last flow is the union of all optimal sets.  Every
-optimal set lies inside it, so the answer is the shortest prefix of the
-sorted union that reaches the optimal density.
+Vertices are numbered 0..n-1 in sorted order.  The greedy route numbers
+its demand hypergraphs once per solve (`demand_groups`), results too, so
+a pricing marks covered results by id and renumbers its live vertices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import compress, count
+from operator import and_, attrgetter, itemgetter, not_
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # Pricing never evaluates Q(D); `evaluate` stays importable because the
 # benchmark's traced run (bench/layers.py) wraps `densest.evaluate`.
@@ -50,30 +41,18 @@ from .errors import EmptyEdgeSet, InternalInconsistency
 from .model import Query, projection
 
 
-_WeightedEdge = tuple[frozenset, int]
-
-
 class _DensityCore:
-    """One weighted hypergraph plus the flow-based decision oracles.
+    """One weighted hypergraph on vertices 0..n-1 plus the flow-based
+    decision oracles: `members[e]` lists the distinct vertices of
+    hyperedge e, `weight[e]` is its weight and `incident[v]` holds the
+    (hyperedge, position) pairs of vertex v."""
 
-    Hyperedges and vertices are numbered: `members[e]` lists the vertex
-    indices of hyperedge e, and `incident[v]` the (hyperedge, position)
-    pairs that hold vertex v."""
-
-    def __init__(self, edges: Mapping[frozenset, int]):
-        if not edges:
-            raise EmptyEdgeSet
-        for edge in edges:
-            if not edge:
-                raise ValueError("hyperedges must be nonempty")
-        self.edges: list[_WeightedEdge] = list(edges.items())
-        self.vertices: list = sorted(set().union(*edges))
-        self.total_weight = sum(w for _, w in self.edges)
-        index = {v: i for i, v in enumerate(self.vertices)}
-        self.members = [sorted(index[v] for v in edge) for edge, _ in self.edges]
-        self.incident: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for e, members in enumerate(self.members):
-            for k, v in enumerate(members):
+    def __init__(self, members: list[list[int]], weight: list[int], n: int):
+        self.members, self.weight, self.n = members, weight, n
+        self.total_weight = sum(weight)
+        self.incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e, ms in enumerate(members):
+            for k, v in enumerate(ms):
                 self.incident[v].append((e, k))
 
     def max_flow(self, supply: list[int], room: list[int],
@@ -85,15 +64,17 @@ class _DensityCore:
         members, incident = self.members, self.incident
         total = sum(supply)
         for e, ms in enumerate(members):  # greedy: push what fits
+            s, pushed = supply[e], flow[e]
             for k, v in enumerate(ms):
-                x = flow[e][k] = min(supply[e], room[v])
-                supply[e] -= x
+                x = pushed[k] = s if s < room[v] else room[v]
                 room[v] -= x
+                s -= x
+            supply[e] = s
         while True:
             # Shortest augmenting paths: hyperedge -> member always, vertex
             # -> hyperedge where that pair carries flow; a path ends at a
             # vertex with room.
-            via: list = [None] * len(self.vertices)  # (e, k) reaching each vertex
+            via: list = [None] * self.n  # (e, k) reaching each vertex
             # per hyperedge: -1 at a start, else k of the vertex reaching it
             back: list = [-1 if s else None for s in supply]
             frontier = [e for e, s in enumerate(supply) if s]
@@ -134,14 +115,13 @@ class _DensityCore:
                         if back[f] >= 0:
                             flow[f][back[f]] -= x
 
-    def cuts(self, g: Fraction) -> tuple[frozenset, frozenset, int]:
+    def cuts(self, p: int, q: int) -> tuple[list[int], list[int], int]:
         """From one maximum flow at g = p/q: the smallest and the largest
         maximiser of weight(S) - g*|S| (the vertices the source reaches in
-        the residual network, and those that cannot reach the sink), and
-        the maximum q*weight(S) - p*|S| as a scaled integer."""
-        p, q = g.numerator, g.denominator
-        supply = [w * q for _, w in self.edges]
-        room = [p] * len(self.vertices)
+        the residual network, and those that cannot reach the sink), each
+        in increasing order, and the maximum q*weight(S) - p*|S|."""
+        supply = [w * q for w in self.weight]
+        room = [p] * self.n
         flow = [[0] * len(ms) for ms in self.members]
         pushed, via = self.max_flow(supply, room, flow)
         # backwards from the sink: v -> sink with room, e -> any member,
@@ -157,110 +137,129 @@ class _DensityCore:
                         if not drains[u] and flow[e][k]:
                             drains[u] = True
                             stack.append(u)
-        smallest = frozenset(v for v, arc in zip(self.vertices, via) if arc is not None)
-        largest = frozenset(v for v, d in zip(self.vertices, drains) if not d)
+        smallest = [v for v, arc in enumerate(via) if arc is not None]
+        largest = [v for v, d in enumerate(drains) if not d]
         return smallest, largest, q * self.total_weight - pushed
 
-    def density(self, subset: frozenset) -> Fraction:
-        return Fraction(sum(w for e, w in self.edges if e <= subset), len(subset))
+    def inside(self, subset: Iterable[int]) -> list[bool]:
+        """Per hyperedge, whether it falls inside `subset`."""
+        marked = set(subset)
+        return [all(map(marked.__contains__, ms)) for ms in self.members]
+
+    def densest(self) -> tuple[list[int], list[bool], int, int]:
+        """The lexicographically smallest densest set, in increasing
+        order, which hyperedges fall inside it, and its density p/q."""
+        # Dinkelbach: each nonempty maximiser at p/q is strictly denser.
+        p, q = self.total_weight, self.n
+        while True:
+            improving, union, best = self.cuts(p, q)
+            if not improving:
+                break
+            p_next = sum(compress(self.weight, self.inside(improving)))
+            if p_next * q <= p * len(improving):
+                raise InternalInconsistency(f"maximiser at {Fraction(p, q)} is no denser")
+            p, q = p_next, len(improving)
+        if best != 0:
+            raise InternalInconsistency(
+                f"density search did not converge: best value {best} at {Fraction(p, q)}")
+        if not union:  # the union of all optimal sets
+            raise InternalInconsistency("empty union of the optimal sets")
+
+        # Every optimal set lies inside the union, so the lexicographically
+        # smallest one is its shortest optimal prefix.  Walking the union in
+        # order, an edge falls inside the prefix at its last vertex.
+        missing, weight = list(map(len, self.members)), 0
+        for size, v in enumerate(union, start=1):
+            for e, _ in self.incident[v]:
+                missing[e] -= 1
+                if not missing[e]:
+                    weight += self.weight[e]
+            if weight * q == p * size:
+                break
+        subset = union[:size]
+        inside = self.inside(subset)
+        achieved = sum(compress(self.weight, inside))
+        if achieved * q != p * size:
+            raise InternalInconsistency(
+                f"returned set achieves {Fraction(achieved, size)}, search said {Fraction(p, q)}")
+        return subset, inside, p, q
 
 
 def _max_density_set(edges: Mapping[frozenset, int]) -> tuple[frozenset, Fraction]:
-    core = _DensityCore(edges)
-
-    # Dinkelbach: each nonempty maximiser at g is strictly denser than g.
-    density = Fraction(core.total_weight, len(core.vertices))
-    while True:
-        improving, union, best = core.cuts(density)
-        if not improving:
-            break
-        density, previous = core.density(improving), density
-        if density <= previous:
-            raise InternalInconsistency(f"maximiser at {previous} is no denser")
-    if best != 0:
-        raise InternalInconsistency(
-            f"density search did not converge: best value {best} at {density}")
-
-    # At the optimum the maximisers are the empty set and the optimal
-    # sets, so the largest one is the union of all optimal sets.
-    if not union:
-        raise InternalInconsistency("empty union of the optimal sets")
-
-    # Every optimal set lies inside the union, so the lexicographically
-    # smallest one is its shortest optimal prefix in sorted order.  An
-    # edge falls inside a prefix once the prefix reaches its largest vertex.
-    ordered = sorted(union)
-    position = {v: i for i, v in enumerate(ordered)}
-    weight_closed_at = [0] * len(ordered)
-    for edge, w in core.edges:
-        if edge <= union:
-            weight_closed_at[max(position[v] for v in edge)] += w
-    inside = 0
-    for size, closed in enumerate(weight_closed_at, start=1):
-        inside += closed
-        if inside * density.denominator == density.numerator * size:
-            break
-    subset = frozenset(ordered[:size])
-    achieved = core.density(subset)
-    if achieved != density:
-        raise InternalInconsistency(f"returned set achieves {achieved}, search said {density}")
-    return subset, density
+    """The lexicographically smallest densest set of a dict of weighted,
+    labelled hyperedges, and its density; labels are numbered in order."""
+    if not edges:
+        raise EmptyEdgeSet
+    if not all(edges):
+        raise ValueError("hyperedges must be nonempty")
+    vertices = sorted(set().union(*edges))
+    index = dict(zip(vertices, range(len(vertices))))
+    core = _DensityCore([sorted(map(index.__getitem__, edge)) for edge in edges],
+                        list(edges.values()), len(vertices))
+    subset, _, p, q = core.densest()
+    return frozenset(map(vertices.__getitem__, subset)), Fraction(p, q)
 
 
 # --- pricing for the greedy cover solver ----------------------------------
 
-@dataclass(frozen=True)
-class PricedCandidate:
-    """Per-relation tuple subsets at one join value, with the results they
-    newly cover and the exact price (tuples spent per new result)."""
+class PricedCandidate(NamedTuple):
+    """Vertex ids of a tuple selection at one join value, the ids of the
+    results it newly covers and its exact price (tuples per new result)."""
 
-    subsets: Mapping[str, frozenset]
-    new_results: frozenset
+    vertices: tuple[int, ...]
+    new_results: tuple[int, ...]
     price: Fraction
 
 
-_Group = list[tuple[tuple[str, ...], frozenset]]
-
-
-def demand_groups(query: Query, rows: Iterable[tuple[str, ...]]) -> dict[str, _Group]:
-    """Full join results grouped by the value of the single non-output
-    attribute b: per value, (result, demand key) pairs in row order.  A
-    result reachable at b demands one tuple per relation holding b, and
-    its key is the frozenset of those (relation name, tuple) pairs."""
+def demand_groups(query: Query, rows: Sequence[tuple[str, ...]]) -> tuple[list, list, dict]:
+    """Numbers the full join `rows` once and groups it by the value b of
+    the single non-output attribute.  A result reachable at b demands
+    one tuple per relation holding b: its demand key.  Returns the
+    vertices ((relation name, tuple) per id: each relation's joined
+    tuples in sorted order, relations in name order), the results (head
+    tuple per id, in row order) and the groups: per b, the ids of the
+    results reachable there and, in step, their demand keys (increasing
+    vertex ids)."""
     b_attr, = query.non_output
-    at = query.attributes.index(b_attr)
-    to_head = projection(query.attributes, sorted(query.head))
-    b_rels = [(rel.name, projection(query.attributes, rel.sorted_attributes))
-              for rel in query.relations if b_attr in rel.attribute_set]
-    groups: dict[str, _Group] = {}
-    for fj in rows:
-        key = frozenset([(name, to_rel(fj)) for name, to_rel in b_rels])
-        groups.setdefault(fj[at], []).append((to_head(fj), key))
-    return groups
+    result_id: dict[tuple[str, ...], int] = {}
+    result_ids = [result_id.setdefault(t, len(result_id))
+                  for t in map(projection(query.attributes, sorted(query.head)), rows)]
+    vertices: list[tuple[str, tuple[str, ...]]] = []
+    columns = []  # per relation holding b: each row's vertex id
+    for rel in sorted(query.relations, key=attrgetter("name")):
+        if b_attr in rel.attribute_set:
+            tuples = list(map(projection(query.attributes, rel.sorted_attributes), rows))
+            ordered = sorted(set(tuples))
+            columns.append(map(dict(zip(ordered, count(len(vertices)))).__getitem__, tuples))
+            vertices += [(rel.name, t) for t in ordered]
+    groups: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
+    for b, r, key in zip(map(itemgetter(query.attributes.index(b_attr)), rows), result_ids,
+                         zip(*columns)):
+        ids, keys = groups[b]
+        ids.append(r)
+        keys.append(key)
+    return vertices, list(result_id), dict(groups)
 
 
-def min_price_candidate(group: _Group, covered: frozenset) -> PricedCandidate | None:
-    """Cheapest tuple selection at one value of the single non-output
-    attribute, from that value's entry of `demand_groups`.  Each
-    yet-uncovered result in the group demands one specific tuple per
-    relation containing that attribute, so the best selection is a
-    maximum-density vertex set; identical demands from several results
-    count with multiplicity."""
-    edge_weight: dict[frozenset, int] = {}
-    edge_results: dict[frozenset, list[tuple[str, ...]]] = {}
-    for t, key in group:
-        if t not in covered:
-            edge_weight[key] = edge_weight.get(key, 0) + 1
-            edge_results.setdefault(key, []).append(t)
-    if not edge_weight:
+def min_price_candidate(group: tuple[list, list], covered: bytearray) -> PricedCandidate | None:
+    """Cheapest tuple selection at one join value, from its group;
+    `covered[r]` is set for each covered result id.  The uncovered
+    results' demand keys, counted with multiplicity, are the hyperedges
+    and the best selection is a maximum-density vertex set."""
+    ids, keys = group
+    live = list(map(not_, map(covered.__getitem__, ids)))
+    weight = Counter(compress(keys, live))  # distinct live key -> its uncovered results
+    if not weight:
         return None
-
-    subset, density = _max_density_set(edge_weight)
-    new_results = frozenset(t for key, ts in edge_results.items() if key <= subset for t in ts)
-    price = Fraction(len(subset), len(new_results))
-    if price != 1 / density:
-        raise InternalInconsistency(f"price {price} disagrees with density {density}")
-    parts: dict[str, set[tuple[str, ...]]] = {}
-    for rel_name, row in subset:
-        parts.setdefault(rel_name, set()).add(row)
-    return PricedCandidate({k: frozenset(v) for k, v in parts.items()}, new_results, price)
+    used = sorted(set().union(*weight))  # renumbered, keeping their order
+    local = dict(zip(used, count()))
+    core = _DensityCore([list(map(local.__getitem__, key)) for key in weight],
+                        list(weight.values()), len(used))
+    subset, inside, p, q = core.densest()
+    chosen = set(compress(weight, inside))
+    new_results = tuple(compress(ids, map(and_, live, map(chosen.__contains__, keys))))
+    if len(subset) * p != q * len(new_results):
+        raise InternalInconsistency(
+            f"price {len(subset)}/{len(new_results)} disagrees with density {Fraction(p, q)}")
+    return PricedCandidate(tuple(map(used.__getitem__, subset)), new_results,
+                           Fraction(len(subset), len(new_results)))

@@ -157,17 +157,16 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
     at its top, until the top entry was priced in the current round."""
     if len(query.non_output) != 1:
         raise PreconditionViolated("query must have exactly one non-output attribute")
-    rows = full_join_results(query, db)
-    results = frozenset(map(projection(query.attributes, sorted(query.head)), rows))
-    groups = demand_groups(query, rows)
+    vertices, result_list, groups = demand_groups(query, full_join_results(query, db))
+    results = frozenset(result_list)
     parts = _head_only_parts(query, results)
     # (price bound, value, round priced in, candidate); a value appears once,
     # so entries never compare beyond the value.  Only values joined with
     # some result are seeded; no other value can ever cover one.
     heap: list = [(0, b_value, -1, None) for b_value in sorted(groups)]
-    covered: frozenset[tuple[str, ...]] = frozenset()
-    round_no = 0
-    while covered != results:
+    covered = bytearray(len(result_list))  # by result id
+    remaining, round_no = len(result_list), 0
+    while remaining:
         while heap and heap[0][2] != round_no:
             stale_price, b_value, _, _ = heap[0]
             candidate = min_price_candidate(groups[b_value], covered)
@@ -181,9 +180,11 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
         if not heap:
             raise InternalInconsistency("uncovered results reachable at no join value")
         best = heap[0][3]
-        for name, chosen in best.subsets.items():
-            parts.setdefault(name, set()).update(chosen)
-        covered |= best.new_results
+        for name, row in map(vertices.__getitem__, best.vertices):
+            parts.setdefault(name, set()).add(row)
+        for r in best.new_results:
+            covered[r] = 1
+        remaining -= len(best.new_results)
         round_no += 1
     witness = Witness.build(query, parts, "greedy")
     bound = 1.0 + math.log(max(1, len(results)))

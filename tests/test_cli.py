@@ -14,10 +14,10 @@ from witness_lab.cli import main
 from witness_lab.engine import is_witness
 from witness_lab.generators import gen_random_db
 from witness_lab.model import Witness
-from witness_lab.qparser import parse_query
+from witness_lab.qparser import format_query, parse_query
 from witness_lab.storage import load_database, write_database
 
-from corpus import WORKED_OPTIMUM
+from corpus import WORKED_OPTIMUM, random_db, random_single_nonoutput_query
 
 
 def run(capsys, *argv):
@@ -509,4 +509,44 @@ def test_greedy_output_independent_of_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(re.sub(r'^ *"timing_ms": .*\n', "", proc.stdout, flags=re.MULTILINE))
     assert json.loads(outputs[0])["report"]["algorithm"] == "greedy"
+    assert outputs[0] == outputs[1]
+
+
+GREEDY_CHILD = """
+import contextlib, io, json, re, sys
+sys.path.insert(0, sys.argv[1])
+from witness_lab import cli
+outputs = []
+for directory in sys.argv[2:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["solve", directory + "/query.txt", directory, "--algo", "greedy"])
+    outputs.append([code, re.sub(r'^ *"timing_ms": .*\\n', "", out.getvalue(), flags=re.M)])
+print(json.dumps(outputs))
+"""
+
+
+def test_greedy_witnesses_independent_of_hash_seed(tmp_path):
+    """50 random single-non-output instances, each solved with `--algo
+    greedy` in one child process per fixed string-hash seed: result and
+    key ids follow the unordered full join, whose order the seed sets,
+    and the output bytes must not depend on it."""
+    rng = random.Random(601)
+    directories = []
+    for i in range(50):
+        query = random_single_nonoutput_query(rng)
+        directory = tmp_path / f"i{i}"
+        write_database(query, random_db(query, rng, max_rows=8, domain=3), directory)
+        (directory / "query.txt").write_text(format_query(query) + "\n")
+        directories.append(str(directory))
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        proc = subprocess.run([sys.executable, "-c", GREEDY_CHILD, src, *directories],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert all(code == 0 and '"timing_ms"' not in text for code, text in outputs[0])
+    assert sum(json.loads(text)["comparison"]["witness_size"] > 0 for _, text in outputs[0]) >= 35
     assert outputs[0] == outputs[1]

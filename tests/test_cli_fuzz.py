@@ -1,12 +1,14 @@
-"""Malformed query text and CSV bytes reach the documented exit codes.
+"""Malformed query text, CSV bytes and flags reach the documented exit codes.
 
 Random query files and relation CSVs go through `classify` and `solve`
 under three algorithms; every run must end with exit 0, 2, 3 or 4, at
-most one line on stderr and no traceback.  Bad flags are left out:
-argparse answers them with a usage block before its error line.
+most one line on stderr and no traceback.  Command lines with one bad
+flag, value or argument must end with exit 2 and argparse's one error
+line, and no usage block.
 """
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -114,3 +116,63 @@ def test_malformed_input_exits_with_one_line(tmp_path, files):
         assert code in {0, 2, 3, 4}, (argv, message)
         assert message.count("\n") <= 1 and "Traceback" not in message, (argv, message)
         assert (code == 0) == (message == ""), (argv, message)
+
+
+# Per subcommand: a valid command line ({q}, {d} and {o} stand for paths)
+# and its flags, each with a valid value and values argparse refuses.
+COMMANDS = [
+    (["classify", "{q}"], []),
+    (["solve", "{q}", "{d}"], [("--algo", "greedy", ["foo", "GREEDY", "", "-x"]),
+                               ("--oracle-cap", "5", ["x", "1.5", "", "0x10"]),
+                               ("--budget", "100", ["ten", "2.0"])]),
+    (["generate", "random", "--out", "{o}"], [("--rows", "3", ["x", "3.0"]),
+                                              ("--seed", "1", ["one", ""])]),
+    (["export-dsf", "{q}", "{d}"], [("--out", "{o}", ["-x"])]),
+]
+ARGPARSE_ERROR = re.compile(
+    r"error: (argument |unrecognized arguments: |the following arguments are required: )")
+
+
+@st.composite
+def bad_command_lines(draw):
+    """A valid command line with one fault: an unknown subcommand or
+    option, a refused value, a flag missing its value, a missing or an
+    extra argument."""
+    base, flags = draw(st.sampled_from(COMMANDS))
+    argv = list(base)
+    for flag, good, _ in flags:
+        if draw(st.booleans()):
+            argv += [flag, good]
+    faults = ["command", "option", "missing", "extra"] + (["value", "no value"] if flags else [])
+    fault = draw(st.sampled_from(faults))
+    if fault == "command":
+        argv[0] = draw(st.sampled_from(["solv", "Solve", "", "--algo"]))
+    elif fault == "option":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-x", "--outt"])))
+    elif fault == "missing":
+        del argv[len(base) - 1]
+    elif fault == "extra":
+        argv.append("extra")
+    else:
+        flag, _, bad = draw(st.sampled_from(flags))
+        argv += [flag, draw(st.sampled_from(bad))] if fault == "value" else [flag]
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bad_command_lines())
+def test_bad_flags_exit_2_with_one_line(tmp_path, argv):
+    paths = {"q": str(tmp_path / "query.txt"), "d": str(tmp_path), "o": str(tmp_path / "out")}
+    argv = [arg.format(**paths) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    message = err.getvalue()
+    assert code == 2, (argv, message)
+    assert message.count("\n") == 1 and message.endswith("\n"), (argv, message)
+    assert ARGPARSE_ERROR.match(message) and "Traceback" not in message, (argv, message)
+    assert out.getvalue() == "" and not (tmp_path / "out").exists(), argv

@@ -39,6 +39,22 @@ def sides(subset):
             frozenset(v for side, v in subset if side == "R"))
 
 
+def labelled_core(edges):
+    """A search core over labelled hyperedges, its vertices numbered in
+    sorted order as `_max_density_set` numbers them; returns the core and
+    a function reading `core.cuts` at a Fraction guess back in labels."""
+    vertices = sorted(set().union(*edges))
+    index = {v: i for i, v in enumerate(vertices)}
+    core = _DensityCore([sorted(index[v] for v in edge) for edge in edges],
+                        list(edges.values()), len(vertices))
+
+    def cuts(g):
+        smallest, largest, best = core.cuts(g.numerator, g.denominator)
+        return (frozenset(vertices[v] for v in smallest),
+                frozenset(vertices[v] for v in largest), best)
+    return core, cuts
+
+
 def test_complete_bipartite_takes_everything():
     subset, density = _max_density_set(
         bipartite([("x0", "y0"), ("x0", "y1"), ("x1", "y0"), ("x1", "y1")]))
@@ -140,7 +156,7 @@ def test_weighted_mixed_rank_matches_enumeration():
         tied += len(optimal) > 1
         # one flow at the optimum: no denser set, and the largest
         # maximiser is the union of every optimal set
-        smallest, largest, best = _DensityCore(edges).cuts(want[1])
+        smallest, largest, best = labelled_core(edges)[1](want[1])
         assert not smallest and best == 0
         assert largest == frozenset().union(*optimal)
     assert weighted >= 100 and tied >= 10  # the tie-break decided some answers
@@ -178,14 +194,14 @@ def test_cuts_match_enumeration_at_every_guess():
     for _ in range(160):
         verts, edges = random_weighted_edges(rng)
         optimum = _max_density_set(edges)[1]
-        core = _DensityCore(edges)
+        _, cuts = labelled_core(edges)
         guesses = [optimum, optimum / 2, optimum * Fraction(9, 10), optimum + Fraction(1, 7),
                    optimum * 2, Fraction(rng.randint(1, 40), rng.randint(1, 9))]
         for g in guesses:
-            assert core.cuts(g) == enum_cuts(verts, edges, g), (edges, g)
+            assert cuts(g) == enum_cuts(verts, edges, g), (edges, g)
             below += g < optimum
             above += g > optimum
-            smallest, largest, _ = core.cuts(g)
+            smallest, largest, _ = cuts(g)
             split += smallest != largest
     assert below >= 300 and above >= 300 and split >= 50
 
@@ -205,9 +221,9 @@ def test_cuts_with_large_capacities_stay_fast():
     q = 999_983
     guesses = [optimum + Fraction(k, q) for k in (-1, 1, -3 * q // 4, -q // 3, 12_345)]
     assert all(g > 0 and g.denominator >= q for g in guesses)
-    core = _DensityCore(edges)
+    _, cuts = labelled_core(edges)
     started = time.perf_counter()
-    got = [core.cuts(g) for g in guesses]
+    got = [cuts(g) for g in guesses]
     assert time.perf_counter() - started < 1.0
     assert got == [enum_cuts(verts, edges, g) for g in guesses]
 
@@ -260,33 +276,46 @@ def cover_db(r1_pairs, r2_values):
     })
 
 
-def group_at(query, db, b_value):
-    return demand_groups(query, full_join_results(query, db)).get(b_value, [])
+def price_at(query, db, b_value, covered):
+    """Prices the group of `b_value` with the results in `covered` (head
+    tuples) marked; returns the candidate read back in labels, the
+    per-relation subsets and the new results, or None."""
+    vertices, results, groups = demand_groups(query, full_join_results(query, db))
+    flags = bytearray(t in covered for t in results)
+    cand = min_price_candidate(groups.get(b_value, ([], [])), flags)
+    if cand is None:
+        return None
+    subsets = {}
+    for name, row in (vertices[v] for v in cand.vertices):
+        subsets.setdefault(name, set()).add(row)
+    return ({name: frozenset(rows) for name, rows in subsets.items()},
+            frozenset(results[r] for r in cand.new_results), cand.price)
 
 
 def test_candidate_shares_join_tuple_across_results():
     query, db = cover_db([("a1", "b1"), ("a2", "b1"), ("a3", "b2")], ["b1", "b2"])
-    cand = min_price_candidate(group_at(query, db, "b1"), frozenset())
-    assert cand.price == Fraction(3, 2)  # three tuples buy two results
-    assert sum(len(rows) for rows in cand.subsets.values()) == 3
-    assert cand.new_results == {("a1",), ("a2",)}
-    assert cand.subsets["R2"] == frozenset({("b1",)})
+    subsets, new_results, price = price_at(query, db, "b1", frozenset())
+    assert price == Fraction(3, 2)  # three tuples buy two results
+    assert sum(len(rows) for rows in subsets.values()) == 3
+    assert new_results == {("a1",), ("a2",)}
+    assert subsets["R2"] == frozenset({("b1",)})
 
 
 def test_candidate_skips_covered_results():
     query, db = cover_db([("a1", "b1"), ("a2", "b1"), ("a3", "b2")], ["b1", "b2"])
     covered = frozenset({("a1",)}) & evaluate(query, db)
     assert covered
-    cand = min_price_candidate(group_at(query, db, "b1"), covered)
-    assert cand.price == Fraction(2)
-    assert cand.new_results == {("a2",)}
+    _, new_results, price = price_at(query, db, "b1", covered)
+    assert price == Fraction(2)
+    assert new_results == {("a2",)}
 
 
 def test_candidate_none_when_value_reaches_nothing():
     query, db = cover_db([("a1", "b1")], ["b1", "b9"])
-    assert group_at(query, db, "b9") == []
-    assert min_price_candidate([], frozenset()) is None
-    assert min_price_candidate(group_at(query, db, "b1"), frozenset({("a1",)})) is None
+    _, results, groups = demand_groups(query, full_join_results(query, db))
+    assert "b9" not in groups and results == [("a1",)]
+    assert min_price_candidate(([], []), bytearray()) is None
+    assert price_at(query, db, "b1", frozenset({("a1",)})) is None
 
 
 def selection_price(query, db, covered, x_rows, y_rows):

@@ -9,7 +9,7 @@ from witness_lab import densest, solvers
 from witness_lab.engine import evaluate, full_join_results, is_witness
 from witness_lab.errors import PreconditionViolated, ResultNotFound
 from witness_lab.generators import gen_random_db
-from witness_lab.model import Database, Query, Witness
+from witness_lab.model import Database, Query, Witness, projection
 from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import parse_query
 from witness_lab.solvers import (
@@ -150,11 +150,68 @@ def test_greedy_within_log_factor_on_random_instances():
     assert checked >= 12
 
 
+def reference_demand_groups(query, rows):
+    """Reference grouping, keyed by frozensets: full join results grouped
+    by the value of the single non-output attribute b, per value (result,
+    demand key) pairs in row order.  A result reachable at b demands one
+    tuple per relation holding b, and its key is the frozenset of those
+    (relation name, tuple) pairs."""
+    b_attr, = query.non_output
+    at = query.attributes.index(b_attr)
+    to_head = projection(query.attributes, sorted(query.head))
+    b_rels = [(rel.name, projection(query.attributes, rel.sorted_attributes))
+              for rel in query.relations if b_attr in rel.attribute_set]
+    groups = {}
+    for fj in rows:
+        key = frozenset([(name, to_rel(fj)) for name, to_rel in b_rels])
+        groups.setdefault(fj[at], []).append((to_head(fj), key))
+    return groups
+
+
+def reference_min_price_candidate(group, covered):
+    """Reference pricing of one `reference_demand_groups` entry, with the
+    results in the frozenset `covered` left out: the per-relation subsets,
+    new results and price of the densest demand set, identical demands
+    counting with multiplicity; None when nothing uncovered is reachable."""
+    edge_weight, edge_results = {}, {}
+    for t, key in group:
+        if t not in covered:
+            edge_weight[key] = edge_weight.get(key, 0) + 1
+            edge_results.setdefault(key, []).append(t)
+    if not edge_weight:
+        return None
+    subset, density = densest._max_density_set(edge_weight)
+    new_results = frozenset(t for key, ts in edge_results.items() if key <= subset for t in ts)
+    price = Fraction(len(subset), len(new_results))
+    assert price == 1 / density
+    parts = {}
+    for rel_name, row in subset:
+        parts.setdefault(rel_name, set()).add(row)
+    return {k: frozenset(v) for k, v in parts.items()}, new_results, price
+
+
+def numbered_price(demands, b_value, covered):
+    """`densest.min_price_candidate` on the group of `b_value` in
+    `demands` (from `densest.demand_groups`) with the head tuples in
+    `covered` marked, read back as the reference's (subsets, new results,
+    price), or None."""
+    vertices, results, groups = demands
+    flags = bytearray(t in covered for t in results)
+    candidate = densest.min_price_candidate(groups.get(b_value, ([], [])), flags)
+    if candidate is None:
+        return None
+    subsets = {}
+    for name, row in map(vertices.__getitem__, candidate.vertices):
+        subsets.setdefault(name, set()).add(row)
+    return ({name: frozenset(rows) for name, rows in subsets.items()},
+            frozenset(map(results.__getitem__, candidate.new_results)), candidate.price)
+
+
 def eager_greedy(query, db):
-    """Reference greedy: re-price every join value in every round and keep
-    the first strictly cheaper candidate over the sorted values.  Returns
-    the witness parts, the pricing calls made and the rounds in which
-    several values shared the cheapest price."""
+    """Reference greedy: re-price every join value in every round with the
+    reference pricing and keep the first strictly cheaper candidate over
+    the sorted values.  Returns the witness parts, the pricing calls made
+    and the rounds in which several values shared the cheapest price."""
     b_attr = query.non_output[0]
     results = evaluate(query, db)
     parts = {schema.name: {project(query.head, t, schema.attributes) for t in results}
@@ -162,19 +219,19 @@ def eager_greedy(query, db):
     b_values = sorted({project(schema.attributes, row, [b_attr])[0]
                        for schema in query.relations if b_attr in schema.attribute_set
                        for row in db.instances[schema.name]})
-    groups = densest.demand_groups(query, full_join_results(query, db))
+    groups = reference_demand_groups(query, full_join_results(query, db))
     covered, calls, tied_rounds = frozenset(), 0, 0
     while covered != results:
-        priced = [densest.min_price_candidate(groups.get(b, []), covered) for b in b_values]
+        priced = [reference_min_price_candidate(groups.get(b, []), covered) for b in b_values]
         calls += len(b_values)
         best = None
         for candidate in priced:
-            if candidate is not None and (best is None or candidate.price < best.price):
+            if candidate is not None and (best is None or candidate[2] < best[2]):
                 best = candidate
-        tied_rounds += sum(c is not None and c.price == best.price for c in priced) > 1
-        for name, rows in best.subsets.items():
+        tied_rounds += sum(c is not None and c[2] == best[2] for c in priced) > 1
+        for name, rows in best[0].items():
             parts.setdefault(name, set()).update(rows)
-        covered |= best.new_results
+        covered |= best[1]
     return parts, calls, tied_rounds
 
 
@@ -198,20 +255,19 @@ def test_price_never_falls_as_coverage_grows():
     for _ in range(40):
         db = random_db(query, rng, max_rows=8, domain=3)
         results = evaluate(query, db)
-        groups = densest.demand_groups(query, full_join_results(query, db))
+        demands = densest.demand_groups(query, full_join_results(query, db))
         ordered = sorted(results)
         for b_value in sorted({b for _, b in db.instances["R1"]}):
-            group = groups.get(b_value, [])
             covered = frozenset(rng.sample(ordered, rng.randint(0, len(ordered) // 2)))
-            before = densest.min_price_candidate(group, covered)
+            before = numbered_price(demands, b_value, covered)
             grown = covered | frozenset(rng.sample(ordered, rng.randint(0, len(ordered) // 3)))
-            after = densest.min_price_candidate(group, grown)
+            after = numbered_price(demands, b_value, grown)
             if before is None:
                 assert after is None
             elif after is not None:
-                assert after.price >= before.price
+                assert after[2] >= before[2]
                 checked += 1
-                rose += after.price > before.price
+                rose += after[2] > before[2]
     assert checked >= 40 and rose >= 5
 
 
@@ -272,7 +328,7 @@ def test_grouped_pricing_matches_per_result_probes():
         db = random_db(query, rng, max_rows=6, domain=3)
         rows = full_join_results(query, db)
         results = frozenset(project(query.attributes, fj, query.head) for fj in rows)
-        groups = densest.demand_groups(query, rows)
+        demands = densest.demand_groups(query, rows)
         b_values = {project(schema.attributes, row, ["B"])[0]
                     for schema in query.relations if "B" in schema.attribute_set
                     for row in db.instances[schema.name]}
@@ -280,14 +336,46 @@ def test_grouped_pricing_matches_per_result_probes():
         for b_value in sorted(b_values | {"b_absent"}):
             covered = frozenset(rng.sample(ordered, rng.randint(0, len(ordered) // 2)))
             want = probe_price(query, db, b_value, covered, results)
-            got = densest.min_price_candidate(groups.get(b_value, []), covered)
+            got = numbered_price(demands, b_value, covered)
             if want is None:
                 assert got is None
                 nones += 1
             else:
-                assert (got.subsets, got.new_results, got.price) == want
+                assert got == want
                 priced += 1
     assert priced >= 120 and nones >= 200
+
+
+def test_numbered_pricing_matches_frozenset_reference():
+    """Demand hypergraphs numbered once per solve price every join value
+    as the frozenset-keyed reference does, under any covered set: the
+    same relation subsets, new results and price, and None in the same
+    places.  Results sharing a demand key (a head attribute outside the
+    relations holding B) make weighted hyperedges."""
+    rng = random.Random(509)
+    priced = nones = shared = 0
+    for _ in range(200):
+        query = random_single_nonoutput_query(rng)
+        db = random_db(query, rng, max_rows=7, domain=3)
+        rows = full_join_results(query, db)
+        demands = densest.demand_groups(query, rows)
+        vertices, results, groups = demands
+        assert sorted(results) == sorted(evaluate(query, db)) and len(set(results)) == len(results)
+        assert vertices == sorted(vertices)
+        reference = reference_demand_groups(query, rows)
+        assert groups.keys() == reference.keys()
+        ordered = sorted(results)
+        for b_value in sorted(reference) + ["b_absent"]:
+            group = reference.get(b_value, [])
+            shared += len({key for _, key in group}) < len(group)
+            for _ in range(3):
+                covered = frozenset(rng.sample(ordered, rng.randint(0, len(ordered))))
+                want = reference_min_price_candidate(group, covered)
+                got = numbered_price(demands, b_value, covered)
+                assert got == want, (query, b_value, covered)
+                priced += want is not None
+                nones += want is None
+    assert priced >= 400 and nones >= 800 and shared >= 40
 
 
 def renamed(db, prefix):
