@@ -12,8 +12,9 @@ single JSON document; diagnostics go to stderr.
 Every document, on stdout or in a file, has the bytes of
 `json.dumps(document, indent=2, sort_keys=True)`.  `json` falls back to
 its pure-Python encoder whenever `indent` is set, so reports go through
-`format_json`, a small recursive writer over the C string escaper, and
-the Steiner forest document is filled into templates by
+`format_json`, a small recursive writer over the C string escaper; a
+solve report's witness is filled into templates by
+`storage.witness_to_json_text`, and the Steiner forest document by
 `dsf.dsf_to_json_text`.  A document is encoded in full before any of it
 is written.
 """
@@ -56,7 +57,7 @@ from .solvers import (
     solve_exact_head_cluster,
     solve_greedy_single_nonoutput,
 )
-from .storage import load_database, write_database, witness_to_json_dict, write_witness
+from .storage import load_database, write_database, witness_to_json_text, write_witness
 from .structure import Label, classification_to_json_dict, classify
 
 EXIT_OK = 0
@@ -203,13 +204,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "witness_over_results": (report.witness_size / report.result_count
                                      if report.result_count else None),
         },
-        "witness": witness_to_json_dict(query, report.witness),
     }
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_witness(query, report.witness, out)
         document["out_dir"] = str(out)
-    _emit(format_json(document))
+    # "witness" sorts after every other key, so its text ends the document
+    text = format_json(document)
+    _emit(text[:-2] + ',\n  "witness": ' + witness_to_json_text(query, report.witness) + "\n}")
     return EXIT_OK
 
 

@@ -100,13 +100,18 @@ class _DensityCore:
             # again a shortest path.
             for end in ends:
                 path, v = [], end  # (hyperedge, member position) arcs
+                x = room[end]  # the bottleneck, taken on the way back
                 while True:
                     e, k = via[v]
                     path.append((e, k))
-                    if back[e] < 0:
+                    j = back[e]
+                    if j < 0:
                         break
-                    v = members[e][back[e]]
-                x = min(room[end], supply[e], *(flow[f][back[f]] for f, _ in path[:-1]))
+                    if flow[e][j] < x:
+                        x = flow[e][j]
+                    v = members[e][j]
+                if supply[e] < x:
+                    x = supply[e]
                 if x:
                     room[end] -= x
                     supply[e] -= x

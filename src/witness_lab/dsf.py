@@ -9,15 +9,17 @@ demand-connecting edge set pulls back to a witness of the same size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, repeat
 from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
+from typing import NamedTuple
 
 from .engine import evaluate
 from .errors import NotALineQuery, UnreachableDemand
 from .model import Database, Query, Witness
 
 
-@dataclass(frozen=True)
-class DsfEdge:
+class DsfEdge(NamedTuple):
     id: int
     source: str
     target: str
@@ -69,20 +71,27 @@ def _chain_order(query: Query) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 def line_to_dsf(query: Query, db: Database) -> DsfInstance:
     chain, order = _chain_order(query)
-    nodes: set[str] = set()
-    edges: list[DsfEdge] = []
+    layers: list[set[str]] = [set() for _ in chain]  # the values on each layer
+    hops = []  # per hop: its relation, its rows sorted, and their two end columns
     for hop, name in enumerate(order):
         attrs = query.schema(name).sorted_attributes
-        at_source, at_target = attrs.index(chain[hop]), attrs.index(chain[hop + 1])
-        for row in sorted(db.instances[name]):
-            source = f"{hop}:{row[at_source]}"
-            target = f"{hop + 1}:{row[at_target]}"
-            nodes.update((source, target))
-            edges.append(DsfEdge(len(edges), source, target, 1, name, row))
-    last = len(chain) - 1
-    # results are (first, last): the chain starts at the endpoint sorting first
-    demands = sorted((f"0:{first}", f"{last}:{final}") for first, final in evaluate(query, db))
-    return DsfInstance(chain, order, tuple(sorted(nodes)), tuple(edges), tuple(demands))
+        rows = sorted(db.instances[name])
+        ends = [list(map(itemgetter(attrs.index(a)), rows)) for a in chain[hop:hop + 2]]
+        layers[hop].update(ends[0])
+        layers[hop + 1].update(ends[1])
+        hops.append((name, rows, ends))
+    # one label per node, formatted once
+    labels = [{v: f"{layer}:{v}" for v in values} for layer, values in enumerate(layers)]
+    edges: list[DsfEdge] = []
+    for hop, (name, rows, (sources, targets)) in enumerate(hops):
+        edges += map(DsfEdge, count(len(edges)), map(labels[hop].__getitem__, sources),
+                     map(labels[hop + 1].__getitem__, targets), repeat(1), repeat(name), rows)
+    nodes = sorted(label for layer in labels for label in layer.values())
+    first, last = labels[0], labels[-1]
+    # results are (first, last): the chain starts at the endpoint sorting first;
+    # every label on a layer has the same prefix, so pairs sort as their values
+    demands = [(first[a], last[b]) for a, b in sorted(evaluate(query, db))]
+    return DsfInstance(chain, order, tuple(nodes), tuple(edges), tuple(demands))
 
 
 def _reach(adjacency: dict[str, list[str]], start: str) -> set[str]:

@@ -7,13 +7,22 @@ loop, differing only in what each step keeps.  Set semantics throughout.
 
 Every intermediate tuple holds its values in sorted attribute order (see
 `model`); each step resolves its key and output positions once, so the
-inner loop only indexes, concatenates and hashes plain tuples.  Four
-steps skip work the general one would do:
+inner loop only indexes, concatenates and hashes plain tuples.  A key on
+one attribute is the bare value, and a one-attribute part is sliced, so
+neither builds a tuple in Python.  Five steps skip work the general one
+would do:
 
 * the first atom's rows, or their projection, are the accumulator: no
   index is built and nothing is probed with the empty key;
 * an atom that adds no needed attribute only filters: the accumulator
   keeps the tuples whose shared values the atom holds, then projects;
+* the atoms right after an expansion step that hold every attribute it
+  adds, and no attribute not yet bound, fold into that step: each gets
+  an index from its accumulator-side key to the set of its projections
+  on the added attributes, and an accumulated tuple's matches are the
+  intersection of its sets (the core step of worst-case-optimal joins,
+  on binary hash joins), so a cycle is never expanded only to be
+  filtered.  The step keeps what is needed after the last folded atom;
 * when the accumulated and new attributes are already in sorted order,
   the concatenation is the output tuple and is not reordered;
 * when the step drops accumulated attributes and the ones it keeps,
@@ -27,6 +36,9 @@ need an order sort, or take a minimum, themselves.
 """
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import repeat
+from operator import and_, itemgetter
 from typing import AbstractSet
 
 from .errors import NotASubDatabase
@@ -43,45 +55,92 @@ def _needed_after(query: Query, extra: frozenset[str]) -> list[frozenset[str]]:
     return needed
 
 
+def _key(source: tuple[str, ...], target: list[str]):
+    """A join key over `target`: `projection`'s tuple, except that one
+    position gives the bare value, which hashes and compares faster.  Both
+    sides of a step build their keys over the same attributes."""
+    if len(target) == 1:
+        return itemgetter(source.index(target[0]))
+    return projection(source, target)
+
+
+def _part(source: tuple[str, ...], target: tuple[str, ...]):
+    """`projection` for tuples: one position is taken as a one-element
+    slice, which builds the 1-tuple in C."""
+    if len(target) == 1:
+        i = source.index(target[0])
+        return itemgetter(slice(i, i + 1))
+    return projection(source, target)
+
+
+def _index(rows, key, value) -> defaultdict:
+    """Each key's set of values over `rows`."""
+    index: defaultdict = defaultdict(set)
+    for k, v in zip(map(key, rows), map(value, rows)):
+        index[k].add(v)
+    return index
+
+
+_NONE: frozenset = frozenset()
+
+
 def _join(query: Query, db: Database,
           needed: list[frozenset[str]]) -> AbstractSet[tuple[str, ...]]:
     """The one join loop: after atom i only attributes in needed[i] are
     kept, in sorted order.  Stops early once the accumulator is empty."""
+    relations = query.relations
     acc: AbstractSet[tuple[str, ...]] = frozenset()
     acc_attrs: tuple[str, ...] = ()
-    for i, schema in enumerate(query.relations):
+    i = 0
+    while i < len(relations):
+        schema = relations[i]
         rows = db.instances[schema.name]
         attrs = schema.sorted_attributes
         new = tuple(a for a in attrs if a in needed[i] and a not in acc_attrs)
-        kept = tuple(a for a in acc_attrs if a in needed[i])
-        keep = tuple(sorted(new + kept))
+        last = i  # the atoms after i that hold every new attribute and add none fold in
+        if i and new:
+            bound = schema.attribute_set.union(acc_attrs)
+            while (last + 1 < len(relations)
+                   and bound >= relations[last + 1].attribute_set >= set(new)):
+                last += 1
+        kept = tuple(a for a in acc_attrs if a in needed[last])
+        keep = tuple(sorted(kept + tuple(a for a in new if a in needed[last])))
         shared = [a for a in acc_attrs if a in schema.attribute_set]
-        left_key, right_key = projection(acc_attrs, shared), projection(attrs, shared)
         if i == 0:
-            acc = rows if keep == attrs else set(map(projection(attrs, keep), rows))
+            acc = rows if keep == attrs else set(map(_part(attrs, keep), rows))
         elif not new:  # the atom only filters: keep tuples whose key it holds
-            keys = set(map(right_key, rows))
+            keys = set(map(_key(attrs, shared), rows))
+            left_key = _key(acc_attrs, shared)
             if keep == acc_attrs:
                 acc = {left for left in acc if left_key(left) in keys}
             else:
-                out = projection(acc_attrs, keep)
+                out = _part(acc_attrs, keep)
                 acc = {out(left) for left in acc if left_key(left) in keys}
         else:
-            right_new = projection(attrs, new)
-            index: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
-            for row in rows:
-                index.setdefault(right_key(row), set()).add(right_new(row))
+            # Per left tuple, its matches in atom i intersected with those
+            # of each folded atom, every map walking the same list.
+            lefts = list(acc)
+            index = _index(rows, _key(attrs, shared), _part(attrs, new))
+            matches = map(index.get, map(_key(acc_attrs, shared), lefts), repeat(_NONE))
+            for other in relations[i + 1:last + 1]:
+                other_attrs = other.sorted_attributes
+                on = [a for a in acc_attrs if a in other.attribute_set]
+                index = _index(db.instances[other.name], _key(other_attrs, on),
+                               _part(other_attrs, new))
+                matches = map(and_, matches,
+                              map(index.get, map(_key(acc_attrs, on), lefts), repeat(_NONE)))
+            pairs = zip(lefts, matches)
             if acc_attrs + new == keep:  # already in sorted order
-                acc = {left + extra for left in acc for extra in index.get(left_key(left), ())}
+                acc = {left + extra for left, extras in pairs for extra in extras}
             elif kept + new == keep:  # sorted once the left tuple is projected
-                left_kept = projection(acc_attrs, kept)
-                acc = {part + extra for left in acc for part in (left_kept(left),)
-                       for extra in index.get(left_key(left), ())}
+                left_kept = _part(acc_attrs, kept)
+                acc = {part + extra for left, extras in pairs for part in (left_kept(left),)
+                       for extra in extras}
             else:
-                out = projection(acc_attrs + new, keep)
-                acc = {out(left + extra)
-                       for left in acc for extra in index.get(left_key(left), ())}
+                out = _part(acc_attrs + new, keep)
+                acc = {out(left + extra) for left, extras in pairs for extra in extras}
         acc_attrs = keep
+        i = last + 1
         if not acc:
             break
     return acc
@@ -104,10 +163,9 @@ def is_witness(query: Query, db: Database, witness: Witness,
     """True when the witness is a sub-database reproducing Q(D) exactly.
     `results` is Q(D) when the caller has already evaluated it."""
     for schema in query.relations:
-        have = db.instances[schema.name]
-        for row in witness.tuples.get(schema.name, frozenset()):
-            if row not in have:
-                raise NotASubDatabase(schema.name, schema.sorted_attributes, row)
+        rows, have = witness.tuples.get(schema.name, frozenset()), db.instances[schema.name]
+        if not rows <= have:  # name the smallest foreign row, whatever the set order
+            raise NotASubDatabase(schema.name, schema.sorted_attributes, min(rows - have))
     if results is None:
         results = evaluate(query, db)
     return evaluate(query, witness.as_database()) == results

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+from json.encoder import encode_basestring_ascii as _escape
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping
 
 from .errors import HeaderMismatch, MalformedCsv, MissingRelationFile, RaggedRow
 from .model import Database, Query, RelationSchema, Witness, projection
@@ -78,13 +79,21 @@ def write_witness(query: Query, witness: Witness, directory: str | Path) -> None
     write_database(query, witness.as_database(), directory)
 
 
-def witness_to_json_dict(query: Query, witness: Witness) -> Mapping[str, object]:
-    """Witness tuples as plain lists, per relation, in schema column order."""
-    out: dict[str, object] = {}
-    for schema in query.relations:
-        rows = witness.tuples.get(schema.name, frozenset())
-        out[schema.name] = {
-            "columns": list(schema.attributes),
-            "rows": [list(row) for row in _columns(schema, rows)],
-        }
-    return out
+def witness_to_json_text(query: Query, witness: Witness) -> str:
+    """The witness as the `witness` value of a solve report, with the bytes
+    `json.dumps(report, indent=2, sort_keys=True)` gives it one level into
+    the report: per relation, in name order, its columns and its rows in
+    column order, sorted.  Each column goes through `json`'s own ASCII
+    escaper, and the rows are filled into one %-template per relation."""
+    relations = []
+    for schema in sorted(query.relations, key=attrgetter("name")):
+        template = "[\n          " + ",\n          ".join(["%s"] * len(schema.attributes)) \
+            + "\n        ]"
+        columns = zip(*_columns(schema, witness.tuples.get(schema.name, frozenset())))
+        rows = list(map(template.__mod__, zip(*[map(_escape, column) for column in columns])))
+        relations.append(
+            _escape(schema.name) + ': {\n      "columns": [\n        '
+            + ",\n        ".join(map(_escape, schema.attributes)) + '\n      ],\n      "rows": '
+            + ("[\n        " + ",\n        ".join(rows) + "\n      ]" if rows else "[]")
+            + "\n    }")
+    return "{\n    " + ",\n    ".join(relations) + "\n  }"

@@ -1,8 +1,13 @@
 """Join evaluation against an independent nested-loop reference."""
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+from witness_lab import engine
 from witness_lab.engine import evaluate, full_join_results, is_witness
 from witness_lab.errors import NotASubDatabase
 from witness_lab.model import Database, Query, Witness
@@ -64,14 +69,24 @@ def test_matches_reference_on_random_queries():
 JOIN_PATHS = [
     ("first-atom-projected", "Q(C) :- R1(A, B), R2(B, C)"),
     ("first-atom-projected-to-nothing", "Q(C) :- R1(A), R2(C)"),
-    ("adds-nothing-shared", "Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)"),
-    ("adds-nothing-shared-projected", "Q(A) :- R1(A, B), R2(B, C), R3(A, C)"),
+    ("adds-nothing-shared", "Q(A, B, C) :- R1(A, B), R2(B, C), R3(A)"),
+    ("adds-nothing-shared-projected", "Q(A) :- R1(A, B), R2(B, C), R3(A, B)"),
     ("adds-nothing-disconnected", "Q(A) :- R1(A), R2(B)"),
     ("full-sorted-concatenation", "Q(A, B, C) :- R1(A, B), R2(B, C)"),
     ("full-reordered", "Q(A, B, C) :- R1(B, C), R2(A, B)"),
     ("left-projected-line3", "Q(A1, A4) :- R1(A1, A2), R2(A2, A3), R3(A3, A4)"),
     ("left-projected-two-hop", "Q(A, C) :- R1(A, B), R2(B, C)"),
     ("left-projected-star3", "Q(A1, A2, A3) :- R1(A1, B), R2(A2, B), R3(A3, B)"),
+    # An atom right after an expansion, holding every attribute it adds and
+    # no unbound one, folds into it as one more set to intersect.
+    ("folded-triangle", "Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)"),
+    ("folded-triangle-projected", "Q(A) :- R1(A, B), R2(B, C), R3(A, C)"),
+    ("folded-4-cycle", "Q(A, B, C, D) :- R1(A, B), R2(B, C), R3(C, D), R4(A, D)"),
+    ("folded-twice-pyramid",
+     "Q(A, B, C) :- R1(A, B), R2(A, C), R3(B, C), R4(A, F), R5(B, F), R6(C, F)"),
+    # C is needed only by the folded R3, so the step must not keep it
+    ("folded-attribute-needed-only-there", "Q(A, B) :- R1(A, B), R2(B, C), R3(A, C)"),
+    ("folded-on-empty-key", "Q(A, B) :- R1(A), R2(A, B), R3(B)"),
 ]
 
 
@@ -85,10 +100,45 @@ def test_join_paths_match_reference(text):
         if round_no % 5 == 0:  # empty the last atom or the one before it
             name = query.relations[-1 - round_no % 2].name
             db = Database({**db.instances, name: frozenset()})
-        assert rows_to_tuples(query, evaluate(query, db)) == naive_evaluate(query, db)
+        results = evaluate(query, db)
+        assert all(len(row) == len(query.head) for row in results)
+        assert rows_to_tuples(query, results) == naive_evaluate(query, db)
         rows = full_join_results(query, db)
         assert len(rows) == len(set(rows))
         assert rows_to_tuples(full, rows) == naive_evaluate(full, db)
+
+
+def random_cyclic_query(rng: random.Random) -> Query:
+    """A cycle of three to five binary atoms, in a random attribute and
+    atom order, with sometimes a chord, a unary or a ternary atom, and a
+    random head."""
+    attrs = rng.sample(["A", "B", "C", "D", "E"], rng.randint(3, 5))
+    bodies = [(attrs[i], attrs[(i + 1) % len(attrs)]) for i in range(len(attrs))]
+    if len(attrs) > 3 and rng.random() < 0.4:
+        bodies.append((attrs[0], attrs[2]))
+    if rng.random() < 0.3:
+        bodies.append((rng.choice(attrs),))
+    if rng.random() < 0.3:
+        bodies.append(tuple(rng.sample(attrs, 3)))
+    rng.shuffle(bodies)
+    body = ", ".join(f"R{i + 1}({', '.join(b)})" for i, b in enumerate(bodies))
+    head = rng.sample(attrs, rng.randint(0, len(attrs)))
+    return parse_query(f"Q({', '.join(head)}) :- {body}")
+
+
+def test_matches_reference_on_random_cyclic_queries():
+    """Mostly cycles, where atoms fold into the expansions before them;
+    one query in four comes from the general generator."""
+    rng = random.Random(1812)
+    for round_no in range(1200):
+        query = random_query(rng, max_relations=5) if round_no % 4 == 0 else \
+            random_cyclic_query(rng)
+        db = random_db(query, rng, max_rows=4, domain=2)
+        results = evaluate(query, db)
+        assert all(len(row) == len(query.head) for row in results)
+        assert rows_to_tuples(query, results) == naive_evaluate(query, db)
+        full = Query(query.attributes, query.relations)
+        assert rows_to_tuples(full, full_join_results(query, db)) == naive_evaluate(full, db)
 
 
 def test_full_join_binds_every_attribute():
@@ -130,3 +180,33 @@ def test_is_witness_empty_on_empty_result():
     query = parse_query("Q(A) :- R(A, B), S(B)")
     db = Database.build(query, {"R": [{"A": "1", "B": "2"}]})  # S empty
     assert is_witness(query, db, Witness.build(query, {}, "empty"))
+
+
+FOREIGN_ROWS_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from witness_lab.engine import is_witness
+from witness_lab.errors import NotASubDatabase
+from witness_lab.model import Database, Witness
+from witness_lab.qparser import parse_query
+query = parse_query("Q(A) :- R1(A, B)")
+db = Database.build(query, {"R1": [{"A": "a1", "B": "b1"}]})
+# two foreign rows, which these two hash seeds iterate in opposite orders
+rows = [("a1", "b1"), ("q1", "r1"), ("p1", "s1")]
+try:
+    is_witness(query, db, Witness.build(query, {"R1": rows}, "bad"))
+except NotASubDatabase as exc:
+    print(exc)
+"""
+
+
+def test_is_witness_names_the_smallest_foreign_row_whatever_the_hash_seed():
+    src = str(pathlib.Path(engine.__file__).parents[1])
+    messages = set()
+    for hash_seed in ("0", "12345"):
+        proc = subprocess.run([sys.executable, "-c", FOREIGN_ROWS_CHILD, src],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        messages.add(proc.stdout)
+    assert messages == {"candidate tuple (A='p1', B='s1') is not present in relation 'R1'\n"}

@@ -1,4 +1,6 @@
 """CSV loading and writing."""
+import json
+
 import pytest
 
 from witness_lab.errors import HeaderMismatch, MissingRelationFile, RaggedRow
@@ -6,7 +8,7 @@ from witness_lab.model import Witness
 from witness_lab.qparser import parse_query
 from witness_lab.storage import (
     load_database,
-    witness_to_json_dict,
+    witness_to_json_text,
     write_database,
     write_witness,
 )
@@ -97,6 +99,6 @@ def test_witness_json_uses_schema_column_order():
     query = parse_query(WORKED_TEXT)
     witness = Witness.build(
         query, {"R2": [("b1", "c1")]}, "test")
-    doc = witness_to_json_dict(query, witness)
+    doc = json.loads(witness_to_json_text(query, witness))
     assert doc["R2"] == {"columns": ["B", "C"], "rows": [["b1", "c1"]]}
     assert doc["R4"]["rows"] == []
