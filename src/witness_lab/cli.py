@@ -205,13 +205,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                      if report.result_count else None),
         },
     }
+    tables = None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        write_witness(query, report.witness, out)
+        tables = write_witness(query, report.witness, out)
         document["out_dir"] = str(out)
     # "witness" sorts after every other key, so its text ends the document
     text = format_json(document)
-    _emit(text[:-2] + ',\n  "witness": ' + witness_to_json_text(query, report.witness) + "\n}")
+    witness_text = witness_to_json_text(query, report.witness, tables)
+    _emit(text[:-2] + ',\n  "witness": ' + witness_text + "\n}")
     return EXIT_OK
 
 

@@ -4,12 +4,14 @@ Evaluation runs left-to-right hash joins over the body atoms, projecting
 eagerly onto the attributes still needed (the head plus anything a later
 atom mentions).  Q(D) and the full join results come from the same
 loop, differing only in what each step keeps.  Set semantics throughout.
+Which step does what depends on the query alone, so the steps are
+planned once per query and reused.
 
 Every intermediate tuple holds its values in sorted attribute order (see
 `model`); each step resolves its key and output positions once, so the
 inner loop only indexes, concatenates and hashes plain tuples.  A key on
 one attribute is the bare value, and a one-attribute part is sliced, so
-neither builds a tuple in Python.  Five steps skip work the general one
+neither builds a tuple in Python.  Six steps skip work the general one
 would do:
 
 * the first atom's rows, or their projection, are the accumulator: no
@@ -23,6 +25,12 @@ would do:
   intersection of its sets (the core step of worst-case-optimal joins,
   on binary hash joins), so a cycle is never expanded only to be
   filtered.  The step keeps what is needed after the last folded atom;
+* two or more key-dropping steps in a row, each joining on exactly the
+  attributes the one before added (a line such as
+  `Q(A, D) :- R1(A, B), R2(B, C), R3(C, D)`), run as one chain over a
+  factorised accumulator: each kept part maps to the set of values it
+  reaches, each hop maps every part's set to the union of its index
+  sets, and tuples are built once, after the last hop;
 * when the accumulated and new attributes are already in sorted order,
   the concatenation is the output tuple and is not reordered;
 * when the step drops accumulated attributes and the ones it keeps,
@@ -37,22 +45,13 @@ need an order sort, or take a minimum, themselves.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from itertools import repeat
 from operator import and_, itemgetter
-from typing import AbstractSet
+from typing import AbstractSet, NamedTuple
 
 from .errors import NotASubDatabase
 from .model import Database, Query, Witness, projection
-
-
-def _needed_after(query: Query, extra: frozenset[str]) -> list[frozenset[str]]:
-    """needed[i]: attributes that matter once atom i has been joined."""
-    needed: list[frozenset[str]] = [frozenset()] * len(query.relations)
-    tail = extra
-    for i in range(len(query.relations) - 1, -1, -1):
-        needed[i] = tail
-        tail = tail | query.relations[i].attribute_set
-    return needed
 
 
 def _key(source: tuple[str, ...], target: list[str]):
@@ -84,17 +83,37 @@ def _index(rows, key, value) -> defaultdict:
 _NONE: frozenset = frozenset()
 
 
-def _join(query: Query, db: Database,
-          needed: list[frozenset[str]]) -> AbstractSet[tuple[str, ...]]:
-    """The one join loop: after atom i only attributes in needed[i] are
-    kept, in sorted order.  Stops early once the accumulator is empty."""
+class _Step(NamedTuple):
+    """One step of the join, planned from the query alone."""
+    first: int  # its atom
+    last: int  # the last atom folded into it
+    acc_attrs: tuple[str, ...]  # what the accumulator holds before it
+    new: tuple[str, ...]  # the needed attributes it adds
+    kept: tuple[str, ...]  # the accumulated attributes it keeps
+    keep: tuple[str, ...]  # all it keeps, sorted
+    shared: tuple[str, ...]  # its join key
+    hops: tuple = ()  # a chain's (atom, key, added attributes), one per hop
+
+
+@lru_cache(maxsize=64)
+def _plan(query: Query, extra: frozenset[str]) -> tuple[_Step, ...]:
+    """The steps of `_join` when `extra` is what the caller needs: after
+    atom i only the attributes in `extra` or in a later atom are kept.  A
+    run of two or more key-dropping expansions, each joining on exactly
+    what the one before added, is one step with `hops`.  Planned once
+    per query."""
     relations = query.relations
-    acc: AbstractSet[tuple[str, ...]] = frozenset()
+    needed: list[frozenset[str]] = [frozenset()] * len(relations)
+    tail = extra
+    for i in range(len(relations) - 1, -1, -1):
+        needed[i] = tail
+        tail = tail | relations[i].attribute_set
+    steps: list[_Step] = []
     acc_attrs: tuple[str, ...] = ()
+    drops_before = False
     i = 0
     while i < len(relations):
         schema = relations[i]
-        rows = db.instances[schema.name]
         attrs = schema.sorted_attributes
         new = tuple(a for a in attrs if a in needed[i] and a not in acc_attrs)
         last = i  # the atoms after i that hold every new attribute and add none fold in
@@ -105,7 +124,30 @@ def _join(query: Query, db: Database,
                 last += 1
         kept = tuple(a for a in acc_attrs if a in needed[last])
         keep = tuple(sorted(kept + tuple(a for a in new if a in needed[last])))
-        shared = [a for a in acc_attrs if a in schema.attribute_set]
+        shared = tuple(a for a in acc_attrs if a in schema.attribute_set)
+        drops = bool(i and new and last == i and not set(kept).intersection(shared))
+        if drops and drops_before and shared == steps[-1].new:
+            chain = steps[-1]
+            hops = chain.hops or ((chain.first, chain.shared, chain.new),)
+            steps[-1] = _Step(chain.first, i, chain.acc_attrs, new, kept, keep, chain.shared,
+                              hops + ((i, shared, new),))
+        else:
+            steps.append(_Step(i, last, acc_attrs, new, kept, keep, shared))
+        drops_before = drops
+        acc_attrs = keep
+        i = last + 1
+    return tuple(steps)
+
+
+def _join(query: Query, db: Database, extra: frozenset[str]) -> AbstractSet[tuple[str, ...]]:
+    """The one join loop over `_plan`'s steps.  Stops early once the
+    accumulator is empty."""
+    relations = query.relations
+    acc: AbstractSet[tuple[str, ...]] = frozenset()
+    for i, last, acc_attrs, new, kept, keep, shared, hops in _plan(query, extra):
+        schema = relations[i]
+        rows = db.instances[schema.name]
+        attrs = schema.sorted_attributes
         if i == 0:
             acc = rows if keep == attrs else set(map(_part(attrs, keep), rows))
         elif not new:  # the atom only filters: keep tuples whose key it holds
@@ -117,19 +159,35 @@ def _join(query: Query, db: Database,
                 out = _part(acc_attrs, keep)
                 acc = {out(left) for left in acc if left_key(left) in keys}
         else:
-            # Per left tuple, its matches in atom i intersected with those
-            # of each folded atom, every map walking the same list.
-            lefts = list(acc)
-            index = _index(rows, _key(attrs, shared), _part(attrs, new))
-            matches = map(index.get, map(_key(acc_attrs, shared), lefts), repeat(_NONE))
-            for other in relations[i + 1:last + 1]:
-                other_attrs = other.sorted_attributes
-                on = [a for a in acc_attrs if a in other.attribute_set]
-                index = _index(db.instances[other.name], _key(other_attrs, on),
-                               _part(other_attrs, new))
-                matches = map(and_, matches,
-                              map(index.get, map(_key(acc_attrs, on), lefts), repeat(_NONE)))
-            pairs = zip(lefts, matches)
+            if hops:
+                # Per kept part, the set of values reached so far, advanced
+                # one hop at a time by a union of index sets; the last hop
+                # reaches the added parts themselves.
+                reached = _index(acc, _part(acc_attrs, kept), _key(acc_attrs, shared))
+                for n, (atom, on, adds) in enumerate(hops, 1):
+                    hop_attrs = relations[atom].sorted_attributes
+                    value = _part if n == len(hops) else _key
+                    get = _index(db.instances[relations[atom].name], _key(hop_attrs, on),
+                                 value(hop_attrs, adds)).get
+                    reached = {part: ends for part, keys in reached.items()
+                               if (ends := set().union(*map(get, keys, repeat(_NONE))))}
+                    if not reached:
+                        break
+                pairs, acc_attrs = reached.items(), kept  # the parts are the left tuples
+            else:
+                # Per left tuple, its matches in atom i intersected with
+                # those of each folded atom, every map walking the same list.
+                lefts = list(acc)
+                index = _index(rows, _key(attrs, shared), _part(attrs, new))
+                matches = map(index.get, map(_key(acc_attrs, shared), lefts), repeat(_NONE))
+                for other in relations[i + 1:last + 1]:
+                    other_attrs = other.sorted_attributes
+                    on = [a for a in acc_attrs if a in other.attribute_set]
+                    index = _index(db.instances[other.name], _key(other_attrs, on),
+                                   _part(other_attrs, new))
+                    matches = map(and_, matches, map(index.get, map(_key(acc_attrs, on), lefts),
+                                                     repeat(_NONE)))
+                pairs = zip(lefts, matches)
             if acc_attrs + new == keep:  # already in sorted order
                 acc = {left + extra for left, extras in pairs for extra in extras}
             elif kept + new == keep:  # sorted once the left tuple is projected
@@ -139,8 +197,6 @@ def _join(query: Query, db: Database,
             else:
                 out = _part(acc_attrs + new, keep)
                 acc = {out(left + extra) for left, extras in pairs for extra in extras}
-        acc_attrs = keep
-        i = last + 1
         if not acc:
             break
     return acc
@@ -148,14 +204,13 @@ def _join(query: Query, db: Database,
 
 def evaluate(query: Query, db: Database) -> frozenset[tuple[str, ...]]:
     """The result set Q(D): tuples over the sorted head attributes."""
-    return frozenset(_join(query, db, _needed_after(query, query.head_set)))
+    return frozenset(_join(query, db, query.head_set))
 
 
 def full_join_results(query: Query, db: Database) -> list[tuple[str, ...]]:
     """All full join results (tuples over `query.attributes`), in no
     particular order."""
-    every = frozenset(query.attributes)
-    return list(_join(query, db, [every] * len(query.relations)))
+    return list(_join(query, db, frozenset(query.attributes)))
 
 
 def is_witness(query: Query, db: Database, witness: Witness,

@@ -18,6 +18,8 @@ from pathlib import Path
 from .errors import HeaderMismatch, MalformedCsv, MissingRelationFile, RaggedRow
 from .model import Database, Query, RelationSchema, Witness, projection
 
+Tables = dict[str, list[tuple[str, ...]]]  # per relation, its rows in column order, sorted
+
 
 def load_database(query: Query, directory: str | Path) -> Database:
     directory = Path(directory)
@@ -58,12 +60,14 @@ def _read_rows(schema: RelationSchema, reader) -> frozenset[tuple[str, ...]]:
     return frozenset(rows)
 
 
-def _columns(schema: RelationSchema, rows: frozenset[tuple[str, ...]]) -> list[tuple[str, ...]]:
-    """Rows in schema column order, sorted."""
-    return sorted(map(projection(schema.sorted_attributes, schema.attributes), rows))
+def _tables(query: Query, instances: dict[str, frozenset[tuple[str, ...]]]) -> Tables:
+    """Each relation's rows as they are written: in schema column order, sorted."""
+    return {schema.name: sorted(map(projection(schema.sorted_attributes, schema.attributes),
+                                    instances.get(schema.name, frozenset())))
+            for schema in query.relations}
 
 
-def write_database(query: Query, db: Database, directory: str | Path) -> None:
+def _write_tables(query: Query, tables: Tables, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for schema in query.relations:
@@ -71,25 +75,35 @@ def write_database(query: Query, db: Database, directory: str | Path) -> None:
         with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(schema.attributes)
-            writer.writerows(_columns(schema, db.instances.get(schema.name, frozenset())))
+            writer.writerows(tables[schema.name])
 
 
-def write_witness(query: Query, witness: Witness, directory: str | Path) -> None:
-    """Mirror the input layout with only the witness rows."""
-    write_database(query, witness.as_database(), directory)
+def write_database(query: Query, db: Database, directory: str | Path) -> None:
+    _write_tables(query, _tables(query, db.instances), directory)
 
 
-def witness_to_json_text(query: Query, witness: Witness) -> str:
+def write_witness(query: Query, witness: Witness, directory: str | Path) -> Tables:
+    """Mirror the input layout with only the witness rows.  Returns the
+    rows as written, which `witness_to_json_text` takes to skip its sort."""
+    tables = _tables(query, witness.tuples)
+    _write_tables(query, tables, directory)
+    return tables
+
+
+def witness_to_json_text(query: Query, witness: Witness, tables: Tables | None = None) -> str:
     """The witness as the `witness` value of a solve report, with the bytes
     `json.dumps(report, indent=2, sort_keys=True)` gives it one level into
     the report: per relation, in name order, its columns and its rows in
     column order, sorted.  Each column goes through `json`'s own ASCII
-    escaper, and the rows are filled into one %-template per relation."""
+    escaper, and the rows are filled into one %-template per relation.
+    `tables`, when given, is what `write_witness` returned for `witness`."""
+    if tables is None:
+        tables = _tables(query, witness.tuples)
     relations = []
     for schema in sorted(query.relations, key=attrgetter("name")):
         template = "[\n          " + ",\n          ".join(["%s"] * len(schema.attributes)) \
             + "\n        ]"
-        columns = zip(*_columns(schema, witness.tuples.get(schema.name, frozenset())))
+        columns = zip(*tables[schema.name])
         rows = list(map(template.__mod__, zip(*[map(_escape, column) for column in columns])))
         relations.append(
             _escape(schema.name) + ': {\n      "columns": [\n        '

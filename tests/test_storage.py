@@ -102,3 +102,13 @@ def test_witness_json_uses_schema_column_order():
     doc = json.loads(witness_to_json_text(query, witness))
     assert doc["R2"] == {"columns": ["B", "C"], "rows": [["b1", "c1"]]}
     assert doc["R4"]["rows"] == []
+
+
+def test_witness_json_from_written_rows_has_the_same_bytes(tmp_path):
+    # columns listed out of name order, so the written rows are re-ordered
+    query = parse_query("Q(A, C) :- R1(B, A), R2(C, B, D)")
+    witness = Witness.build(query, {"R1": [("a2", "b1"), ("a1", "b2"), ("a1", "b1")],
+                                    "R2": [("b1", "c1", "d2"), ("b1", "c1", "d1")]}, "test")
+    tables = write_witness(query, witness, tmp_path)
+    assert (tmp_path / "R1.csv").read_text() == "B,A\nb1,a1\nb1,a2\nb2,a1\n"
+    assert witness_to_json_text(query, witness, tables) == witness_to_json_text(query, witness)
