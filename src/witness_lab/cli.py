@@ -10,11 +10,12 @@ requested operation, 4 resource limit hit.  Reports go to stdout as a
 single JSON document; diagnostics go to stderr.
 
 Every document, on stdout or in a file, has the bytes of
-`json.dumps(document, indent=2, sort_keys=True)`.  `json` falls back to
-its pure-Python encoder whenever `indent` is set, so reports go through
-`format_json`, a small recursive writer over the C string escaper; a
-solve report's witness is filled into templates by
-`storage.witness_to_json_text`, and the Steiner forest document by
+`json.dumps(document, indent=2, sort_keys=True)`.  With `indent` set,
+`json` runs its pure-Python encoder, which is cheap on the small
+documents (a classification, a solve report without its witness,
+`generate`'s metadata) that go through it.  The two bulk arrays are
+filled into templates instead: a solve report's witness, its last key,
+by `storage.witness_to_json_text`, and the Steiner forest document by
 `dsf.dsf_to_json_text`.  A document is encoded in full before any of it
 is written.
 """
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 import time
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 from .dsf import dsf_to_json_text, line_to_dsf
@@ -77,47 +78,6 @@ def _read_query(path: str):
     return parse_query(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def format_json(value: object, newline: str = "\n") -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, for
-    values built from dict, list, tuple, str, int, float, bool and None.
-    Dict keys must be str; anything else raises `TypeError`."""
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key in sorted(value):
-            item = value[key]
-            items.append(_escape(key) + ": " + (
-                _escape(item) if type(item) is str else format_json(item, inner)))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        try:  # all strings, as in witness rows: one join
-            body = ("," + inner).join(map(_escape, value))
-        except TypeError:
-            body = ("," + inner).join([format_json(item, inner) for item in value])
-        return "[" + inner + body + newline + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _emit(text: str, copy: Path | None = None) -> None:
     """Write an encoded document, and a final newline, to `copy` (if
     given) and stdout."""
@@ -154,7 +114,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
     document = classification_to_json_dict(classify(query))
     document["query"] = format_query(query)
-    _emit(format_json(document))
+    _emit(json.dumps(document, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -211,7 +171,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         tables = write_witness(query, report.witness, out)
         document["out_dir"] = str(out)
     # "witness" sorts after every other key, so its text ends the document
-    text = format_json(document)
+    text = json.dumps(document, indent=2, sort_keys=True)
     witness_text = witness_to_json_text(query, report.witness, tables)
     _emit(text[:-2] + ',\n  "witness": ' + witness_text + "\n}")
     return EXIT_OK
@@ -292,7 +252,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "metadata": instance.metadata,
         "out_dir": str(out),
     }
-    _emit(format_json(document), out / "metadata.json")
+    _emit(json.dumps(document, indent=2, sort_keys=True), out / "metadata.json")
     return EXIT_OK
 
 

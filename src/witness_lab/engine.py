@@ -11,7 +11,7 @@ Every intermediate tuple holds its values in sorted attribute order (see
 `model`); each step resolves its key and output positions once, so the
 inner loop only indexes, concatenates and hashes plain tuples.  A key on
 one attribute is the bare value, and a one-attribute part is sliced, so
-neither builds a tuple in Python.  Six steps skip work the general one
+neither builds a tuple in Python.  Five steps skip work the general one
 would do:
 
 * the first atom's rows, or their projection, are the accumulator: no
@@ -31,12 +31,11 @@ would do:
   factorised accumulator: each kept part maps to the set of values it
   reaches, each hop maps every part's set to the union of its index
   sets, and tuples are built once, after the last hop;
-* when the accumulated and new attributes are already in sorted order,
-  the concatenation is the output tuple and is not reordered;
-* when the step drops accumulated attributes and the ones it keeps,
-  followed by the new ones, are in sorted order, each accumulated tuple
-  is projected once and that projection is concatenated with each match,
-  with no reorder per pair.
+* when the accumulated attributes the step keeps, followed by the new
+  ones, are in sorted order, each accumulated tuple is projected once
+  (not at all when the step keeps all of them) and that projection,
+  concatenated with a match, is the output tuple: nothing is reordered
+  per pair.
 
 `full_join_results` returns its rows in no particular order (set
 iteration order, which depends on the string-hash seed); callers that
@@ -173,7 +172,7 @@ def _join(query: Query, db: Database, extra: frozenset[str]) -> AbstractSet[tupl
                                if (ends := set().union(*map(get, keys, repeat(_NONE))))}
                     if not reached:
                         break
-                pairs, acc_attrs = reached.items(), kept  # the parts are the left tuples
+                pairs = reached.items()
             else:
                 # Per left tuple, its matches in atom i intersected with
                 # those of each folded atom, every map walking the same list.
@@ -187,16 +186,14 @@ def _join(query: Query, db: Database, extra: frozenset[str]) -> AbstractSet[tupl
                                    _part(other_attrs, new))
                     matches = map(and_, matches, map(index.get, map(_key(acc_attrs, on), lefts),
                                                      repeat(_NONE)))
-                pairs = zip(lefts, matches)
-            if acc_attrs + new == keep:  # already in sorted order
-                acc = {left + extra for left, extras in pairs for extra in extras}
-            elif kept + new == keep:  # sorted once the left tuple is projected
-                left_kept = _part(acc_attrs, kept)
-                acc = {part + extra for left, extras in pairs for part in (left_kept(left),)
-                       for extra in extras}
+                pairs = zip(lefts if kept == acc_attrs else map(_part(acc_attrs, kept), lefts),
+                            matches)
+            # each pair is a left tuple projected onto `kept` and its matches
+            if kept + new == keep:  # already in sorted order
+                acc = {part + extra for part, extras in pairs for extra in extras}
             else:
-                out = _part(acc_attrs + new, keep)
-                acc = {out(left + extra) for left, extras in pairs for extra in extras}
+                out = _part(kept + new, keep)
+                acc = {out(part + extra) for part, extras in pairs for extra in extras}
         if not acc:
             break
     return acc

@@ -78,6 +78,8 @@ JOIN_PATHS = [
     ("left-projected-line3", "Q(A1, A3, A4) :- R1(A1, A2), R2(A2, A3), R3(A3, A4)"),
     ("left-projected-two-hop", "Q(A, C) :- R1(A, B), R2(B, C)"),
     ("left-projected-star3", "Q(A1, A2, A3) :- R1(A1, B), R2(A2, B), R3(A3, B)"),
+    # the kept C sorts after the added A: the projected left tuple is reordered
+    ("left-projected-reordered", "Q(A, C) :- R1(B, C), R2(A, B)"),
     # An atom right after an expansion, holding every attribute it adds and
     # no unbound one, folds into it as one more set to intersect.
     ("folded-triangle", "Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)"),

@@ -1,5 +1,6 @@
-"""`storage.witness_to_json_text` writes the bytes `cli.format_json` gives
-the witness as a dict tree, one level into a solve report."""
+"""`storage.witness_to_json_text` writes the bytes
+`json.dumps(indent=2, sort_keys=True)` gives the witness as a dict tree,
+one level into a solve report."""
 import contextlib
 import io
 import json
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witness_lab import cli
-from witness_lab.cli import format_json
 from witness_lab.model import Query, RelationSchema, Witness
 from witness_lab.qparser import parse_query
 from witness_lab.storage import witness_to_json_text, write_database
@@ -30,7 +30,8 @@ def witness_to_json_dict(query: Query, witness: Witness) -> dict:
 
 
 def assert_text_matches_reference(query: Query, witness: Witness) -> None:
-    expected = format_json({"witness": witness_to_json_dict(query, witness)})
+    expected = json.dumps({"witness": witness_to_json_dict(query, witness)}, indent=2,
+                          sort_keys=True)
     assert '{\n  "witness": ' + witness_to_json_text(query, witness) + "\n}" == expected
 
 
@@ -54,7 +55,7 @@ def witnesses(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(witnesses())
-def test_text_matches_format_json_of_reference(case):
+def test_text_matches_json_dumps_of_reference(case):
     assert_text_matches_reference(*case)
 
 
