@@ -25,12 +25,24 @@ optimum is the lexicographically smallest optimal set.
 Vertices are numbered 0..n-1 in sorted order.  The greedy route numbers
 its demand hypergraphs once per solve (`demand_groups`), results too, so
 a pricing marks covered results by id and renumbers its live vertices.
+
+Pricing takes one of two paths, chosen by the shape of the live demand
+keys.  When k >= 2 relations hold the join value, the distinct live keys
+are the full product of the per-relation live tuple sets (sizes s_i) and
+every key has the same weight w, a vertex set S holds exactly the keys
+of the product of its parts S_i, so its density w * prod |S_i| / sum |S_i|
+strictly grows in each |S_i| (for k >= 2 and no empty part).  The whole
+live set is then the only densest set, of density w * prod s_i / sum s_i,
+and no network is built.  Every other group (k = 1, where all nonempty
+sets tie; a product with a key missing; unequal weights) runs the flow
+search above.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import compress, count
+from math import prod
 from operator import and_, attrgetter, itemgetter, not_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -250,14 +262,29 @@ def min_price_candidate(group: tuple[list, list], covered: bytearray) -> PricedC
     """Cheapest tuple selection at one join value, from its group;
     `covered[r]` is set for each covered result id.  The uncovered
     results' demand keys, counted with multiplicity, are the hyperedges
-    and the best selection is a maximum-density vertex set."""
+    and the best selection is a maximum-density vertex set.
+
+    A product-shaped group is priced in closed form, with no max-flow:
+    k >= 2 relations hold b, the distinct live keys number the product
+    of the per-relation distinct live tuple counts s_i, and every key
+    has the same weight w.  A set S then holds the keys of the product
+    of its parts S_i, so its density is w * prod |S_i| / sum |S_i|,
+    which strictly grows in each |S_i| while k >= 2 and no part is
+    empty.  The whole live set is the only densest set: it buys every
+    live result at price (sum s_i) / (w * prod s_i).  Any other group
+    (k = 1, where every nonempty set ties; a missing key; unequal
+    weights) runs the flow search."""
     ids, keys = group
     live = list(map(not_, map(covered.__getitem__, ids)))
     weight = Counter(compress(keys, live))  # distinct live key -> its uncovered results
     if not weight:
         return None
-    used = sorted(set().union(*weight))  # renumbered, keeping their order
-    local = dict(zip(used, count()))
+    used = sorted(set().union(*weight))
+    sizes = [len(set(part)) for part in zip(*weight)]
+    if len(sizes) >= 2 and len(weight) == prod(sizes) and len(set(weight.values())) == 1:
+        new_results = tuple(compress(ids, live))
+        return PricedCandidate(tuple(used), new_results, Fraction(len(used), len(new_results)))
+    local = dict(zip(used, count()))  # renumbered, keeping their order
     core = _DensityCore([list(map(local.__getitem__, key)) for key in weight],
                         list(weight.values()), len(used))
     subset, inside, p, q = core.densest()

@@ -238,18 +238,24 @@ SEARCHES = [
 ]
 
 
-@pytest.mark.parametrize("edges, steps, answer", SEARCHES)
-def test_one_max_flow_per_dinkelbach_step(monkeypatch, edges, steps, answer):
+@pytest.fixture
+def flows(monkeypatch):
+    """Counts `_DensityCore.max_flow` calls: a list with one entry per call."""
     calls = []
     real = _DensityCore.max_flow
 
     def counting(self, *state):
-        calls.append(state)
+        calls.append(None)
         return real(self, *state)
 
     monkeypatch.setattr(_DensityCore, "max_flow", counting)
+    return calls
+
+
+@pytest.mark.parametrize("edges, steps, answer", SEARCHES)
+def test_one_max_flow_per_dinkelbach_step(flows, edges, steps, answer):
     assert _max_density_set(edges) == answer
-    assert len(calls) == 1 + steps
+    assert len(flows) == 1 + steps
 
 
 @pytest.mark.parametrize("edges, steps, answer", SEARCHES)
@@ -353,3 +359,74 @@ def test_merging_selections_never_beats_the_better_half():
             assert not finite
         else:
             assert finite and min(finite) <= merged
+
+
+def group_of(rows):
+    """A `demand_groups` group, and `covered` flags, from (result id,
+    demand key, covered) rows in row order."""
+    ids = [r for r, _, _ in rows]
+    flags = bytearray(max(ids) + 1)
+    for r, _, dead in rows:
+        flags[r] = dead
+    return (ids, [key for _, key, _ in rows]), flags
+
+
+def assert_prices_as_reference(group, covered, flows):
+    """`min_price_candidate` agrees with `_max_density_set` on the live
+    keys' weights; returns the max-flows the candidate ran."""
+    ids, keys = group
+    live = [(r, key) for r, key in zip(ids, keys) if not covered[r]]
+    weights = {}
+    for _, key in live:
+        weights[frozenset(key)] = weights.get(frozenset(key), 0) + 1
+    before = len(flows)
+    cand = min_price_candidate(group, covered)
+    ran = len(flows) - before
+    subset, density = _max_density_set(weights)
+    assert cand.vertices == tuple(sorted(subset))
+    assert cand.price == 1 / density
+    assert cand.new_results == tuple(r for r, key in live if subset.issuperset(key))
+    return ran
+
+
+def test_product_groups_price_in_closed_form(flows):
+    """Live keys forming the full product of k >= 2 per-relation tuple
+    sets, each carried by w results, price as the whole live set without a
+    max-flow, whatever covered results with keys off the product hold."""
+    rng = random.Random(4072)
+    for _ in range(150):
+        blocks, start = [], 0  # per relation: its vertex ids, the last one spare
+        for _ in range(rng.randint(2, 4)):
+            size = rng.randint(1, 4)
+            blocks.append(range(start, start + size + 1))
+            start += size + 1
+        live = [block[:-1] for block in blocks]
+        w = rng.randint(1, 3)
+        rows = [(key, False) for key in itertools.product(*live) for _ in range(w)]
+        for _ in range(rng.randint(0, 4)):  # covered, on a key using a spare vertex
+            key = [rng.choice(block) for block in blocks]
+            spare = rng.randrange(len(blocks))
+            key[spare] = blocks[spare][-1]
+            rows.append((tuple(key), True))
+        rng.shuffle(rows)
+        result_ids = rng.sample(range(2 * len(rows)), len(rows))
+        group, covered = group_of([(r, key, dead) for r, (key, dead) in zip(result_ids, rows)])
+        assert assert_prices_as_reference(group, covered, flows) == 0
+
+
+# Groups the closed form must leave to the flow search: one relation
+# holding b (any one vertex is densest), a product with a key missing,
+# and a product with one heavier key (densest at that key alone).
+BOUNDARY_GROUPS = [
+    [(0, (0,), False), (1, (1,), False), (2, (2,), False), (3, (0,), False),
+     (4, (1,), False), (5, (2,), False), (6, (3,), True)],
+    [(0, (0, 2), False), (1, (0, 3), False), (2, (1, 2), False), (3, (1, 3), True)],
+    [(0, (0, 2), False), (1, (0, 3), False), (2, (1, 2), False), (3, (1, 3), False)]
+    + [(r, (0, 2), False) for r in range(4, 8)],
+]
+
+
+@pytest.mark.parametrize("rows", BOUNDARY_GROUPS)
+def test_near_product_groups_run_the_flow(flows, rows):
+    group, covered = group_of(rows)
+    assert assert_prices_as_reference(group, covered, flows) >= 1

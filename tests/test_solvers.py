@@ -288,6 +288,41 @@ def test_lazy_greedy_prices_less_than_eager(monkeypatch):
     assert calls < eager_calls
 
 
+def test_greedy_with_one_relation_holding_b_matches_eager_reference():
+    """With one relation holding the non-output attribute, here every key
+    carries all of R2, so every nonempty selection at a value ties and a
+    round buys a single tuple.  `auto` routes this query to the exact
+    solver, so the greedy solver is called directly."""
+    query = parse_query("Q(A, C) :- R1(A, B), R2(C)")
+    rng = random.Random(512)
+    for _ in range(30):
+        db = random_db(query, rng, max_rows=7, domain=3)
+        report = solve_greedy_single_nonoutput(query, db)
+        parts, _, _ = eager_greedy(query, db)
+        assert report.witness.tuples == Witness.build(query, parts, "reference").tuples
+
+
+@pytest.mark.parametrize("text, rows, pool, calls, priced", [
+    ("Q(A, C) :- R1(A, B), R2(B, C)", 55, 10, 44, 35),
+    ("Q(A1, A2, A3) :- R1(A1, B), R2(A2, B), R3(A3, B)", 24, 7, 18, 13),
+])
+def test_lazy_search_prices_as_often_as_before(monkeypatch, text, rows, pool, calls, priced):
+    """The lazy search's pricing calls, and how many found a candidate, on
+    one seeded instance of each shape.  Both follow from the prices alone,
+    not from which path computed them."""
+    query = parse_query(text)
+    db = gen_random_db(query, rows, pool, seed=21).database
+    made = []
+
+    def counting(*args):
+        made.append(densest.min_price_candidate(*args))
+        return made[-1]
+
+    monkeypatch.setattr(solvers, "min_price_candidate", counting)
+    solve_greedy_single_nonoutput(query, db)
+    assert (len(made), sum(c is not None for c in made)) == (calls, priced)
+
+
 def probe_price(query, db, b_value, covered, results):
     """Reference pricing: probe, for each uncovered result, the one tuple
     per relation holding the non-output attribute at `b_value`; weight
@@ -346,14 +381,23 @@ def test_grouped_pricing_matches_per_result_probes():
     assert priced >= 120 and nones >= 200
 
 
-def test_numbered_pricing_matches_frozenset_reference():
+def test_numbered_pricing_matches_frozenset_reference(monkeypatch):
     """Demand hypergraphs numbered once per solve price every join value
     as the frozenset-keyed reference does, under any covered set: the
     same relation subsets, new results and price, and None in the same
     places.  Results sharing a demand key (a head attribute outside the
-    relations holding B) make weighted hyperedges."""
+    relations holding B) make weighted hyperedges.  Both pricing paths,
+    the closed form and the flow search, are taken many times."""
+    searches = []
+    real = densest._DensityCore.densest
+
+    def counting(self):
+        searches.append(None)
+        return real(self)
+
+    monkeypatch.setattr(densest._DensityCore, "densest", counting)
     rng = random.Random(509)
-    priced = nones = shared = 0
+    priced = nones = shared = by_flow = 0
     for _ in range(200):
         query = random_single_nonoutput_query(rng)
         db = random_db(query, rng, max_rows=7, domain=3)
@@ -371,11 +415,14 @@ def test_numbered_pricing_matches_frozenset_reference():
             for _ in range(3):
                 covered = frozenset(rng.sample(ordered, rng.randint(0, len(ordered))))
                 want = reference_min_price_candidate(group, covered)
+                before = len(searches)
                 got = numbered_price(demands, b_value, covered)
+                by_flow += len(searches) - before
                 assert got == want, (query, b_value, covered)
                 priced += want is not None
                 nones += want is None
     assert priced >= 400 and nones >= 800 and shared >= 40
+    assert by_flow >= 200 and priced - by_flow >= 120  # 248 and 171
 
 
 def renamed(db, prefix):
