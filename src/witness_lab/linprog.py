@@ -10,11 +10,14 @@ basis, so a single simplex phase with Bland's rule (finite) solves it over
 At the optimum the objective row's slack entries are the dual prices: an
 atom weighting.  Weak duality certifies the result: the prices must cover
 every attribute, the packing must fit under every atom, and the two sums
-must agree.  A failed check raises `InternalInconsistency`.
+must agree.  A failed check raises `InternalInconsistency`.  rho* depends on
+the query alone, so `fractional_edge_cover` keeps its last 64 (immutable)
+`Fraction` results by query, each one certified when it was computed.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InternalInconsistency
 from .model import Query
@@ -32,6 +35,7 @@ def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) 
     basis[row] = col
 
 
+@lru_cache(maxsize=64)
 def fractional_edge_cover(query: Query) -> Fraction:
     """Smallest total relation weight covering every attribute at least once.
     Exact rational."""

@@ -6,11 +6,13 @@ Grammar, whitespace-insensitive:
 
 The trailing period is optional and `Head()` denotes a Boolean query.
 The head predicate name is not part of the model; the printer always
-emits `Q`, so parse(format(parse(text))) == parse(text).
+emits `Q`, so parse(format(parse(text))) == parse(text).  `parse_query`
+keeps its last 64 results by text; a frozen `Query` is safe to share.
 """
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .errors import QuerySyntaxError
 from .model import Query, RelationSchema
@@ -63,6 +65,7 @@ def _attribute_list(tokens: _Tokens) -> tuple[str, ...]:
             raise QuerySyntaxError(f"expected ',' or ')', found {sep!r}", tokens.pos)
 
 
+@lru_cache(maxsize=64)
 def parse_query(text: str) -> Query:
     """Parse query text, reporting the offset of the first offending token."""
     tokens = _Tokens(text)

@@ -23,12 +23,15 @@ chain of attributes whose endpoints are output attributes never stored
 together (a free sequence), or, after collapsing each co-occurrence
 component to a single fresh attribute, a set of pairwise co-located
 attributes mixing output and non-output such that no relation's output
-part covers the set (a nested clique).
+part covers the set (a nested clique).  None of this reads a database, so
+`classify` and `existential_components` keep their last 64 results by
+query; the results are frozen dataclasses of tuples, safe to share.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import InternalInconsistency
@@ -102,6 +105,7 @@ class Component:
     dominant: str | None
 
 
+@lru_cache(maxsize=64)
 def existential_components(query: Query) -> tuple[Component, ...]:
     head = query.head_set
     comps = []
@@ -277,6 +281,7 @@ class Classification:
     certificate: FreeSequence | NestedClique | None
 
 
+@lru_cache(maxsize=64)
 def classify(query: Query) -> Classification:
     components = existential_components(query)
     cluster = _head_cluster(query, components)

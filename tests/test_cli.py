@@ -9,13 +9,15 @@ import sys
 
 import pytest
 
-from witness_lab import cli, densest, dsf, engine, solvers
+from witness_lab import cli, densest, dsf, engine, linprog, solvers
 from witness_lab.cli import main
 from witness_lab.engine import is_witness
 from witness_lab.generators import gen_random_db
+from witness_lab.linprog import fractional_edge_cover
 from witness_lab.model import Witness
 from witness_lab.qparser import format_query, parse_query
 from witness_lab.storage import load_database, write_database
+from witness_lab.structure import classify, existential_components
 
 from corpus import WORKED_OPTIMUM, random_db, random_single_nonoutput_query
 
@@ -250,6 +252,81 @@ def test_solve_evaluates_once_over_db_and_once_over_witness(capsys, tmp_path, mo
     else:
         assert len(evaluated) == 2
         assert evaluated[0] == db
+
+
+# everything `solve` computes from the query alone, each kept per query
+QUERY_CACHES = (parse_query, classify, existential_components, fractional_edge_cover)
+TIMING = re.compile(r'^ *"timing_ms": .*\n', re.MULTILINE)
+
+
+def solve_text(capsys, query_path, data, *argv):
+    code, out, err = run(capsys, "solve", str(query_path), str(data), *argv)
+    assert (code, err) == (0, "")
+    return TIMING.sub("", out)
+
+
+def solve_cold(capsys, query_path, data, *argv):
+    """`solve` with every per-query cache, the join plans included, emptied first."""
+    for cached in (*QUERY_CACHES, engine._plan):
+        cached.cache_clear()
+    return solve_text(capsys, query_path, data, *argv)
+
+
+@pytest.mark.parametrize("algo, text", [
+    ("exact", "Q(A, C) :- R1(A, B), R2(A, B), R3(C, D)"),
+    ("approx", "Q(A) :- R1(A, B), R2(B)"),
+    ("greedy", "Q(A, C) :- R1(A, B), R2(B, C)"),
+    ("baseline", "Q(A, D) :- R1(A, B), R2(B, C), R3(C, D)"),
+])
+def test_second_solve_of_a_query_reuses_its_analysis(capsys, tmp_path, monkeypatch, algo, text):
+    query = parse_query(text)
+    (tmp_path / "query.txt").write_text(text + "\n")
+    dirs = [tmp_path / "db3", tmp_path / "db4"]
+    for seed, d in zip((3, 4), dirs):
+        write_database(query, gen_random_db(query, 12, 4, seed=seed).database, d)
+    cold = [solve_cold(capsys, tmp_path / "query.txt", d) for d in dirs]
+    assert cold[0] != cold[1]
+    assert json.loads(cold[0])["report"]["algorithm"] == algo
+
+    pivots = []
+    real_pivot = linprog._pivot
+
+    def counting(*args):
+        pivots.append(args)
+        real_pivot(*args)
+
+    monkeypatch.setattr(linprog, "_pivot", counting)
+    assert solve_cold(capsys, tmp_path / "query.txt", dirs[0]) == cold[0]
+    assert bool(pivots) == (algo == "baseline")  # only the baseline reports rho*
+    misses = [cached.cache_info().misses for cached in QUERY_CACHES]
+    pivots.clear()
+    assert solve_text(capsys, tmp_path / "query.txt", dirs[1]) == cold[1]
+    assert [cached.cache_info().misses for cached in QUERY_CACHES] == misses
+    assert pivots == []
+
+
+def test_query_caches_key_on_head_order_atom_order_and_column_order(capsys, tmp_path):
+    texts = {
+        "Q(A, C) :- R1(A, B), R2(B, C)": ("A", "B"),
+        "Q(C, A) :- R1(A, B), R2(B, C)": ("A", "B"),
+        "Q(A, C) :- R2(B, C), R1(A, B)": ("A", "B"),
+        "Q(A, C) :- R1(B, A), R2(B, C)": ("B", "A"),
+    }
+    query = parse_query(next(iter(texts)))
+    write_database(query, gen_random_db(query, 12, 4, seed=5).database, tmp_path)
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"query{i}.txt")
+        paths[-1].write_text(text + "\n")
+    for cached in QUERY_CACHES:
+        cached.cache_clear()
+    warm = [solve_text(capsys, path, tmp_path, "--algo", "baseline") for path in paths]
+    assert [cached.cache_info().currsize for cached in QUERY_CACHES] == [4] * 4
+    for path, (text, r1_columns), out in zip(paths, texts.items(), warm):
+        doc = json.loads(out)
+        assert doc["query"] == text
+        assert tuple(doc["witness"]["R1"]["columns"]) == r1_columns
+        assert out == solve_cold(capsys, path, tmp_path, "--algo", "baseline")
 
 
 def test_generate_cover_writes_standard_layout(capsys, tmp_path):
