@@ -121,7 +121,6 @@ def test_cover_matches_basic_solution_enumeration():
                  id="doubled-prices-exceed-the-packing"),
 ])
 def test_certificate_rejects_a_wrong_objective_row(monkeypatch, corrupt):
-    fractional_edge_cover.cache_clear()  # a cached cover would run no pivot
     real_pivot = linprog._pivot
 
     def faulty_pivot(tableau, basis, row, col):
@@ -141,7 +140,6 @@ def test_certificate_rejects_an_infeasible_packing(monkeypatch, packing):
     """The optimal prices are left alone, so they still cover every
     attribute, and the packing still sums to rho* = 2: only the packing's
     own constraints (y >= 0, at most 1 under every atom) can catch it."""
-    fractional_edge_cover.cache_clear()  # a cached cover would run no pivot
     query = parse_query("Q(A1, A4) :- R1(A1, A2), R2(A2, A3), R3(A3, A4)")
     attrs, m = query.attributes, len(query.relations)
     real_pivot = linprog._pivot

@@ -171,7 +171,6 @@ def test_head_cluster_examples():
 
 
 def test_classify_computes_the_components_once(monkeypatch):
-    classify.cache_clear()  # a cached classification would call nothing
     calls = []
     original = structure.existential_components
 
@@ -187,7 +186,6 @@ def test_classify_computes_the_components_once(monkeypatch):
 
 
 def test_head_cluster_cross_check_still_runs_in_classify(monkeypatch):
-    classify.cache_clear()  # a cached classification would skip the check
     query = parse_query("Q(A) :- R1(A, B), R2(A, B)")  # head-cluster
     real = existential_components(query)
     # a component whose members' output attributes differ from its own
