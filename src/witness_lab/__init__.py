@@ -6,7 +6,7 @@ instance families with known optima.
 """
 from .engine import evaluate, full_join_results, is_witness
 from .errors import WitnessLabError
-from .linprog import agm_bound_holds, fractional_edge_cover
+from .linprog import fractional_edge_cover
 from .model import Database, Query, RelationSchema, Witness
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_swp
 from .qparser import format_query, parse_query
@@ -16,7 +16,6 @@ from .solvers import (
     solve_baseline_union,
     solve_exact_head_cluster,
     solve_greedy_single_nonoutput,
-    witness_for_result,
 )
 from .storage import load_database, write_database, write_witness
 from .structure import Classification, Label, classify
@@ -33,7 +32,6 @@ __all__ = [
     "SolveReport",
     "Witness",
     "WitnessLabError",
-    "agm_bound_holds",
     "brute_force_swp",
     "classify",
     "evaluate",
@@ -47,7 +45,6 @@ __all__ = [
     "solve_baseline_union",
     "solve_exact_head_cluster",
     "solve_greedy_single_nonoutput",
-    "witness_for_result",
     "write_database",
     "write_witness",
     "__version__",

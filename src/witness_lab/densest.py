@@ -44,12 +44,12 @@ from fractions import Fraction
 from itertools import compress, count
 from math import prod
 from operator import and_, attrgetter, itemgetter, not_
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Pricing never evaluates Q(D); `evaluate` stays importable because the
 # benchmark's traced run (bench/layers.py) wraps `densest.evaluate`.
 from .engine import evaluate  # noqa: F401
-from .errors import EmptyEdgeSet, InternalInconsistency
+from .errors import InternalInconsistency
 from .model import Query, projection
 
 
@@ -200,21 +200,6 @@ class _DensityCore:
             raise InternalInconsistency(
                 f"returned set achieves {Fraction(achieved, size)}, search said {Fraction(p, q)}")
         return subset, inside, p, q
-
-
-def _max_density_set(edges: Mapping[frozenset, int]) -> tuple[frozenset, Fraction]:
-    """The lexicographically smallest densest set of a dict of weighted,
-    labelled hyperedges, and its density; labels are numbered in order."""
-    if not edges:
-        raise EmptyEdgeSet
-    if not all(edges):
-        raise ValueError("hyperedges must be nonempty")
-    vertices = sorted(set().union(*edges))
-    index = dict(zip(vertices, range(len(vertices))))
-    core = _DensityCore([sorted(map(index.__getitem__, edge)) for edge in edges],
-                        list(edges.values()), len(vertices))
-    subset, _, p, q = core.densest()
-    return frozenset(map(vertices.__getitem__, subset)), Fraction(p, q)
 
 
 # --- pricing for the greedy cover solver ----------------------------------

@@ -15,8 +15,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .engine import evaluate
-from .errors import NotALineQuery, UnreachableDemand
-from .model import Database, Query, Witness
+from .errors import NotALineQuery
+from .model import Database, Query
 
 
 class DsfEdge(NamedTuple):
@@ -92,64 +92,6 @@ def line_to_dsf(query: Query, db: Database) -> DsfInstance:
     # every label on a layer has the same prefix, so pairs sort as their values
     demands = [(first[a], last[b]) for a, b in sorted(evaluate(query, db))]
     return DsfInstance(chain, order, tuple(nodes), tuple(edges), tuple(demands))
-
-
-def _reach(adjacency: dict[str, list[str]], start: str) -> set[str]:
-    """The nodes `adjacency` leads to from `start`, `start` included."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for node in adjacency.get(frontier.pop(), ()):
-            if node not in seen:
-                seen.add(node)
-                frontier.append(node)
-    return seen
-
-
-def dsf_per_pair_paths(instance: DsfInstance) -> frozenset[int]:
-    """One path per demand, each the lexicographically smallest among the
-    demand's paths; returns the union of their edge ids."""
-    outgoing: dict[str, list[DsfEdge]] = {}
-    incoming: dict[str, list[str]] = {}
-    for edge in instance.edges:
-        outgoing.setdefault(edge.source, []).append(edge)
-        incoming.setdefault(edge.target, []).append(edge.source)
-    reaches = {target: _reach(incoming, target) for _, target in instance.demands}
-    chosen: set[int] = set()
-    for source, target in instance.demands:
-        reach = reaches[target]
-        if source not in reach:
-            raise UnreachableDemand((source, target))
-        node = source
-        while node != target:
-            step = min((e for e in outgoing[node] if e.target in reach),
-                       key=lambda e: (e.target, e.id))
-            chosen.add(step.id)
-            node = step.target
-    return frozenset(chosen)
-
-
-def edges_connect_demands(instance: DsfInstance, edge_ids: frozenset[int]) -> bool:
-    """Whether the edge selection routes every demand pair."""
-    outgoing: dict[str, list[str]] = {}
-    for edge in instance.edges:
-        if edge.id in edge_ids:
-            outgoing.setdefault(edge.source, []).append(edge.target)
-    reaches = {source: _reach(outgoing, source) for source, _ in instance.demands}
-    return all(target in reaches[source] for source, target in instance.demands)
-
-
-def witness_to_edge_ids(instance: DsfInstance, witness: Witness) -> frozenset[int]:
-    return frozenset(e.id for e in instance.edges
-                     if e.row in witness.tuples.get(e.relation, frozenset()))
-
-
-def pull_back(query: Query, instance: DsfInstance, edge_ids: frozenset[int]) -> Witness:
-    parts: dict[str, set[tuple[str, ...]]] = {}
-    for edge in instance.edges:
-        if edge.id in edge_ids:
-            parts.setdefault(edge.relation, set()).add(edge.row)
-    return Witness.build(query, parts, "dsf")
 
 
 def _json_list(items: list[str]) -> str:

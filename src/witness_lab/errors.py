@@ -96,14 +96,6 @@ class NotASubDatabase(WitnessLabError):
 
 # --- solving --------------------------------------------------------------
 
-class ResultNotFound(WitnessLabError):
-    """No full join result projects onto the requested output tuple."""
-
-    def __init__(self, attributes, row):
-        super().__init__(f"output tuple {_format_row(attributes, row)} is not a query result")
-        self.row = row
-
-
 class PreconditionViolated(WitnessLabError):
     """A solver was invoked on a query outside its supported class."""
 
@@ -123,13 +115,6 @@ class BudgetExhausted(WitnessLabError):
     def __init__(self, budget: int):
         super().__init__(f"no witness within the search-node budget {budget}")
         self.budget = budget
-
-
-# --- density search -------------------------------------------------------
-
-class EmptyEdgeSet(WitnessLabError):
-    def __init__(self):
-        super().__init__("density is undefined on an instance without edges")
 
 
 # --- generators -----------------------------------------------------------
@@ -156,12 +141,6 @@ class NotALineQuery(WitnessLabError):
     def __init__(self, reason: str):
         super().__init__(f"query is not a binary chain: {reason}")
         self.reason = reason
-
-
-class UnreachableDemand(WitnessLabError):
-    def __init__(self, demand):
-        super().__init__(f"demand pair {demand} has no connecting path")
-        self.demand = demand
 
 
 # --- cross-checks ---------------------------------------------------------

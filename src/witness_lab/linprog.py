@@ -70,11 +70,3 @@ def fractional_edge_cover(query: Query) -> Fraction:
             f"edge cover {list(map(str, prices))} and vertex packing "
             f"{list(map(str, packing))} do not certify each other")
     return sum(prices)
-
-
-def agm_bound_holds(witness_size: int, result_count: int, rho: Fraction) -> bool:
-    """Check witness_size >= result_count ** (1/rho) in exact integers:
-    size^num >= count^den for rho = num/den."""
-    if result_count == 0:
-        return True
-    return witness_size ** rho.numerator >= result_count ** rho.denominator

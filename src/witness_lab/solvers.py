@@ -5,9 +5,10 @@ made of output attributes alone contribute the projections of the result
 set, and every other component contributes, per projected result, the
 single cheapest full join result of its subquery.  That procedure is
 optimal on head-cluster queries and within a factor of twice the atom
-count under head domination.  A greedy cover loop handles queries with
-one non-output attribute, and the baseline unions one single-result
-witness per result row.
+count under head domination; both read the precondition and the
+components from the query's cached `classify` result.  A greedy cover
+loop handles queries with one non-output attribute, and the baseline
+unions one single-result witness per result row.
 
 Each subquery is joined once and the per-result choices are read off
 that one result set, as in Yannakakis, "Algorithms for acyclic database
@@ -23,10 +24,10 @@ from typing import Iterable, Mapping
 
 from .densest import demand_groups, min_price_candidate
 from .engine import evaluate, full_join_results
-from .errors import InternalInconsistency, PreconditionViolated, ResultNotFound
+from .errors import InternalInconsistency, PreconditionViolated
 from .linprog import fractional_edge_cover
 from .model import Database, Query, Witness, projection
-from .structure import existential_components, has_head_cluster, has_head_domination
+from .structure import Component, classify
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,6 @@ class SolveReport:
         }
 
 
-def witness_for_result(query: Query, db: Database, result: Mapping[str, str]) -> Witness:
-    """One tuple per relation reproducing a single {attribute: value} result:
-    the lexicographically smallest full join result projecting onto it."""
-    if result.keys() != query.head_set:
-        raise ValueError(f"{dict(result)} is not a row over the head attributes")
-    parts: dict[str, set[tuple[str, ...]]] = {}
-    _add_cheapest_joins(parts, query, _cheapest_joins(query, full_join_results(query, db)),
-                        [tuple(result[a] for a in sorted(query.head))])
-    return Witness.build(query, parts, "single_result")
-
-
 def _head_only_parts(query: Query, results: frozenset) -> dict[str, set[tuple[str, ...]]]:
     """Atoms inside the head contribute exactly the result projections;
     every witness must contain them."""
@@ -108,19 +98,20 @@ def _add_cheapest_joins(parts: dict[str, set[tuple[str, ...]]], query: Query,
     for result in wanted:
         fj = cheapest.get(result)
         if fj is None:
-            raise ResultNotFound(sorted(query.head), result)
+            raise InternalInconsistency(f"no full join result projects onto "
+                                        f"{dict(zip(sorted(query.head), result))}")
         for rows, project in to_relation:
             rows.add(project(fj))
 
 
-def _component_walk(query: Query, db: Database,
+def _component_walk(query: Query, db: Database, components: tuple[Component, ...],
                     algorithm: str) -> tuple[Witness, frozenset[tuple[str, ...]]]:
     """The witness and the Q(D) it was built from."""
     results = evaluate(query, db)
     parts: dict[str, set[tuple[str, ...]]] = {}
     if results:
         parts = _head_only_parts(query, results)
-        for comp in existential_components(query):
+        for comp in components:
             sub = query.subquery(comp.output_attributes, comp.relations)
             to_sub = projection(sorted(query.head), sorted(comp.output_attributes))
             rows = full_join_results(sub, db.restrict(comp.relations))
@@ -131,18 +122,20 @@ def _component_walk(query: Query, db: Database,
 def solve_exact_head_cluster(query: Query, db: Database) -> SolveReport:
     """Minimum witness for queries where every existential component is
     dominated by each of its members."""
-    if not has_head_cluster(query):
+    c = classify(query)
+    if not c.head_cluster:
         raise PreconditionViolated("query is not head-cluster")
-    witness, results = _component_walk(query, db, "exact")
+    witness, results = _component_walk(query, db, c.components, "exact")
     return SolveReport(witness, db.size, results, Fraction(1))
 
 
 def solve_approx_head_domination(query: Query, db: Database) -> SolveReport:
     """Witness within 2 * (number of atoms) of the optimum for queries
     whose existential components all have a dominating relation."""
-    if not has_head_domination(query):
+    c = classify(query)
+    if not c.head_domination:
         raise PreconditionViolated("query is not head-dominated")
-    witness, results = _component_walk(query, db, "approx")
+    witness, results = _component_walk(query, db, c.components, "approx")
     return SolveReport(witness, db.size, results, Fraction(2 * len(query.relations)))
 
 

@@ -24,8 +24,9 @@ together (a free sequence), or, after collapsing each co-occurrence
 component to a single fresh attribute, a set of pairwise co-located
 attributes mixing output and non-output such that no relation's output
 part covers the set (a nested clique).  None of this reads a database, so
-`classify` and `existential_components` keep their last 64 results by
-query; the results are frozen dataclasses of tuples, safe to share.
+`classify` keeps its last 64 results by query; a result is a frozen
+dataclass of tuples, safe to share.  The exact and approx solvers read
+their precondition and the existential components from it.
 """
 from __future__ import annotations
 
@@ -105,7 +106,6 @@ class Component:
     dominant: str | None
 
 
-@lru_cache(maxsize=64)
 def existential_components(query: Query) -> tuple[Component, ...]:
     head = query.head_set
     comps = []
@@ -124,38 +124,6 @@ def existential_components(query: Query) -> tuple[Component, ...]:
                     break
         comps.append(Component(members, tuple(sorted(covered)), dominant))
     return tuple(comps)
-
-
-def has_head_domination(query: Query) -> bool:
-    return all(c.dominant is not None for c in existential_components(query))
-
-
-def has_head_cluster(query: Query) -> bool:
-    """Pairwise form: relations with different output-attribute sets may
-    only share output attributes.  Cross-validated against the
-    component-wise form (every member dominates its component)."""
-    return _head_cluster(query, existential_components(query))
-
-
-def _head_cluster(query: Query, components: tuple[Component, ...]) -> bool:
-    """`has_head_cluster` over the query's existential components."""
-    head = query.head_set
-    pairwise = True
-    for a, b in combinations(query.relations, 2):
-        if query.head_of(a.name) != query.head_of(b.name):
-            if (a.attribute_set & b.attribute_set) - head:
-                pairwise = False
-                break
-    by_components = all(
-        query.head_of(name) == frozenset(c.output_attributes)
-        for c in components
-        for name in c.relations
-    )
-    if pairwise != by_components:
-        raise InternalInconsistency(
-            f"head-cluster checks disagree: pairwise={pairwise}, component-wise={by_components}"
-        )
-    return pairwise
 
 
 # --- hardness certificates ------------------------------------------------
@@ -284,7 +252,25 @@ class Classification:
 @lru_cache(maxsize=64)
 def classify(query: Query) -> Classification:
     components = existential_components(query)
-    cluster = _head_cluster(query, components)
+    head = query.head_set
+    # head cluster, pairwise: relations with different output-attribute sets
+    # may only share output attributes; cross-checked against the
+    # component-wise form, where every member dominates its component
+    cluster = True
+    for a, b in combinations(query.relations, 2):
+        if query.head_of(a.name) != query.head_of(b.name):
+            if (a.attribute_set & b.attribute_set) - head:
+                cluster = False
+                break
+    by_components = all(
+        query.head_of(name) == frozenset(c.output_attributes)
+        for c in components
+        for name in c.relations
+    )
+    if cluster != by_components:
+        raise InternalInconsistency(
+            f"head-cluster checks disagree: pairwise={cluster}, component-wise={by_components}"
+        )
     domination = all(c.dominant is not None for c in components)
 
     certificate: FreeSequence | NestedClique | None = None

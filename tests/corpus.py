@@ -1,13 +1,19 @@
 """Shared fixtures: the worked example, a catalog of queries with known
-classes, an independent nested-loop evaluator, and random query/instance
-builders for each structural class."""
+classes, an independent nested-loop evaluator, random query/instance
+builders for each structural class, and the per-query caches."""
 from __future__ import annotations
 
 import itertools
 import random
 
+from witness_lab import engine
+from witness_lab.linprog import fractional_edge_cover
 from witness_lab.model import Database, Query, RelationSchema
 from witness_lab.qparser import parse_query
+from witness_lab.structure import classify
+
+# everything `solve` computes from the query alone, each kept per query
+QUERY_CACHES = (parse_query, classify, fractional_edge_cover, engine._plan)
 
 WORKED_TEXT = "Q(A, C, F) :- R1(A, B), R2(B, C), R3(C, F), R4(C, H)"
 WORKED_TABLES = {

@@ -1,0 +1,92 @@
+"""Test-side reference code that no `witness-lab` route runs: a single
+result's witness, the densest set of labelled hyperedges, and the
+directed Steiner forest side of the path-query reduction (per-pair
+paths, the demand check, and the maps between witnesses and edge sets)."""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from witness_lab.densest import _DensityCore
+from witness_lab.dsf import DsfEdge, DsfInstance
+from witness_lab.engine import full_join_results
+from witness_lab.model import Database, Query, Witness, projection
+
+
+def single_result_witness(query: Query, db: Database, result: tuple[str, ...]) -> Witness:
+    """One tuple per relation reproducing `result`, a tuple over the sorted
+    head: the smallest full join result projecting onto it."""
+    to_head = projection(query.attributes, sorted(query.head))
+    fj = min(row for row in full_join_results(query, db) if to_head(row) == result)
+    parts = {schema.name: {projection(query.attributes, schema.sorted_attributes)(fj)}
+             for schema in query.relations}
+    return Witness.build(query, parts, "single_result")
+
+
+def max_density_set(edges: dict[frozenset, int]) -> tuple[frozenset, Fraction]:
+    """The lexicographically smallest densest set of a dict of weighted,
+    labelled hyperedges, and its density; labels are numbered in sorted
+    order."""
+    vertices = sorted(set().union(*edges))
+    index = {v: i for i, v in enumerate(vertices)}
+    core = _DensityCore([sorted(index[v] for v in edge) for edge in edges],
+                        list(edges.values()), len(vertices))
+    subset, _, p, q = core.densest()
+    return frozenset(vertices[v] for v in subset), Fraction(p, q)
+
+
+def _reach(adjacency: dict[str, list[str]], start: str) -> set[str]:
+    """The nodes `adjacency` leads to from `start`, `start` included."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for node in adjacency.get(frontier.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
+    return seen
+
+
+def dsf_per_pair_paths(instance: DsfInstance) -> frozenset[int]:
+    """One path per demand, each the lexicographically smallest among the
+    demand's paths; returns the union of their edge ids."""
+    outgoing: dict[str, list[DsfEdge]] = {}
+    incoming: dict[str, list[str]] = {}
+    for edge in instance.edges:
+        outgoing.setdefault(edge.source, []).append(edge)
+        incoming.setdefault(edge.target, []).append(edge.source)
+    reaches = {target: _reach(incoming, target) for _, target in instance.demands}
+    chosen: set[int] = set()
+    for source, target in instance.demands:
+        reach = reaches[target]
+        if source not in reach:
+            raise ValueError(f"demand pair {(source, target)} has no connecting path")
+        node = source
+        while node != target:
+            step = min((e for e in outgoing[node] if e.target in reach),
+                       key=lambda e: (e.target, e.id))
+            chosen.add(step.id)
+            node = step.target
+    return frozenset(chosen)
+
+
+def edges_connect_demands(instance: DsfInstance, edge_ids: frozenset[int]) -> bool:
+    """Whether the edge selection routes every demand pair."""
+    outgoing: dict[str, list[str]] = {}
+    for edge in instance.edges:
+        if edge.id in edge_ids:
+            outgoing.setdefault(edge.source, []).append(edge.target)
+    reaches = {source: _reach(outgoing, source) for source, _ in instance.demands}
+    return all(target in reaches[source] for source, target in instance.demands)
+
+
+def witness_to_edge_ids(instance: DsfInstance, witness: Witness) -> frozenset[int]:
+    return frozenset(e.id for e in instance.edges
+                     if e.row in witness.tuples.get(e.relation, frozenset()))
+
+
+def pull_back(query: Query, instance: DsfInstance, edge_ids: frozenset[int]) -> Witness:
+    parts: dict[str, set[tuple[str, ...]]] = {}
+    for edge in instance.edges:
+        if edge.id in edge_ids:
+            parts.setdefault(edge.relation, set()).add(edge.row)
+    return Witness.build(query, parts, "dsf")

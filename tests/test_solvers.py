@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from witness_lab import densest, solvers
+from witness_lab import densest, solvers, structure
 from witness_lab.engine import evaluate, full_join_results, is_witness
-from witness_lab.errors import PreconditionViolated, ResultNotFound
+from witness_lab.errors import PreconditionViolated
 from witness_lab.generators import gen_random_db
 from witness_lab.model import Database, Query, Witness, projection
 from witness_lab.oracle import brute_force_swp
@@ -17,9 +17,8 @@ from witness_lab.solvers import (
     solve_baseline_union,
     solve_exact_head_cluster,
     solve_greedy_single_nonoutput,
-    witness_for_result,
 )
-from witness_lab.structure import existential_components
+from witness_lab.structure import classify, existential_components
 
 from corpus import (
     WORKED_SINGLE_RESULT,
@@ -35,6 +34,7 @@ from corpus import (
     random_query,
     random_single_nonoutput_query,
 )
+from reference import max_density_set, single_result_witness
 
 
 def as_tables(query, witness):
@@ -44,21 +44,9 @@ def as_tables(query, witness):
 
 def test_single_result_witness_matches_worked_example():
     query, db = worked_example()
-    result = dict(zip(("A", "C", "F"), WORKED_SINGLE_RESULT))
-    witness = witness_for_result(query, db, result)
+    witness = single_result_witness(query, db, WORKED_SINGLE_RESULT)
     assert as_tables(query, witness) == WORKED_SINGLE_WITNESS
     assert witness.size == 4
-
-
-def test_single_result_witness_validates_input():
-    query, db = worked_example()
-    with pytest.raises(ValueError):
-        witness_for_result(query, db, {"A": "a1"})
-    with pytest.raises(ValueError):
-        witness_for_result(query, db, {"A": "a1", "C": "c1", "F": "f1", "B": "b1"})
-    with pytest.raises(ResultNotFound) as err:
-        witness_for_result(query, db, {"F": "f1", "C": "c2", "A": "a1"})
-    assert str(err.value) == "output tuple (A='a1', C='c2', F='f1') is not a query result"
 
 
 def test_exact_requires_head_cluster():
@@ -95,6 +83,24 @@ def test_approx_requires_head_domination():
     query, db = worked_example()
     with pytest.raises(PreconditionViolated):
         solve_approx_head_domination(query, db)
+
+
+def test_classify_then_exact_and_approx_compute_the_components_once(monkeypatch):
+    calls = []
+    original = structure.existential_components
+
+    def counting(query):
+        calls.append(query)
+        return original(query)
+
+    monkeypatch.setattr(structure, "existential_components", counting)
+    query = parse_query("Q(A, C) :- R1(A, B), R2(A, B), R3(C, D)")
+    db = gen_random_db(query, 12, 4, seed=3).database
+    classify(query)
+    exact = solve_exact_head_cluster(query, db)
+    approx = solve_approx_head_domination(query, db)
+    assert len(calls) == 1
+    assert exact.witness.tuples == approx.witness.tuples
 
 
 def test_approx_stays_within_claimed_factor():
@@ -180,7 +186,7 @@ def reference_min_price_candidate(group, covered):
             edge_results.setdefault(key, []).append(t)
     if not edge_weight:
         return None
-    subset, density = densest._max_density_set(edge_weight)
+    subset, density = max_density_set(edge_weight)
     new_results = frozenset(t for key, ts in edge_results.items() if key <= subset for t in ts)
     price = Fraction(len(subset), len(new_results))
     assert price == 1 / density
@@ -346,7 +352,7 @@ def probe_price(query, db, b_value, covered, results):
             edge_results.setdefault(key, []).append(t)
     if not edge_weight:
         return None
-    subset, density = densest._max_density_set(edge_weight)
+    subset, density = max_density_set(edge_weight)
     subsets = {}
     for name, row in subset:
         subsets.setdefault(name, set()).add(row)
@@ -544,11 +550,13 @@ def test_cheapest_join_ignores_row_order(monkeypatch, reorder):
     tied = 0
     for query, db, results, baseline in cases:
         assert solve_baseline_union(query, db).witness == baseline
+        cheapest = solvers._cheapest_joins(query, solvers.full_join_results(query, db))
         for t in results:
             parts: dict = {}
             tied += smallest_join_per_result(parts, query, db, [t])
-            result = dict(zip(sorted(query.head), t))
-            assert witness_for_result(query, db, result).tuples == \
+            got: dict = {}
+            solvers._add_cheapest_joins(got, query, cheapest, [t])
+            assert Witness.build(query, got, "cheapest").tuples == \
                 Witness.build(query, parts, "reference").tuples
     assert tied >= 10
 

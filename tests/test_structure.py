@@ -17,8 +17,6 @@ from witness_lab.structure import (
     existential_components,
     find_free_sequence,
     find_nested_clique,
-    has_head_cluster,
-    has_head_domination,
     is_acyclic,
     is_free_connex,
     relation_components,
@@ -164,10 +162,10 @@ def test_ear_removal_matches_spanning_tree_reference():
 
 
 def test_head_cluster_examples():
-    assert has_head_cluster(parse_query("Q(A) :- R1(A, B), R2(A, B)"))
-    assert has_head_cluster(parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)"))
-    assert not has_head_cluster(parse_query("Q(A) :- R1(A, B), R2(B)"))
-    assert not has_head_cluster(parse_query(WORKED_TEXT))
+    assert classify(parse_query("Q(A) :- R1(A, B), R2(A, B)")).head_cluster
+    assert classify(parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)")).head_cluster
+    assert not classify(parse_query("Q(A) :- R1(A, B), R2(B)")).head_cluster
+    assert not classify(parse_query(WORKED_TEXT)).head_cluster
 
 
 def test_classify_computes_the_components_once(monkeypatch):
@@ -196,9 +194,9 @@ def test_head_cluster_cross_check_still_runs_in_classify(monkeypatch):
 
 
 def test_head_domination_examples():
-    assert has_head_domination(parse_query("Q(A) :- R1(A, B), R2(B)"))
-    assert not has_head_domination(parse_query(WORKED_TEXT))
-    assert has_head_domination(parse_query("Q() :- R(A, B)"))  # boolean
+    assert classify(parse_query("Q(A) :- R1(A, B), R2(B)")).head_domination
+    assert not classify(parse_query(WORKED_TEXT)).head_domination
+    assert classify(parse_query("Q() :- R(A, B)")).head_domination  # boolean
 
 
 @pytest.mark.parametrize("name,text,label", CATALOG, ids=[c[0] for c in CATALOG])
@@ -256,7 +254,7 @@ def test_certificates_exist_exactly_without_domination():
     rng = random.Random(99)
     for _ in range(120):
         q = random_query(rng)
-        dominated = has_head_domination(q)
+        dominated = classify(q).head_domination
         seq = find_free_sequence(q)
         clique = find_nested_clique(rename(q))
         assert dominated == (seq is None and clique is None)
