@@ -205,12 +205,16 @@ class _DensityCore:
 # --- pricing for the greedy cover solver ----------------------------------
 
 class PricedCandidate(NamedTuple):
-    """Vertex ids of a tuple selection at one join value, the ids of the
-    results it newly covers and its exact price (tuples per new result)."""
+    """Vertex ids of a tuple selection at one join value and the ids of
+    the results it newly covers."""
 
     vertices: tuple[int, ...]
     new_results: tuple[int, ...]
-    price: Fraction
+
+    @property
+    def price(self) -> Fraction:
+        """The exact price: tuples bought per result newly covered."""
+        return Fraction(len(self.vertices), len(self.new_results))
 
 
 def demand_groups(query: Query, rows: Sequence[tuple[str, ...]]) -> tuple[list, list, dict]:
@@ -268,7 +272,7 @@ def min_price_candidate(group: tuple[list, list], covered: bytearray) -> PricedC
     sizes = [len(set(part)) for part in zip(*weight)]
     if len(sizes) >= 2 and len(weight) == prod(sizes) and len(set(weight.values())) == 1:
         new_results = tuple(compress(ids, live))
-        return PricedCandidate(tuple(used), new_results, Fraction(len(used), len(new_results)))
+        return PricedCandidate(tuple(used), new_results)
     local = dict(zip(used, count()))  # renumbered, keeping their order
     core = _DensityCore([list(map(local.__getitem__, key)) for key in weight],
                         list(weight.values()), len(used))
@@ -278,5 +282,4 @@ def min_price_candidate(group: tuple[list, list], covered: bytearray) -> PricedC
     if len(subset) * p != q * len(new_results):
         raise InternalInconsistency(
             f"price {len(subset)}/{len(new_results)} disagrees with density {Fraction(p, q)}")
-    return PricedCandidate(tuple(map(used.__getitem__, subset)), new_results,
-                           Fraction(len(subset), len(new_results)))
+    return PricedCandidate(tuple(map(used.__getitem__, subset)), new_results)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .errors import AlphabetTooSmall, UncoverableUniverse, UnsatisfiableConstraint
 from .model import Database, Query, projection
@@ -46,13 +48,46 @@ class SetCoverInstance:
 
 
 def min_cover_size(instance: SetCoverInstance) -> int:
-    """Exhaustive minimum set cover size."""
-    universe = set(instance.universe)
-    for size in range(1, len(instance.subsets) + 1):
-        for combo in itertools.combinations(instance.subsets, size):
-            if set().union(*combo) == universe:
-                return size
-    raise UncoverableUniverse()  # unreachable; construction validates coverage
+    """Exact minimum set cover size, by depth-first branch and bound over
+    bitmasks: element i is bit i, and a subset is the OR of its bits.
+
+    Each node branches on the uncovered element with the fewest candidate
+    sets (ties to the lowest index), as Knuth's Algorithm X does, and the
+    branch that takes candidate j excludes candidates 1..j-1 from its
+    subtree, so each combination of sets is reached at most once.  A node
+    is cut when even its widest allowed set, repeated, could not cover what
+    is missing in fewer sets than the best cover found.  Fast at the sizes
+    generated here, exponential in the worst case."""
+    bit = {u: 1 << i for i, u in enumerate(instance.universe)}
+    masks = [reduce(or_, map(bit.__getitem__, subset)) for subset in instance.subsets]
+    holders = [sum(1 << j for j, mask in enumerate(masks) if mask & b) for b in bit.values()]
+    best = len(masks)  # every set together covers the universe (validated)
+    # (missing elements, sets still allowed, sets used); a stack, not
+    # recursion, so the depth is not bounded by the interpreter
+    stack = [((1 << len(bit)) - 1, (1 << len(masks)) - 1, 0)]
+    while stack:
+        missing, allowed, used = stack.pop()
+        if not missing:
+            best = min(best, used)
+            continue
+        widest = max(((masks[j] & missing).bit_count()
+                      for j in range(len(masks)) if allowed >> j & 1), default=0)
+        if not widest or used + -(-missing.bit_count() // widest) >= best:
+            continue
+        fewest = allowed
+        rest = missing
+        while rest:
+            low = rest & -rest
+            candidates = holders[low.bit_length() - 1] & allowed
+            if candidates.bit_count() < fewest.bit_count():
+                fewest = candidates
+            rest ^= low
+        while fewest:  # last candidate first, so the first is searched first
+            j = fewest.bit_length() - 1
+            # candidates 1..j are exactly the bits left in `fewest`
+            stack.append((missing & ~masks[j], allowed & ~fewest, used + 1))
+            fewest ^= 1 << j
+    return best
 
 
 @dataclass

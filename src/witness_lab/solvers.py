@@ -153,23 +153,31 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
     vertices, result_list, groups = demand_groups(query, full_join_results(query, db))
     results = frozenset(result_list)
     parts = _head_only_parts(query, results)
-    # (price bound, value, round priced in, candidate); a value appears once,
+    # (price key, value, round priced in, candidate); a value appears once,
     # so entries never compare beyond the value.  Only values joined with
     # some result are seeded; no other value can ever cover one.
     heap: list = [(0, b_value, -1, None) for b_value in sorted(groups)]
+    # A price is t/g with 1 <= g <= R results, R = len(result_list), and its
+    # key is the integer floor(t/g * 2**shift).  Two distinct prices differ
+    # by at least 1/(g1*g2) >= 1/R**2 > 2**-shift, so their scaled values
+    # differ by more than 1 and their floors keep the order strictly; equal
+    # prices get equal keys.  Keys therefore order and tie exactly as the
+    # prices do, and compare in C.
+    shift = 2 * len(result_list).bit_length()
     covered = bytearray(len(result_list))  # by result id
     remaining, round_no = len(result_list), 0
     while remaining:
         while heap and heap[0][2] != round_no:
-            stale_price, b_value, _, _ = heap[0]
+            stale_key, b_value, _, stale = heap[0]
             candidate = min_price_candidate(groups[b_value], covered)
             if candidate is None:  # nothing uncovered reachable, now or later
                 heapq.heappop(heap)
-            elif candidate.price < stale_price:
+                continue
+            key = (len(candidate.vertices) << shift) // len(candidate.new_results)
+            if key < stale_key:
                 raise InternalInconsistency(
-                    f"price at {b_value!r} fell from {stale_price} to {candidate.price}")
-            else:
-                heapq.heapreplace(heap, (candidate.price, b_value, round_no, candidate))
+                    f"price at {b_value!r} fell from {stale.price} to {candidate.price}")
+            heapq.heapreplace(heap, (key, b_value, round_no, candidate))
         if not heap:
             raise InternalInconsistency("uncovered results reachable at no join value")
         best = heap[0][3]

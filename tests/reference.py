@@ -1,14 +1,18 @@
 """Test-side reference code that no `witness-lab` route runs: a single
-result's witness, the densest set of labelled hyperedges, and the
-directed Steiner forest side of the path-query reduction (per-pair
-paths, the demand check, and the maps between witnesses and edge sets)."""
+result's witness, the densest set of labelled hyperedges, the directed
+Steiner forest side of the path-query reduction (per-pair paths, the
+demand check, and the maps between witnesses and edge sets), and an
+exhaustive minimum set cover."""
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from witness_lab.densest import _DensityCore
 from witness_lab.dsf import DsfEdge, DsfInstance
 from witness_lab.engine import full_join_results
+from witness_lab.errors import UncoverableUniverse
+from witness_lab.generators import SetCoverInstance
 from witness_lab.model import Database, Query, Witness, projection
 
 
@@ -90,3 +94,13 @@ def pull_back(query: Query, instance: DsfInstance, edge_ids: frozenset[int]) -> 
         if edge.id in edge_ids:
             parts.setdefault(edge.relation, set()).add(edge.row)
     return Witness.build(query, parts, "dsf")
+
+
+def min_cover_size(instance: SetCoverInstance) -> int:
+    """Exhaustive minimum set cover size."""
+    universe = set(instance.universe)
+    for size in range(1, len(instance.subsets) + 1):
+        for combo in itertools.combinations(instance.subsets, size):
+            if set().union(*combo) == universe:
+                return size
+    raise UncoverableUniverse()  # unreachable; construction validates coverage

@@ -1,6 +1,7 @@
 """Instance families: set cover and label cover instances, the cover,
 matrix, pyramid, line3 and random families, and their predicted sizes."""
 import random
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import parse_query
 
 from corpus import random_query
+from reference import min_cover_size as exhaustive_min_cover_size
 
 
 def cover(universe, *subsets):
@@ -45,6 +47,62 @@ def test_min_cover_size_hand_values():
     assert min_cover_size(cover("ab", "ab")) == 1
     assert min_cover_size(cover("abc", "ab", "c", "abc")) == 1
     assert min_cover_size(cover("abc", "ab", "bc", "ac")) == 2
+
+
+def random_cover(rng):
+    """A small cover whose subsets are often duplicates, nested in an
+    earlier subset or singletons; singletons fill in what none covers."""
+    universe = [f"u{i}" for i in range(rng.randint(1, 9))]
+    subsets = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.random()
+        if kind < 0.15 and subsets:
+            subsets.append(rng.choice(subsets))
+        elif kind < 0.3 and subsets:
+            outer = rng.choice(subsets)
+            subsets.append(tuple(rng.sample(outer, rng.randint(1, len(outer)))))
+        elif kind < 0.45:
+            subsets.append((rng.choice(universe),))
+        else:
+            subsets.append(tuple(rng.sample(universe, rng.randint(1, len(universe)))))
+    subsets += [(u,) for u in universe if not any(u in s for s in subsets)]
+    return cover(universe, *subsets)
+
+
+def covering_sets(rng, universe, count, size):
+    """`count` subsets of `size` elements of u1..u<universe> that together
+    cover it, drawn as the benchmark draws its cover instances."""
+    elements = list(range(1, universe + 1))
+    rng.shuffle(elements)
+    sets = [set() for _ in range(count)]
+    for i, element in enumerate(elements):
+        sets[i % count].add(element)
+    for subset in sets:
+        while len(subset) < size:
+            subset.add(rng.randint(1, universe))
+    return cover([f"u{i}" for i in range(1, universe + 1)],
+                 *([f"u{e}" for e in sorted(s)] for s in sets))
+
+
+def test_min_cover_size_matches_exhaustive_search():
+    rng = random.Random(2000)
+    for _ in range(2400):
+        instance = random_cover(rng)
+        assert min_cover_size(instance) == exhaustive_min_cover_size(instance), instance
+    for _ in range(12):  # the benchmark's shape: minima of 11-13 out of 14 sets
+        instance = covering_sets(rng, 80, 14, 14)
+        assert min_cover_size(instance) == exhaustive_min_cover_size(instance), instance
+
+
+def test_min_cover_size_past_exhaustive_reach():
+    """The exhaustive search takes tens of seconds on this cover; the
+    expected size was computed with it once, offline."""
+    instance = covering_sets(random.Random(120), 120, 22, 14)
+    started = time.perf_counter()
+    gi = gen_cover_db(instance)
+    assert time.perf_counter() - started < 1.0
+    assert gi.metadata["min_cover"] == 18
+    assert gi.predicted_witness_size == 120 + 18
 
 
 def lc(n, alphabet, constraints):

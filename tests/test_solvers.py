@@ -7,7 +7,7 @@ import pytest
 
 from witness_lab import densest, solvers, structure
 from witness_lab.engine import evaluate, full_join_results, is_witness
-from witness_lab.errors import PreconditionViolated
+from witness_lab.errors import InternalInconsistency, PreconditionViolated
 from witness_lab.generators import gen_random_db
 from witness_lab.model import Database, Query, Witness, projection
 from witness_lab.oracle import brute_force_swp
@@ -138,6 +138,32 @@ def test_greedy_covers_worked_cover_instance():
     # both join values needed: three R1 rows plus both R2 rows
     assert report.witness_size == brute_force_swp(query, db).size == 5
     assert report.claimed_ratio_bound == 1.0 + math.log(3)
+
+
+def test_greedy_reports_a_falling_price_exactly(monkeypatch):
+    """Covering more results never lowers a value's price; the heap
+    compares integer keys, and a price that fell anyway is reported as
+    the two exact fractions."""
+    query = parse_query("Q(A) :- R1(A, B), R2(B)")
+    db = Database.build(query, {
+        "R1": [{"A": "a1", "B": "b1"}, {"A": "a2", "B": "b1"},
+               {"A": "a2", "B": "b2"}, {"A": "a3", "B": "b2"}],
+        "R2": [{"B": "b1"}, {"B": "b2"}],
+    })
+    calls = 0
+
+    def cheaper_later(group, covered):
+        nonlocal calls
+        calls += 1
+        candidate = densest.min_price_candidate(group, covered)
+        if calls > 2 and candidate is not None:  # drop a bought tuple once both are priced
+            return densest.PricedCandidate(candidate.vertices[1:], candidate.new_results)
+        return candidate
+
+    monkeypatch.setattr(solvers, "min_price_candidate", cheaper_later)
+    with pytest.raises(InternalInconsistency) as raised:
+        solve_greedy_single_nonoutput(query, db)
+    assert str(raised.value) == "price at 'b2' fell from 3/2 to 1"
 
 
 def test_greedy_within_log_factor_on_random_instances():
