@@ -7,7 +7,7 @@ instance families with known optima.
 from .engine import evaluate, full_join_results, is_witness
 from .errors import WitnessLabError
 from .linprog import fractional_edge_cover
-from .model import Database, Query, RelationSchema, Witness
+from .model import Database, Query, RelationSchema
 from .oracle import DEFAULT_ORACLE_CAP, brute_force_swp
 from .qparser import format_query, parse_query
 from .solvers import (
@@ -30,7 +30,6 @@ __all__ = [
     "Query",
     "RelationSchema",
     "SolveReport",
-    "Witness",
     "WitnessLabError",
     "brute_force_swp",
     "classify",

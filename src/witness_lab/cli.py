@@ -145,7 +145,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         report = solve_baseline_union(query, db)
     else:
         witness = brute_force_swp(query, db, budget=args.budget, cap=args.oracle_cap)
-        report = SolveReport(witness, db.size, evaluate(query, db), Fraction(1))
+        report = SolveReport(witness, "oracle", db.size, evaluate(query, db), Fraction(1))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if not is_witness(query, db, report.witness, report.results):
         raise InternalInconsistency(f"{algo} produced a non-witness")

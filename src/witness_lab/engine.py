@@ -50,7 +50,7 @@ from operator import and_, itemgetter
 from typing import AbstractSet, NamedTuple
 
 from .errors import NotASubDatabase
-from .model import Database, Query, Witness, projection
+from .model import Database, Query, projection
 
 
 def _key(source: tuple[str, ...], target: list[str]):
@@ -210,14 +210,14 @@ def full_join_results(query: Query, db: Database) -> list[tuple[str, ...]]:
     return list(_join(query, db, frozenset(query.attributes)))
 
 
-def is_witness(query: Query, db: Database, witness: Witness,
+def is_witness(query: Query, db: Database, witness: Database,
                results: frozenset[tuple[str, ...]] | None = None) -> bool:
     """True when the witness is a sub-database reproducing Q(D) exactly.
     `results` is Q(D) when the caller has already evaluated it."""
     for schema in query.relations:
-        rows, have = witness.tuples.get(schema.name, frozenset()), db.instances[schema.name]
+        rows, have = witness.instances.get(schema.name, frozenset()), db.instances[schema.name]
         if not rows <= have:  # name the smallest foreign row, whatever the set order
             raise NotASubDatabase(schema.name, schema.sorted_attributes, min(rows - have))
     if results is None:
         results = evaluate(query, db)
-    return evaluate(query, witness.as_database()) == results
+    return evaluate(query, witness) == results

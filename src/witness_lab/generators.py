@@ -122,23 +122,16 @@ class LabelCoverInstance:
 
 
 def min_label_cover_cost(instance: LabelCoverInstance) -> int:
-    """Exhaustive minimum labelling cost: every left vertex gets a
-    nonempty label set, every right vertex a label set hitting one
-    admissible pair against every left vertex's labels."""
+    """Minimum labelling cost: every left vertex gets a nonempty label set,
+    every right vertex a label set hitting one admissible pair against
+    every left vertex's labels.  Exhaustive over the left labellings; each
+    right vertex's cheapest hitting set is a set cover of the left vertices
+    by the labels, solved by `min_cover_size`."""
     n = instance.n
     left_choices = [frozenset(c)
                     for size in range(1, len(instance.alphabet) + 1)
                     for c in itertools.combinations(instance.alphabet, size)]
-
-    def min_hitting(targets: list[frozenset[str]]) -> int | None:
-        pool = sorted(set().union(*targets)) if targets else []
-        for size in range(1, len(pool) + 1):
-            for combo in itertools.combinations(pool, size):
-                picked = set(combo)
-                if all(t & picked for t in targets):
-                    return size
-        return None
-
+    lefts = tuple(map(str, range(1, n + 1)))
     best: int | None = None
     for assignment in itertools.product(left_choices, repeat=n):
         cost = sum(len(labels) for labels in assignment)
@@ -156,11 +149,10 @@ def min_label_cover_cost(instance: LabelCoverInstance) -> int:
                 targets.append(allowed)
             if not feasible:
                 break
-            hit = min_hitting(targets)
-            if hit is None:
-                feasible = False
-                break
-            cost += hit
+            # a label covers the left vertices whose targets hold it
+            cost += min_cover_size(SetCoverInstance(lefts, tuple(
+                tuple(lefts[i] for i, target in enumerate(targets) if label in target)
+                for label in sorted(set().union(*targets)))))
         if feasible and (best is None or cost < best):
             best = cost
     if best is None:

@@ -1,4 +1,5 @@
-"""Relational model: queries, databases, tuples, witnesses.
+"""Relational model: queries, databases and tuples.  A witness is a
+sub-database, so it is a `Database` too.
 
 Values are opaque strings.  Attribute names are global, so a name shared
 by two relations is the same attribute (natural-join semantics).  All
@@ -156,6 +157,12 @@ class Database:
             raise ValueError(f"data for relations outside the query: {sorted(unknown)}")
         return cls(instances)
 
+    @classmethod
+    def of(cls, query: Query, parts: Mapping[str, Iterable[tuple[str, ...]]]) -> "Database":
+        """The sub-database holding `parts`: every query relation, empty
+        where `parts` lacks it."""
+        return cls({r.name: frozenset(parts.get(r.name, ())) for r in query.relations})
+
     @property
     def size(self) -> int:
         return sum(len(rows) for rows in self.instances.values())
@@ -164,25 +171,3 @@ class Database:
         keep = set(relation_names)
         return Database({n: rows for n, rows in self.instances.items() if n in keep})
 
-
-@dataclass(frozen=True)
-class Witness:
-    """Sub-database meant to reproduce the query result, with provenance."""
-
-    tuples: Mapping[str, frozenset[tuple[str, ...]]]
-    algorithm: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "tuples", dict(self.tuples))
-
-    @classmethod
-    def build(cls, query: Query, parts: Mapping[str, Iterable[tuple]], algorithm: str) -> "Witness":
-        tuples = {r.name: frozenset(parts.get(r.name, ())) for r in query.relations}
-        return cls(tuples, algorithm)
-
-    @property
-    def size(self) -> int:
-        return sum(len(rows) for rows in self.tuples.values())
-
-    def as_database(self) -> Database:
-        return Database(self.tuples)

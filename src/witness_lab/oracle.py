@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .engine import full_join_results
 from .errors import BudgetExhausted, InstanceTooLarge
-from .model import Database, Query, Witness, projection
+from .model import Database, Query, projection
 from .structure import relation_components
 
 DEFAULT_ORACLE_CAP = 30
@@ -145,7 +145,7 @@ def _solve_connected(query: Query, full: list[tuple[str, ...]],
 
 
 def brute_force_swp(query: Query, db: Database,
-                    budget: int | None = None, cap: int = DEFAULT_ORACLE_CAP) -> Witness:
+                    budget: int | None = None, cap: int = DEFAULT_ORACLE_CAP) -> Database:
     """Provably minimum witness by exhaustive search.  Refuses databases
     larger than `cap` tuples; `budget` limits explored search nodes."""
     if budget is not None and budget < 0:
@@ -162,7 +162,7 @@ def brute_force_swp(query: Query, db: Database,
         sub = query.subquery(head, names)
         full = sorted(full_join_results(sub, db.restrict(names)))  # tuple bits in row order
         if not full:  # Q(D) is empty: the empty database is the witness
-            return Witness.build(query, {}, "oracle")
+            return Database.of(query, {})
         pieces.append((sub, full))
     meter = _Budget(budget)
     parts: dict[str, set[tuple[str, ...]]] = {}
@@ -170,4 +170,4 @@ def brute_force_swp(query: Query, db: Database,
         piece = _solve_connected(sub, full, meter)
         for name, rows in piece.items():
             parts.setdefault(name, set()).update(rows)
-    return Witness.build(query, parts, "oracle")
+    return Database.of(query, parts)

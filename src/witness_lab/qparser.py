@@ -15,7 +15,7 @@ import re
 from functools import lru_cache
 
 from .errors import QuerySyntaxError
-from .model import Query, RelationSchema
+from .model import IDENTIFIER, Query, RelationSchema
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|:-|[(),.])")
 
@@ -55,7 +55,7 @@ def _attribute_list(tokens: _Tokens) -> tuple[str, ...]:
         return ()
     while True:
         name = tokens.next()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        if not IDENTIFIER.match(name):
             raise QuerySyntaxError(f"expected an attribute name, found {name!r}", tokens.pos)
         attrs.append(name)
         sep = tokens.next()
@@ -70,14 +70,14 @@ def parse_query(text: str) -> Query:
     """Parse query text, reporting the offset of the first offending token."""
     tokens = _Tokens(text)
     name = tokens.next()
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+    if not IDENTIFIER.match(name):
         raise QuerySyntaxError(f"expected the head predicate, found {name!r}", tokens.pos)
     head = _attribute_list(tokens)
     tokens.next(":-")
     relations: list[RelationSchema] = []
     while True:
         rel_name = tokens.next()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", rel_name):
+        if not IDENTIFIER.match(rel_name):
             raise QuerySyntaxError(f"expected a relation name, found {rel_name!r}", tokens.pos)
         attrs = _attribute_list(tokens)
         if not attrs:

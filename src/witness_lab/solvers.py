@@ -26,23 +26,20 @@ from .densest import demand_groups, min_price_candidate
 from .engine import evaluate, full_join_results
 from .errors import InternalInconsistency, PreconditionViolated
 from .linprog import fractional_edge_cover
-from .model import Database, Query, Witness, projection
+from .model import Database, Query, projection
 from .structure import Component, classify
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """A witness plus the context needed to judge it."""
+    """A witness, the route that built it and the context needed to judge it."""
 
-    witness: Witness
+    witness: Database
+    algorithm: str
     db_size: int
     results: frozenset[tuple[str, ...]] = field(repr=False)  # Q(D), kept for verification
     claimed_ratio_bound: Fraction | float
     rho_star: Fraction | None = None
-
-    @property
-    def algorithm(self) -> str:
-        return self.witness.algorithm
 
     @property
     def witness_size(self) -> int:
@@ -104,8 +101,8 @@ def _add_cheapest_joins(parts: dict[str, set[tuple[str, ...]]], query: Query,
             rows.add(project(fj))
 
 
-def _component_walk(query: Query, db: Database, components: tuple[Component, ...],
-                    algorithm: str) -> tuple[Witness, frozenset[tuple[str, ...]]]:
+def _component_walk(query: Query, db: Database,
+                    components: tuple[Component, ...]) -> tuple[Database, frozenset[tuple[str, ...]]]:
     """The witness and the Q(D) it was built from."""
     results = evaluate(query, db)
     parts: dict[str, set[tuple[str, ...]]] = {}
@@ -116,7 +113,7 @@ def _component_walk(query: Query, db: Database, components: tuple[Component, ...
             to_sub = projection(sorted(query.head), sorted(comp.output_attributes))
             rows = full_join_results(sub, db.restrict(comp.relations))
             _add_cheapest_joins(parts, sub, _cheapest_joins(sub, rows), set(map(to_sub, results)))
-    return Witness.build(query, parts, algorithm), results
+    return Database.of(query, parts), results
 
 
 def solve_exact_head_cluster(query: Query, db: Database) -> SolveReport:
@@ -125,8 +122,8 @@ def solve_exact_head_cluster(query: Query, db: Database) -> SolveReport:
     c = classify(query)
     if not c.head_cluster:
         raise PreconditionViolated("query is not head-cluster")
-    witness, results = _component_walk(query, db, c.components, "exact")
-    return SolveReport(witness, db.size, results, Fraction(1))
+    witness, results = _component_walk(query, db, c.components)
+    return SolveReport(witness, "exact", db.size, results, Fraction(1))
 
 
 def solve_approx_head_domination(query: Query, db: Database) -> SolveReport:
@@ -135,8 +132,8 @@ def solve_approx_head_domination(query: Query, db: Database) -> SolveReport:
     c = classify(query)
     if not c.head_domination:
         raise PreconditionViolated("query is not head-dominated")
-    witness, results = _component_walk(query, db, c.components, "approx")
-    return SolveReport(witness, db.size, results, Fraction(2 * len(query.relations)))
+    witness, results = _component_walk(query, db, c.components)
+    return SolveReport(witness, "approx", db.size, results, Fraction(2 * len(query.relations)))
 
 
 def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
@@ -187,9 +184,8 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
             covered[r] = 1
         remaining -= len(best.new_results)
         round_no += 1
-    witness = Witness.build(query, parts, "greedy")
     bound = 1.0 + math.log(max(1, len(results)))
-    return SolveReport(witness, db.size, results, bound)
+    return SolveReport(Database.of(query, parts), "greedy", db.size, results, bound)
 
 
 def solve_baseline_union(query: Query, db: Database) -> SolveReport:
@@ -200,8 +196,7 @@ def solve_baseline_union(query: Query, db: Database) -> SolveReport:
     results = frozenset(cheapest)
     parts: dict[str, set[tuple[str, ...]]] = {}
     _add_cheapest_joins(parts, query, cheapest, results)
-    witness = Witness.build(query, parts, "baseline")
     rho = fractional_edge_cover(query)
     bound = float(db.size) ** float(1 - Fraction(1) / rho) if db.size else 0.0
-    return SolveReport(witness, db.size, results, bound, rho)
+    return SolveReport(Database.of(query, parts), "baseline", db.size, results, bound, rho)
 

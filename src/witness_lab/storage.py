@@ -16,7 +16,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import HeaderMismatch, MalformedCsv, MissingRelationFile, RaggedRow
-from .model import Database, Query, RelationSchema, Witness, projection
+from .model import Database, Query, RelationSchema, projection
 
 Tables = dict[str, list[tuple[str, ...]]]  # per relation, its rows in column order, sorted
 
@@ -82,15 +82,15 @@ def write_database(query: Query, db: Database, directory: str | Path) -> None:
     _write_tables(query, _tables(query, db.instances), directory)
 
 
-def write_witness(query: Query, witness: Witness, directory: str | Path) -> Tables:
+def write_witness(query: Query, witness: Database, directory: str | Path) -> Tables:
     """Mirror the input layout with only the witness rows.  Returns the
     rows as written, which `witness_to_json_text` takes to skip its sort."""
-    tables = _tables(query, witness.tuples)
+    tables = _tables(query, witness.instances)
     _write_tables(query, tables, directory)
     return tables
 
 
-def witness_to_json_text(query: Query, witness: Witness, tables: Tables | None = None) -> str:
+def witness_to_json_text(query: Query, witness: Database, tables: Tables | None = None) -> str:
     """The witness as the `witness` value of a solve report, with the bytes
     `json.dumps(report, indent=2, sort_keys=True)` gives it one level into
     the report: per relation, in name order, its columns and its rows in
@@ -98,7 +98,7 @@ def witness_to_json_text(query: Query, witness: Witness, tables: Tables | None =
     escaper, and the rows are filled into one %-template per relation.
     `tables`, when given, is what `write_witness` returned for `witness`."""
     if tables is None:
-        tables = _tables(query, witness.tuples)
+        tables = _tables(query, witness.instances)
     relations = []
     for schema in sorted(query.relations, key=attrgetter("name")):
         template = "[\n          " + ",\n          ".join(["%s"] * len(schema.attributes)) \

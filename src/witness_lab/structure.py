@@ -135,8 +135,10 @@ class FreeSequence:
 
 @dataclass(frozen=True)
 class NestedClique:
+    """A classification's clique is found in, and names attributes of, the
+    renamed query (`rename`)."""
+
     attributes: tuple[str, ...]
-    in_renamed_query: bool = True
 
 
 def _colocated(query: Query) -> dict[str, set[str]]:
@@ -230,7 +232,7 @@ def find_nested_clique(query: Query) -> NestedClique | None:
                 continue
             if any(inside <= query.head_of(r.name) for r in query.relations):
                 continue
-            return NestedClique(subset, in_renamed_query=False)
+            return NestedClique(subset)
     return None
 
 
@@ -280,16 +282,9 @@ def classify(query: Query) -> Classification:
         label = Label.CONST_APPROX
     else:
         label = Label.LOG_HARD
-        sequence = find_free_sequence(query)
-        if sequence is not None:
-            certificate = sequence
-        else:
-            clique = find_nested_clique(rename(query))
-            if clique is None:
-                raise InternalInconsistency(
-                    "no domination, yet neither hardness certificate was found"
-                )
-            certificate = NestedClique(clique.attributes, in_renamed_query=True)
+        certificate = find_free_sequence(query) or find_nested_clique(rename(query))
+        if certificate is None:
+            raise InternalInconsistency("no domination, yet neither hardness certificate was found")
 
     return Classification(
         label=label,
@@ -313,7 +308,7 @@ def classification_to_json_dict(c: Classification) -> dict:
         certificate = {
             "type": "nested_clique",
             "attributes": sorted(c.certificate.attributes),
-            "in_renamed_query": c.certificate.in_renamed_query,
+            "in_renamed_query": True,
         }
     return {
         "spec": "1",

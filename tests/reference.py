@@ -1,8 +1,8 @@
 """Test-side reference code that no `witness-lab` route runs: a single
 result's witness, the densest set of labelled hyperedges, the directed
 Steiner forest side of the path-query reduction (per-pair paths, the
-demand check, and the maps between witnesses and edge sets), and an
-exhaustive minimum set cover."""
+demand check, and the maps between witnesses and edge sets), and
+exhaustive minimum set cover and label cover."""
 from __future__ import annotations
 
 import itertools
@@ -11,19 +11,19 @@ from fractions import Fraction
 from witness_lab.densest import _DensityCore
 from witness_lab.dsf import DsfEdge, DsfInstance
 from witness_lab.engine import full_join_results
-from witness_lab.errors import UncoverableUniverse
-from witness_lab.generators import SetCoverInstance
-from witness_lab.model import Database, Query, Witness, projection
+from witness_lab.errors import UncoverableUniverse, UnsatisfiableConstraint
+from witness_lab.generators import LabelCoverInstance, SetCoverInstance
+from witness_lab.model import Database, Query, projection
 
 
-def single_result_witness(query: Query, db: Database, result: tuple[str, ...]) -> Witness:
+def single_result_witness(query: Query, db: Database, result: tuple[str, ...]) -> Database:
     """One tuple per relation reproducing `result`, a tuple over the sorted
     head: the smallest full join result projecting onto it."""
     to_head = projection(query.attributes, sorted(query.head))
     fj = min(row for row in full_join_results(query, db) if to_head(row) == result)
     parts = {schema.name: {projection(query.attributes, schema.sorted_attributes)(fj)}
              for schema in query.relations}
-    return Witness.build(query, parts, "single_result")
+    return Database.of(query, parts)
 
 
 def max_density_set(edges: dict[frozenset, int]) -> tuple[frozenset, Fraction]:
@@ -83,17 +83,17 @@ def edges_connect_demands(instance: DsfInstance, edge_ids: frozenset[int]) -> bo
     return all(target in reaches[source] for source, target in instance.demands)
 
 
-def witness_to_edge_ids(instance: DsfInstance, witness: Witness) -> frozenset[int]:
+def witness_to_edge_ids(instance: DsfInstance, witness: Database) -> frozenset[int]:
     return frozenset(e.id for e in instance.edges
-                     if e.row in witness.tuples.get(e.relation, frozenset()))
+                     if e.row in witness.instances.get(e.relation, frozenset()))
 
 
-def pull_back(query: Query, instance: DsfInstance, edge_ids: frozenset[int]) -> Witness:
+def pull_back(query: Query, instance: DsfInstance, edge_ids: frozenset[int]) -> Database:
     parts: dict[str, set[tuple[str, ...]]] = {}
     for edge in instance.edges:
         if edge.id in edge_ids:
             parts.setdefault(edge.relation, set()).add(edge.row)
-    return Witness.build(query, parts, "dsf")
+    return Database.of(query, parts)
 
 
 def min_cover_size(instance: SetCoverInstance) -> int:
@@ -104,3 +104,50 @@ def min_cover_size(instance: SetCoverInstance) -> int:
             if set().union(*combo) == universe:
                 return size
     raise UncoverableUniverse()  # unreachable; construction validates coverage
+
+
+def min_label_cover_cost(instance: LabelCoverInstance) -> int:
+    """Exhaustive minimum labelling cost: every left vertex gets a
+    nonempty label set, every right vertex a label set hitting one
+    admissible pair against every left vertex's labels."""
+    n = instance.n
+    left_choices = [frozenset(c)
+                    for size in range(1, len(instance.alphabet) + 1)
+                    for c in itertools.combinations(instance.alphabet, size)]
+
+    def min_hitting(targets: list[frozenset[str]]) -> int | None:
+        pool = sorted(set().union(*targets)) if targets else []
+        for size in range(1, len(pool) + 1):
+            for combo in itertools.combinations(pool, size):
+                picked = set(combo)
+                if all(t & picked for t in targets):
+                    return size
+        return None
+
+    best: int | None = None
+    for assignment in itertools.product(left_choices, repeat=n):
+        cost = sum(len(labels) for labels in assignment)
+        if best is not None and cost + n >= best:
+            continue
+        feasible = True
+        for v in range(1, n + 1):
+            targets = []
+            for u in range(1, n + 1):
+                allowed = frozenset(y for x, y in instance.constraints[(u, v)]
+                                    if x in assignment[u - 1])
+                if not allowed:
+                    feasible = False
+                    break
+                targets.append(allowed)
+            if not feasible:
+                break
+            hit = min_hitting(targets)
+            if hit is None:
+                feasible = False
+                break
+            cost += hit
+        if feasible and (best is None or cost < best):
+            best = cost
+    if best is None:
+        raise UnsatisfiableConstraint((0, 0))  # unreachable: full alphabet always works
+    return best

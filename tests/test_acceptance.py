@@ -109,7 +109,7 @@ def test_criterion_01_worked_example(data_dir):
         assert is_witness(query, db, witness)
         single = single_result_witness(query, db, WORKED_SINGLE_RESULT)
         got = {name: {as_columns(query.schema(name), row) for row in rows}
-               for name, rows in single.tuples.items()}
+               for name, rows in single.instances.items()}
         assert got == WORKED_SINGLE_WITNESS
 
 

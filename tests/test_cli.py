@@ -13,7 +13,7 @@ from witness_lab import cli, densest, dsf, engine, linprog, solvers
 from witness_lab.cli import main
 from witness_lab.engine import is_witness
 from witness_lab.generators import gen_random_db
-from witness_lab.model import Database, Witness
+from witness_lab.model import Database
 from witness_lab.qparser import format_query, parse_query
 from witness_lab.storage import load_database, write_database
 
@@ -102,7 +102,7 @@ def test_solve_writes_witness_directory(capsys, data_dir, tmp_path):
     db = load_database(query, data_dir / "worked")
     loaded = load_database(query, out_dir)
     assert loaded.size == WORKED_OPTIMUM
-    assert is_witness(query, db, Witness(loaded.instances, "reloaded"))
+    assert is_witness(query, db, loaded)
 
 
 @pytest.mark.parametrize("algo, text, requirement", [

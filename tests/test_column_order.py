@@ -54,7 +54,7 @@ def random_tables(query: Query, rng: random.Random, max_rows: int, domain: int):
 def as_assignments(query: Query, witness) -> dict[str, set[frozenset]]:
     """Witness tuples as sets of (attribute, value) pairs, per relation."""
     return {schema.name: {frozenset(zip(schema.sorted_attributes, row))
-                          for row in witness.tuples[schema.name]}
+                          for row in witness.instances[schema.name]}
             for schema in query.relations}
 
 

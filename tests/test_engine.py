@@ -10,7 +10,7 @@ import pytest
 from witness_lab import engine
 from witness_lab.engine import evaluate, full_join_results, is_witness
 from witness_lab.errors import NotASubDatabase
-from witness_lab.model import Database, Query, Witness
+from witness_lab.model import Database, Query
 from witness_lab.qparser import parse_query
 
 from corpus import (
@@ -224,17 +224,15 @@ def test_full_join_binds_every_attribute():
 
 def test_is_witness_accepts_single_result_cover():
     query, db = worked_example()
-    single = build_db(query, WORKED_SINGLE_WITNESS).instances
-    witness = Witness.build(query, single, "frozen")
+    witness = build_db(query, WORKED_SINGLE_WITNESS)
     sub_query = query  # same body, restricted data
     assert not is_witness(sub_query, db, witness)  # misses two results
-    full = Witness.build(query, db.instances, "copy")
-    assert is_witness(query, db, full)
+    assert is_witness(query, db, db)
 
 
 def test_is_witness_rejects_foreign_tuples():
     query, db = worked_example()
-    alien = Witness.build(query, {"R1": [("zz", "zz")]}, "bad")
+    alien = Database.of(query, {"R1": [("zz", "zz")]})
     with pytest.raises(NotASubDatabase) as err:
         is_witness(query, db, alien)
     assert str(err.value) == "candidate tuple (A='zz', B='zz') is not present in relation 'R1'"
@@ -242,14 +240,14 @@ def test_is_witness_rejects_foreign_tuples():
     query = parse_query("Q(A) :- R1(B, A)")
     db = Database.build(query, {"R1": [{"A": "a1", "B": "b1"}]})
     with pytest.raises(NotASubDatabase) as err:
-        is_witness(query, db, Witness.build(query, {"R1": [("a1", "zz")]}, "bad"))
+        is_witness(query, db, Database.of(query, {"R1": [("a1", "zz")]}))
     assert str(err.value) == "candidate tuple (A='a1', B='zz') is not present in relation 'R1'"
 
 
 def test_is_witness_empty_on_empty_result():
     query = parse_query("Q(A) :- R(A, B), S(B)")
     db = Database.build(query, {"R": [{"A": "1", "B": "2"}]})  # S empty
-    assert is_witness(query, db, Witness.build(query, {}, "empty"))
+    assert is_witness(query, db, Database.of(query, {}))
 
 
 FOREIGN_ROWS_CHILD = """
@@ -257,14 +255,14 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from witness_lab.engine import is_witness
 from witness_lab.errors import NotASubDatabase
-from witness_lab.model import Database, Witness
+from witness_lab.model import Database
 from witness_lab.qparser import parse_query
 query = parse_query("Q(A) :- R1(A, B)")
 db = Database.build(query, {"R1": [{"A": "a1", "B": "b1"}]})
 # two foreign rows, which these two hash seeds iterate in opposite orders
 rows = [("a1", "b1"), ("q1", "r1"), ("p1", "s1")]
 try:
-    is_witness(query, db, Witness.build(query, {"R1": rows}, "bad"))
+    is_witness(query, db, Database.of(query, {"R1": rows}))
 except NotASubDatabase as exc:
     print(exc)
 """

@@ -24,6 +24,7 @@ from witness_lab.qparser import parse_query
 
 from corpus import random_query
 from reference import min_cover_size as exhaustive_min_cover_size
+from reference import min_label_cover_cost as exhaustive_min_label_cover_cost
 
 
 def cover(universe, *subsets):
@@ -131,6 +132,24 @@ def test_min_label_cover_cost_hand_values():
         (2, 1): {("x", "x")}, (2, 2): {("x", "y")},
     })
     assert min_label_cover_cost(two) == 4
+
+
+def random_label_cover(rng):
+    """n from 1 to 3 over n+1 to 4 letters; each vertex pair admits one
+    to five random label pairs (at most four over two letters)."""
+    n = rng.randint(1, 3)
+    alphabet = "wxyz"[:rng.randint(n + 1, 4)]
+    pairs = [(x, y) for x in alphabet for y in alphabet]
+    return lc(n, alphabet, {(u, v): rng.sample(pairs, rng.randint(1, min(5, len(pairs))))
+                            for u in range(1, n + 1) for v in range(1, n + 1)})
+
+
+def test_min_label_cover_cost_matches_exhaustive_search():
+    rng = random.Random(126)
+    for _ in range(200):
+        instance = random_label_cover(rng)
+        assert min_label_cover_cost(instance) == exhaustive_min_label_cover_cost(instance), \
+            instance
 
 
 def test_cover_family_matches_oracle():

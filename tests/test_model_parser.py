@@ -8,7 +8,7 @@ from witness_lab.errors import (
     SelfJoinError,
     UnboundHeadAttribute,
 )
-from witness_lab.model import Database, Query, RelationSchema, Witness, projection
+from witness_lab.model import Database, Query, RelationSchema, projection
 from witness_lab.qparser import format_query, parse_query
 
 from corpus import WORKED_TEXT
@@ -95,12 +95,11 @@ def test_database_build_validates_schema():
     assert db.size == 0
 
 
-def test_witness_build_fills_missing_relations():
+def test_database_of_fills_missing_relations():
     q = parse_query("Q(A) :- R(A, B), S(B)")
-    w = Witness.build(q, {"R": [("1", "2")]}, "test")
-    assert w.tuples["S"] == frozenset()
+    w = Database.of(q, {"R": [("1", "2")]})
+    assert w.instances == {"R": frozenset({("1", "2")}), "S": frozenset()}
     assert w.size == 1
-    assert w.as_database().size == 1
 
 
 def test_parse_canonical_example():

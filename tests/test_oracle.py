@@ -8,7 +8,7 @@ from witness_lab import oracle
 from witness_lab.engine import evaluate, is_witness
 from witness_lab.errors import BudgetExhausted, InstanceTooLarge
 from witness_lab.generators import gen_random_db
-from witness_lab.model import Database, Witness
+from witness_lab.model import Database
 from witness_lab.oracle import DEFAULT_ORACLE_CAP, brute_force_swp
 from witness_lab.qparser import parse_query
 
@@ -25,7 +25,7 @@ def exhaustive_minimum(query, db):
             parts: dict[str, set[tuple[str, ...]]] = {}
             for name, row in combo:
                 parts.setdefault(name, set()).add(row)
-            witness = Witness.build(query, parts, "enum")
+            witness = Database.of(query, parts)
             if is_witness(query, db, witness):
                 return size
     raise AssertionError("the full database is always a witness")
@@ -98,11 +98,11 @@ def test_matches_subset_enumeration_on_tiny_instances():
 def test_oracle_result_is_minimal_dropping_any_tuple_breaks_it():
     query, db = worked_example()
     witness = brute_force_swp(query, db)
-    for name in sorted(witness.tuples):
-        for row in sorted(witness.tuples[name]):
-            smaller = {n: set(rows) for n, rows in witness.tuples.items()}
+    for name in sorted(witness.instances):
+        for row in sorted(witness.instances[name]):
+            smaller = {n: set(rows) for n, rows in witness.instances.items()}
             smaller[name].discard(row)
-            assert not is_witness(query, db, Witness.build(query, smaller, "probe"))
+            assert not is_witness(query, db, Database.of(query, smaller))
 
 
 @pytest.mark.parametrize("reorder", ["reversed", "shuffled"])

@@ -9,7 +9,7 @@ from witness_lab import densest, solvers, structure
 from witness_lab.engine import evaluate, full_join_results, is_witness
 from witness_lab.errors import InternalInconsistency, PreconditionViolated
 from witness_lab.generators import gen_random_db
-from witness_lab.model import Database, Query, Witness, projection
+from witness_lab.model import Database, Query, projection
 from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import parse_query
 from witness_lab.solvers import (
@@ -39,7 +39,7 @@ from reference import max_density_set, single_result_witness
 
 def as_tables(query, witness):
     return {name: {as_columns(query.schema(name), row) for row in rows}
-            for name, rows in witness.tuples.items()}
+            for name, rows in witness.instances.items()}
 
 
 def test_single_result_witness_matches_worked_example():
@@ -100,7 +100,7 @@ def test_classify_then_exact_and_approx_compute_the_components_once(monkeypatch)
     exact = solve_exact_head_cluster(query, db)
     approx = solve_approx_head_domination(query, db)
     assert len(calls) == 1
-    assert exact.witness.tuples == approx.witness.tuples
+    assert exact.witness == approx.witness
 
 
 def test_approx_stays_within_claimed_factor():
@@ -275,7 +275,7 @@ def test_greedy_matches_eager_reference():
         db = random_db(query, rng, max_rows=6, domain=3)
         report = solve_greedy_single_nonoutput(query, db)
         parts, _, tied_rounds = eager_greedy(query, db)
-        assert report.witness.tuples == Witness.build(query, parts, "reference").tuples
+        assert report.witness == Database.of(query, parts)
         tied += tied_rounds > 0
     assert tied >= 10  # ties between join values decided many witnesses
 
@@ -316,7 +316,7 @@ def test_lazy_greedy_prices_less_than_eager(monkeypatch):
     monkeypatch.setattr(solvers, "min_price_candidate", counting)
     report = solve_greedy_single_nonoutput(query, db)
     parts, eager_calls, _ = eager_greedy(query, db)
-    assert report.witness.tuples == Witness.build(query, parts, "reference").tuples
+    assert report.witness == Database.of(query, parts)
     assert calls < eager_calls
 
 
@@ -331,7 +331,7 @@ def test_greedy_with_one_relation_holding_b_matches_eager_reference():
         db = random_db(query, rng, max_rows=7, domain=3)
         report = solve_greedy_single_nonoutput(query, db)
         parts, _, _ = eager_greedy(query, db)
-        assert report.witness.tuples == Witness.build(query, parts, "reference").tuples
+        assert report.witness == Database.of(query, parts)
 
 
 @pytest.mark.parametrize("text, rows, pool, calls, priced", [
@@ -469,14 +469,13 @@ def test_greedy_ignores_atom_order_and_order_preserving_renaming():
     for _ in range(400):
         query = random_single_nonoutput_query(rng)
         db = random_db(query, rng, max_rows=7, domain=3)
-        witness = solve_greedy_single_nonoutput(query, db).witness.tuples
+        witness = solve_greedy_single_nonoutput(query, db).witness
         atoms = list(query.relations)
         rng.shuffle(atoms)
         shuffled = Query(query.head, tuple(atoms))
-        assert solve_greedy_single_nonoutput(shuffled, db).witness.tuples == witness
-        renamed_witness = renamed(Witness(witness, "greedy").as_database(), "w_").instances
-        assert solve_greedy_single_nonoutput(query, renamed(db, "w_")).witness.tuples \
-            == renamed_witness
+        assert solve_greedy_single_nonoutput(shuffled, db).witness == witness
+        assert solve_greedy_single_nonoutput(query, renamed(db, "w_")).witness \
+            == renamed(witness, "w_")
 
 
 def test_baseline_on_worked_example():
@@ -548,7 +547,7 @@ def test_witness_is_smallest_full_join_per_result(make_query, solve, reference):
         db = random_db(query, rng, max_rows=6, domain=3)
         report = solve(query, db)
         parts, ties = reference(query, db)
-        assert report.witness.tuples == Witness.build(query, parts, "reference").tuples
+        assert report.witness == Database.of(query, parts)
         tied += ties > 0
     assert tied >= 10  # the tie-break decided the witness on many instances
 
@@ -582,8 +581,7 @@ def test_cheapest_join_ignores_row_order(monkeypatch, reorder):
             tied += smallest_join_per_result(parts, query, db, [t])
             got: dict = {}
             solvers._add_cheapest_joins(got, query, cheapest, [t])
-            assert Witness.build(query, got, "cheapest").tuples == \
-                Witness.build(query, parts, "reference").tuples
+            assert Database.of(query, got) == Database.of(query, parts)
     assert tied >= 10
 
 

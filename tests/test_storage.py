@@ -4,7 +4,7 @@ import json
 import pytest
 
 from witness_lab.errors import HeaderMismatch, MissingRelationFile, RaggedRow
-from witness_lab.model import Witness
+from witness_lab.model import Database
 from witness_lab.qparser import parse_query
 from witness_lab.storage import (
     load_database,
@@ -88,8 +88,7 @@ def test_load_strips_utf8_byte_order_mark(tmp_path):
 
 def test_write_witness_mirrors_layout(tmp_path):
     query = parse_query(WORKED_TEXT)
-    witness = Witness.build(
-        query, {"R1": [("a1", "b1")]}, "test")
+    witness = Database.of(query, {"R1": [("a1", "b1")]})
     write_witness(query, witness, tmp_path)
     assert (tmp_path / "R1.csv").read_text() == "A,B\na1,b1\n"
     assert (tmp_path / "R3.csv").read_text() == "C,F\n"
@@ -97,8 +96,7 @@ def test_write_witness_mirrors_layout(tmp_path):
 
 def test_witness_json_uses_schema_column_order():
     query = parse_query(WORKED_TEXT)
-    witness = Witness.build(
-        query, {"R2": [("b1", "c1")]}, "test")
+    witness = Database.of(query, {"R2": [("b1", "c1")]})
     doc = json.loads(witness_to_json_text(query, witness))
     assert doc["R2"] == {"columns": ["B", "C"], "rows": [["b1", "c1"]]}
     assert doc["R4"]["rows"] == []
@@ -107,8 +105,8 @@ def test_witness_json_uses_schema_column_order():
 def test_witness_json_from_written_rows_has_the_same_bytes(tmp_path):
     # columns listed out of name order, so the written rows are re-ordered
     query = parse_query("Q(A, C) :- R1(B, A), R2(C, B, D)")
-    witness = Witness.build(query, {"R1": [("a2", "b1"), ("a1", "b2"), ("a1", "b1")],
-                                    "R2": [("b1", "c1", "d2"), ("b1", "c1", "d1")]}, "test")
+    witness = Database.of(query, {"R1": [("a2", "b1"), ("a1", "b2"), ("a1", "b1")],
+                                  "R2": [("b1", "c1", "d2"), ("b1", "c1", "d1")]})
     tables = write_witness(query, witness, tmp_path)
     assert (tmp_path / "R1.csv").read_text() == "B,A\nb1,a1\nb1,a2\nb2,a1\n"
     assert witness_to_json_text(query, witness, tables) == witness_to_json_text(query, witness)

@@ -229,9 +229,8 @@ def test_nested_clique_of_pyramid():
         "Q(A, B, C) :- R1(A, B), R2(A, C), R3(B, C), R4(A, F), R5(B, F), R6(C, F)")
     assert find_free_sequence(pyramid) is None
     clique = find_nested_clique(rename(pyramid))
-    assert clique == NestedClique(("A", "B", "C", "F1"), in_renamed_query=False)
-    got = classify(pyramid).certificate
-    assert got == NestedClique(("A", "B", "C", "F1"), in_renamed_query=True)
+    assert clique == NestedClique(("A", "B", "C", "F1"))
+    assert classify(pyramid).certificate == clique
 
 
 def test_labels_partition_by_structure_flags():
