@@ -212,12 +212,13 @@ def full_join_results(query: Query, db: Database) -> list[tuple[str, ...]]:
 
 def is_witness(query: Query, db: Database, witness: Database,
                results: frozenset[tuple[str, ...]] | None = None) -> bool:
-    """True when the witness is a sub-database reproducing Q(D) exactly.
-    `results` is Q(D) when the caller has already evaluated it."""
+    """True when the witness is a sub-database reproducing Q(D) exactly; a
+    query relation the witness lacks counts as empty.  `results` is Q(D)
+    when the caller has already evaluated it."""
     for schema in query.relations:
         rows, have = witness.instances.get(schema.name, frozenset()), db.instances[schema.name]
         if not rows <= have:  # name the smallest foreign row, whatever the set order
             raise NotASubDatabase(schema.name, schema.sorted_attributes, min(rows - have))
     if results is None:
         results = evaluate(query, db)
-    return evaluate(query, witness) == results
+    return evaluate(query, Database.of(query, witness.instances)) == results

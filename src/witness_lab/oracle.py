@@ -6,9 +6,10 @@ shared by every one of them is forced into any witness.  The search
 branches on the uncovered result with the fewest distinct ways to cover
 it, adding one full-join-result delta at a time; each node rescans only
 the results its parent left uncovered.  It prunes with an admissible
-bound: distinct head projections still missing from a relation each
-cost at least one tuple.  Connected pieces of the query are solved
-independently and their minima summed.
+packing bound: in each relation, uncovered results whose tuples there
+miss the chosen set and one another each cost at least one tuple.
+Connected pieces of the query are solved independently and their minima
+summed.
 """
 from __future__ import annotations
 
@@ -34,8 +35,7 @@ class _Budget:
 def _solve_connected(query: Query, full: list[tuple[str, ...]],
                      budget: _Budget) -> dict[str, set[tuple[str, ...]]]:
     """Minimum witness of one connected query from its full join results."""
-    head = sorted(query.head_set)
-    to_head = projection(query.attributes, head)
+    to_head = projection(query.attributes, sorted(query.head_set))
     to_relation = [(schema.name, projection(query.attributes, schema.sorted_attributes))
                    for schema in query.relations]
 
@@ -59,34 +59,32 @@ def _solve_connected(query: Query, full: list[tuple[str, ...]],
 
     all_results = (1 << len(results)) - 1
     forced = 0
+    reach = []  # per result: every tuple in any of its masks
     for masks in supports:
-        need = masks[0]
+        need = have = masks[0]
         for m in masks[1:]:
             need &= m
+            have |= m
         forced |= need
+        reach.append(have)
 
-    # Admissible lower bound: for every relation, each head projection
-    # demanded by an uncovered result and absent from the chosen set
-    # needs its own tuple.
-    classes: list[tuple[int, int]] = []  # (result mask, tuple mask) per projection
-    for schema, bits in zip(query.relations, relation_bits):
-        to_projection = projection(head, sorted(schema.attribute_set & query.head_set))
-        buckets: dict[tuple[str, ...], tuple[int, int]] = {}
-        for i, (t, masks) in enumerate(zip(results, supports)):
-            value = to_projection(t)
-            rmask, tmask = buckets.get(value, (0, 0))
-            rmask |= 1 << i
-            for m in masks:
-                tmask |= m
-            buckets[value] = (rmask, tmask)
-        for rmask, tmask in buckets.values():
-            classes.append((rmask, tmask & bits))
+    # Admissible lower bound.  A result's span in a relation is that
+    # relation's tuples in any of its masks, and covering the result takes
+    # one of them.  Per relation, uncovered results whose spans miss
+    # `chosen` and one another each need their own tuple.
+    spans = [[bits & have for have in reach] for bits in relation_bits]
 
     def lower_bound(chosen: int, uncovered: int) -> int:
         count = 0
-        for rmask, tmask in classes:
-            if rmask & uncovered and not tmask & chosen:
-                count += 1
+        for span in spans:
+            taken, rest = chosen, uncovered
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                s = span[low.bit_length() - 1]
+                if not s & taken:
+                    taken |= s
+                    count += 1
         return count
 
     def scan(chosen: int, open_results: int) -> tuple[int, list[set[int]]]:

@@ -250,6 +250,15 @@ def test_is_witness_empty_on_empty_result():
     assert is_witness(query, db, Database.of(query, {}))
 
 
+def test_is_witness_reads_a_missing_relation_as_empty():
+    query = parse_query("Q(A) :- R(A, B), S(B)")
+    db = Database.build(query, {"R": [{"A": "1", "B": "2"}], "S": [{"B": "2"}]})
+    assert not is_witness(query, db, Database({"R": db.instances["R"]}))
+    assert is_witness(query, db, Database({"R": db.instances["R"], "S": db.instances["S"]}))
+    empty = Database.build(query, {"R": [{"A": "1", "B": "2"}]})  # S empty, so Q(D) is empty
+    assert is_witness(query, empty, Database({}))
+
+
 FOREIGN_ROWS_CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])

@@ -11,6 +11,7 @@ from witness_lab.generators import gen_random_db
 from witness_lab.model import Database
 from witness_lab.oracle import DEFAULT_ORACLE_CAP, brute_force_swp
 from witness_lab.qparser import parse_query
+from witness_lab.solvers import solve_baseline_union, solve_greedy_single_nonoutput
 
 from corpus import CATALOG, WORKED_OPTIMUM, worked_example, random_db, random_query
 
@@ -133,10 +134,10 @@ def test_witness_ignores_full_join_row_order(monkeypatch, reorder):
 # Search nodes a full search ticks on gen_random_db(query, 12, 4, seed) for
 # seeds 0-5 (every instance has at most 45 tuples).
 PINNED_NODES = {
-    "worked": (307, 567, 555, 99, 1, 369),
-    "cover": (5, 1, 13, 1, 4, 1),
-    "matrix": (7, 9, 130, 3, 3, 5),
-    "line3": (74, 41, 301, 23, 11, 9),
+    "worked": (7, 567, 197, 1, 1, 1),
+    "cover": (1, 1, 3, 1, 1, 1),
+    "matrix": (3, 9, 11, 1, 1, 1),
+    "line3": (1, 19, 91, 10, 1, 7),
     "star3": (1, 3, 1, 1, 3, 1),
 }
 
@@ -152,3 +153,23 @@ def test_node_counts_pin_the_search_order(name):
         brute_force_swp(query, db, budget=nodes, cap=45)
         with pytest.raises(BudgetExhausted):
             brute_force_swp(query, db, budget=nodes - 1, cap=45)
+
+
+# Instances of 92-133 tuples where the routes part from the optimum: past
+# the default cap, and each searched in at most 8,849 nodes.
+RATIO_CASES = (
+    [("Q(A, D) :- R1(A, B), R2(B, C), R3(C, D)", 40, 10, seed, solve_baseline_union)
+     for seed in range(1, 6)]
+    + [("Q(A, C) :- R1(A, B), R2(B, C)", 80, 14, seed, solve_greedy_single_nonoutput)
+       for seed in range(1, 4)])
+
+
+@pytest.mark.parametrize("text, rows, pool, seed, solve", RATIO_CASES,
+                         ids=[f"{s.__name__}-{seed}" for *_, seed, s in RATIO_CASES])
+def test_route_ratio_against_the_optimum(text, rows, pool, seed, solve):
+    query = parse_query(text)
+    db = gen_random_db(query, rows, pool, seed).database
+    optimum = brute_force_swp(query, db, cap=150, budget=20_000)
+    assert is_witness(query, db, optimum)
+    report = solve(query, db)
+    assert optimum.size <= report.witness_size <= report.claimed_ratio_bound * optimum.size
