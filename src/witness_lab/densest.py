@@ -23,8 +23,9 @@ all optimal sets, and its shortest sorted prefix that reaches the
 optimum is the lexicographically smallest optimal set.
 
 Vertices are numbered 0..n-1 in sorted order.  The greedy route numbers
-its demand hypergraphs once per solve (`demand_groups`), results too, so
-a pricing marks covered results by id and renumbers its live vertices.
+the tuples and results of its full join once per solve
+(`engine.incidence`), so a pricing marks covered results by id and
+renumbers its live vertices.
 
 Pricing takes one of two paths, chosen by the shape of the live demand
 keys.  When k >= 2 relations hold the join value, the distinct live keys
@@ -43,14 +44,14 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import compress, count
 from math import prod
-from operator import and_, attrgetter, itemgetter, not_
-from typing import Iterable, NamedTuple, Sequence
+from operator import and_, itemgetter, not_
+from typing import Iterable, NamedTuple
 
 # Pricing never evaluates Q(D); `evaluate` stays importable because the
 # benchmark's traced run (bench/layers.py) wraps `densest.evaluate`.
-from .engine import evaluate  # noqa: F401
+from .engine import evaluate, incidence  # noqa: F401
 from .errors import InternalInconsistency
-from .model import Query, projection
+from .model import Query
 
 
 class _DensityCore:
@@ -217,34 +218,23 @@ class PricedCandidate(NamedTuple):
         return Fraction(len(self.vertices), len(self.new_results))
 
 
-def demand_groups(query: Query, rows: Sequence[tuple[str, ...]]) -> tuple[list, list, dict]:
-    """Numbers the full join `rows` once and groups it by the value b of
-    the single non-output attribute.  A result reachable at b demands
-    one tuple per relation holding b: its demand key.  Returns the
-    vertices ((relation name, tuple) per id: each relation's joined
-    tuples in sorted order, relations in name order), the results (head
-    tuple per id, in row order) and the groups: per b, the ids of the
-    results reachable there and, in step, their demand keys (increasing
-    vertex ids)."""
+def demand_groups(query: Query, rows: list[tuple[str, ...]]) -> tuple[list, list, dict]:
+    """Numbers the full join `rows` once (`engine.incidence`) and groups
+    it by the value b of the single non-output attribute.  A result
+    reachable at b demands one tuple per relation holding b: its demand
+    key.  Returns the vertices and the results, as `incidence` numbers
+    them, and the groups: per b, the ids of the results reachable there
+    and, in step, their demand keys (increasing vertex ids)."""
     b_attr, = query.non_output
-    result_id: dict[tuple[str, ...], int] = {}
-    result_ids = [result_id.setdefault(t, len(result_id))
-                  for t in map(projection(query.attributes, sorted(query.head)), rows)]
-    vertices: list[tuple[str, tuple[str, ...]]] = []
-    columns = []  # per relation holding b: each row's vertex id
-    for rel in sorted(query.relations, key=attrgetter("name")):
-        if b_attr in rel.attribute_set:
-            tuples = list(map(projection(query.attributes, rel.sorted_attributes), rows))
-            ordered = sorted(set(tuples))
-            columns.append(map(dict(zip(ordered, count(len(vertices)))).__getitem__, tuples))
-            vertices += [(rel.name, t) for t in ordered]
+    vertices, results, columns, result_ids = incidence(query, rows)
+    holding = [ids for name, ids in columns.items() if b_attr in query.schema(name).attribute_set]
     groups: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
     for b, r, key in zip(map(itemgetter(query.attributes.index(b_attr)), rows), result_ids,
-                         zip(*columns)):
+                         zip(*holding)):
         ids, keys = groups[b]
         ids.append(r)
         keys.append(key)
-    return vertices, list(result_id), dict(groups)
+    return vertices, results, dict(groups)
 
 
 def min_price_candidate(group: tuple[list, list], covered: bytearray) -> PricedCandidate | None:

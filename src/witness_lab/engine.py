@@ -39,14 +39,14 @@ would do:
 
 `full_join_results` returns its rows in no particular order (set
 iteration order, which depends on the string-hash seed); callers that
-need an order sort, or take a minimum, themselves.
+need an order sort, take a minimum, or number them with `incidence`.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import repeat
-from operator import and_, itemgetter
+from itertools import count, repeat
+from operator import and_, attrgetter, itemgetter
 from typing import AbstractSet, NamedTuple
 
 from .errors import NotASubDatabase
@@ -210,11 +210,36 @@ def full_join_results(query: Query, db: Database) -> list[tuple[str, ...]]:
     return list(_join(query, db, frozenset(query.attributes)))
 
 
+def _number(values: list, first: int = 0) -> tuple[list, list[int]]:
+    """The distinct `values`, sorted, and per value its id: `first` plus
+    its index among them."""
+    ordered = sorted(set(values))
+    return ordered, list(map(dict(zip(ordered, count(first))).__getitem__, values))
+
+
+def incidence(query: Query, rows: list[tuple[str, ...]]) -> tuple[list, list, dict, list]:
+    """Numbers the full join results `rows` once; the ids depend on the
+    set of rows, not their order.  Returns the vertices ((relation name,
+    tuple) per id: relations in name order, each relation's joined tuples
+    sorted), the results (the sorted head tuples), per relation in name
+    order each row's vertex id, and per row its result id."""
+    vertices: list[tuple[str, tuple[str, ...]]] = []
+    columns: dict[str, list[int]] = {}
+    for schema in sorted(query.relations, key=attrgetter("name")):
+        to_relation = projection(query.attributes, schema.sorted_attributes)
+        ordered, columns[schema.name] = _number(list(map(to_relation, rows)), len(vertices))
+        vertices += [(schema.name, t) for t in ordered]
+    to_head = projection(query.attributes, sorted(query.head))
+    results, result_ids = _number(list(map(to_head, rows)))
+    return vertices, results, columns, result_ids
+
+
 def is_witness(query: Query, db: Database, witness: Database,
                results: frozenset[tuple[str, ...]] | None = None) -> bool:
     """True when the witness is a sub-database reproducing Q(D) exactly; a
-    query relation the witness lacks counts as empty.  `results` is Q(D)
-    when the caller has already evaluated it."""
+    query relation either database lacks counts as empty.  `results` is
+    Q(D) when the caller has already evaluated it."""
+    db = Database.of(query, db.instances)
     for schema in query.relations:
         rows, have = witness.instances.get(schema.name, frozenset()), db.instances[schema.name]
         if not rows <= have:  # name the smallest foreign row, whatever the set order

@@ -126,13 +126,15 @@ def min_label_cover_cost(instance: LabelCoverInstance) -> int:
     every right vertex a label set hitting one admissible pair against
     every left vertex's labels.  Exhaustive over the left labellings; each
     right vertex's cheapest hitting set is a set cover of the left vertices
-    by the labels, solved by `min_cover_size`."""
+    by the labels, solved by `min_cover_size` once per distinct list of
+    targets."""
     n = instance.n
     left_choices = [frozenset(c)
                     for size in range(1, len(instance.alphabet) + 1)
                     for c in itertools.combinations(instance.alphabet, size)]
     lefts = tuple(map(str, range(1, n + 1)))
     best: int | None = None
+    covers: dict[tuple[frozenset[str], ...], int] = {}  # targets -> cheapest hitting set
     for assignment in itertools.product(left_choices, repeat=n):
         cost = sum(len(labels) for labels in assignment)
         if best is not None and cost + n >= best:
@@ -149,10 +151,12 @@ def min_label_cover_cost(instance: LabelCoverInstance) -> int:
                 targets.append(allowed)
             if not feasible:
                 break
-            # a label covers the left vertices whose targets hold it
-            cost += min_cover_size(SetCoverInstance(lefts, tuple(
-                tuple(lefts[i] for i, target in enumerate(targets) if label in target)
-                for label in sorted(set().union(*targets)))))
+            key = tuple(targets)
+            if key not in covers:  # a label covers the left vertices whose targets hold it
+                covers[key] = min_cover_size(SetCoverInstance(lefts, tuple(
+                    tuple(lefts[i] for i, target in enumerate(targets) if label in target)
+                    for label in sorted(set().union(*targets)))))
+            cost += covers[key]
         if feasible and (best is None or cost < best):
             best = cost
     if best is None:

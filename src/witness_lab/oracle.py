@@ -1,8 +1,8 @@
 """Exact smallest-witness search on small instances.
 
-Tuples that survive dangling elimination are numbered into a bitmask.
-Each result row owns the set of full join results producing it; a tuple
-shared by every one of them is forced into any witness.  The search
+Each tuple of the full join is a bit (`engine.incidence` numbers them).
+Each result owns the masks of the full join results producing it; a
+tuple shared by every one of them is forced into any witness.  The search
 branches on the uncovered result with the fewest distinct ways to cover
 it, adding one full-join-result delta at a time; each node rescans only
 the results its parent left uncovered.  It prunes with an admissible
@@ -13,9 +13,9 @@ summed.
 """
 from __future__ import annotations
 
-from .engine import full_join_results
+from .engine import full_join_results, incidence
 from .errors import BudgetExhausted, InstanceTooLarge
-from .model import Database, Query, projection
+from .model import Database, Query
 from .structure import relation_components
 
 DEFAULT_ORACLE_CAP = 30
@@ -35,27 +35,11 @@ class _Budget:
 def _solve_connected(query: Query, full: list[tuple[str, ...]],
                      budget: _Budget) -> dict[str, set[tuple[str, ...]]]:
     """Minimum witness of one connected query from its full join results."""
-    to_head = projection(query.attributes, sorted(query.head_set))
-    to_relation = [(schema.name, projection(query.attributes, schema.sorted_attributes))
-                   for schema in query.relations]
-
-    # One pass numbers the tuples, records each relation's bits and
-    # collects each result's support masks.
-    tuple_ids: dict[tuple[str, tuple[str, ...]], int] = {}
-    relation_bits = [0] * len(to_relation)
-    by_result: dict[tuple[str, ...], list[int]] = {}
-    for fj in full:
-        mask = 0
-        for k, (name, project) in enumerate(to_relation):
-            key = (name, project(fj))
-            bit = tuple_ids.get(key)
-            if bit is None:
-                bit = tuple_ids[key] = len(tuple_ids)
-                relation_bits[k] |= 1 << bit
-            mask |= 1 << bit
-        by_result.setdefault(to_head(fj), []).append(mask)
-    results = sorted(by_result)
-    supports = [by_result[t] for t in results]
+    vertices, results, columns, result_ids = incidence(query, full)
+    supports: list[list[int]] = [[] for _ in results]  # per result: its masks
+    for r, ids in zip(result_ids, zip(*columns.values())):
+        supports[r].append(sum(map((1).__lshift__, ids)))  # relations' ids are disjoint
+    relation_bits = [sum(map((1).__lshift__, set(ids))) for ids in columns.values()]
 
     all_results = (1 << len(results)) - 1
     forced = 0
@@ -136,7 +120,7 @@ def _solve_connected(query: Query, full: list[tuple[str, ...]],
                      for delta in sorted(ways, key=branch_order, reverse=True))
 
     parts: dict[str, set[tuple[str, ...]]] = {}
-    for i, (name, row) in enumerate(tuple_ids):  # ids count up in insertion order
+    for i, (name, row) in enumerate(vertices):
         if best >> i & 1:
             parts.setdefault(name, set()).add(row)
     return parts
@@ -158,7 +142,7 @@ def brute_force_swp(query: Query, db: Database,
         head = [a for a in query.head
                 if any(a in query.schema(n).attribute_set for n in names)]
         sub = query.subquery(head, names)
-        full = sorted(full_join_results(sub, db.restrict(names)))  # tuple bits in row order
+        full = full_join_results(sub, db.restrict(names))
         if not full:  # Q(D) is empty: the empty database is the witness
             return Database.of(query, {})
         pieces.append((sub, full))

@@ -628,9 +628,9 @@ print(json.dumps(outputs))
 
 def test_greedy_witnesses_independent_of_hash_seed(tmp_path):
     """50 random single-non-output instances, each solved with `--algo
-    greedy` in one child process per fixed string-hash seed: result and
-    key ids follow the unordered full join, whose order the seed sets,
-    and the output bytes must not depend on it."""
+    greedy` in one child process per fixed string-hash seed: the demand
+    keys within a group follow the unordered full join, whose order the
+    seed sets, and the output bytes must not depend on it."""
     rng = random.Random(601)
     directories = []
     for i in range(50):

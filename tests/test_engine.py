@@ -4,11 +4,12 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from witness_lab import engine
-from witness_lab.engine import evaluate, full_join_results, is_witness
+from witness_lab.engine import evaluate, full_join_results, incidence, is_witness
 from witness_lab.errors import NotASubDatabase
 from witness_lab.model import Database, Query
 from witness_lab.qparser import parse_query
@@ -20,6 +21,7 @@ from corpus import (
     build_db,
     worked_example,
     naive_evaluate,
+    project,
     random_db,
     random_query,
     rows_to_tuples,
@@ -257,6 +259,63 @@ def test_is_witness_reads_a_missing_relation_as_empty():
     assert is_witness(query, db, Database({"R": db.instances["R"], "S": db.instances["S"]}))
     empty = Database.build(query, {"R": [{"A": "1", "B": "2"}]})  # S empty, so Q(D) is empty
     assert is_witness(query, empty, Database({}))
+
+
+def test_is_witness_reads_a_relation_the_database_lacks_as_empty():
+    query = parse_query("Q(A) :- R(A, B), S(B)")
+    db = Database({"R": frozenset({("a", "b")})})  # no S, so Q(D) is empty
+    assert is_witness(query, db, Database.of(query, {}))
+    with pytest.raises(NotASubDatabase):
+        is_witness(query, db, Database.of(query, {"S": [("b",)]}))
+
+
+def incidence_cases():
+    """Joins whose atoms are listed out of name order, then random ones."""
+    rng = random.Random(417)
+    query = parse_query("Q(A, D) :- T(C, D), S(B, C), R(A, B)")
+    cases = [(query, random_db(query, rng, max_rows=6, domain=3)) for _ in range(5)]
+    while len(cases) < 60:
+        query = random_query(rng, max_relations=4, max_attributes=5)
+        cases.append((query, random_db(query, rng, max_rows=5, domain=3)))
+    return cases
+
+
+def test_incidence_numbers_vertices_and_results_in_sorted_order():
+    nonempty = 0
+    for query, db in incidence_cases():
+        rows = full_join_results(query, db)
+        vertices, results, columns, result_ids = incidence(query, rows)
+        names = sorted(schema.name for schema in query.relations)
+        assert list(columns) == names
+        by_name = {schema.name: schema for schema in query.relations}
+        assert vertices == [(name, row) for name in names
+                            for row in sorted({project(query.attributes, fj,
+                                                       by_name[name].attributes)
+                                               for fj in rows})]
+        assert results == sorted(evaluate(query, db))
+        for j, fj in enumerate(rows):
+            assert results[result_ids[j]] == project(query.attributes, fj, query.head)
+            for name in names:
+                assert vertices[columns[name][j]] == (
+                    name, project(query.attributes, fj, by_name[name].attributes))
+        nonempty += bool(rows)
+    assert nonempty >= 30
+
+
+def test_incidence_ignores_row_order():
+    """Reversed or shuffled rows get the same vertices and results, and
+    each row keeps its result id and vertex ids."""
+    rng = random.Random(418)
+    for query, db in incidence_cases():
+        rows = full_join_results(query, db)
+        vertices, results, columns, result_ids = incidence(query, rows)
+        incident = Counter(zip(result_ids, zip(*columns.values())))
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        for reordered in (rows[::-1], shuffled):
+            other_vertices, other_results, other_columns, other_ids = incidence(query, reordered)
+            assert (other_vertices, other_results) == (vertices, results)
+            assert Counter(zip(other_ids, zip(*other_columns.values()))) == incident
 
 
 FOREIGN_ROWS_CHILD = """

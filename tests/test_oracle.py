@@ -108,8 +108,9 @@ def test_oracle_result_is_minimal_dropping_any_tuple_breaks_it():
 
 @pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
 def test_witness_ignores_full_join_row_order(monkeypatch, reorder):
-    """The oracle numbers tuples in row order, so it sorts the join rows it
-    is given: their order must not reach the witness."""
+    """The oracle numbers tuples and results in sorted order
+    (`engine.incidence`), so the order of the join rows it is given must
+    not reach the witness."""
     rng = random.Random(703)
     original = oracle.full_join_results
 
@@ -134,10 +135,10 @@ def test_witness_ignores_full_join_row_order(monkeypatch, reorder):
 # Search nodes a full search ticks on gen_random_db(query, 12, 4, seed) for
 # seeds 0-5 (every instance has at most 45 tuples).
 PINNED_NODES = {
-    "worked": (7, 567, 197, 1, 1, 1),
+    "worked": (7, 567, 197, 1, 1, 24),
     "cover": (1, 1, 3, 1, 1, 1),
-    "matrix": (3, 9, 11, 1, 1, 1),
-    "line3": (1, 19, 91, 10, 1, 7),
+    "matrix": (3, 9, 11, 1, 1, 5),
+    "line3": (1, 19, 91, 10, 30, 7),
     "star3": (1, 3, 1, 1, 3, 1),
 }
 
@@ -156,7 +157,7 @@ def test_node_counts_pin_the_search_order(name):
 
 
 # Instances of 92-133 tuples where the routes part from the optimum: past
-# the default cap, and each searched in at most 8,849 nodes.
+# the default cap, and each searched in at most 9,727 nodes.
 RATIO_CASES = (
     [("Q(A, D) :- R1(A, B), R2(B, C), R3(C, D)", 40, 10, seed, solve_baseline_union)
      for seed in range(1, 6)]
