@@ -18,11 +18,19 @@ filled into templates instead: a solve report's witness, its last key,
 by `storage.witness_to_json_text`, and the Steiner forest document by
 `dsf.dsf_to_json_text`.  A document is encoded in full before any of it
 is written.
+
+`main` pauses CPython's cyclic garbage collector while a command runs
+and restores the caller's setting on every exit: commands build acyclic
+tuples, sets and dicts, so its passes (about 75 per round of the `scan`
+benchmark) only scanned live objects.  The only cyclic garbage a command
+leaves is the closures of `json`'s indenting encoder, 33 objects on
+Python 3.11, which the next collection frees.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -167,7 +175,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     tables = None
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         tables = write_witness(query, report.witness, out)
         document["out_dir"] = str(out)
     # "witness" sorts after every other key, so its text ends the document
@@ -320,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (PreconditionViolated, NotALineQuery) as exc:
@@ -334,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     except (WitnessLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

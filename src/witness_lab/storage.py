@@ -34,30 +34,37 @@ def load_database(query: Query, directory: str | Path) -> Database:
             line = exc.object.count(b"\n", 0, exc.start) + 1
             raise MalformedCsv(schema.name, line,
                                f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            instances[schema.name] = _read_rows(schema, reader)
-        except csv.Error as exc:
-            raise MalformedCsv(schema.name, reader.line_num, str(exc)) from None
+        instances[schema.name] = _read_rows(schema, text)
     return Database(instances)
 
 
-def _read_rows(schema: RelationSchema, reader) -> frozenset[tuple[str, ...]]:
+def _read_rows(schema: RelationSchema, text: str) -> frozenset[tuple[str, ...]]:
+    """One relation's rows, read in bulk.  A ragged record or invalid CSV
+    sends the text to `_raise_first_bad_record`, which names its line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise HeaderMismatch(schema.name, schema.attributes, ()) from None
-    if sorted(header) != sorted(schema.attributes):
-        raise HeaderMismatch(schema.name, schema.attributes, header)
-    to_row = projection(header, schema.sorted_attributes)
-    rows = set()
-    for record in reader:
-        if not record:
-            continue  # blank line
-        if len(record) != len(header):
-            raise RaggedRow(schema.name, reader.line_num)
-        rows.add(to_row(record))
-    return frozenset(rows)
+        header = next(reader, ())
+        if sorted(header) != sorted(schema.attributes):
+            raise HeaderMismatch(schema.name, schema.attributes, header)
+        records = list(filter(None, reader))  # a blank line reads as []
+    except csv.Error:
+        records = None
+    if records is None or set(map(len, records)) - {len(header)}:
+        _raise_first_bad_record(schema, text)
+    return frozenset(map(projection(header, schema.sorted_attributes), records))
+
+
+def _raise_first_bad_record(schema: RelationSchema, text: str) -> None:
+    """Reads `text` record by record and raises for the first one that is
+    ragged or not valid CSV, with the physical line the reader is on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        width = len(next(reader))
+        for record in reader:
+            if record and len(record) != width:
+                raise RaggedRow(schema.name, reader.line_num)
+    except csv.Error as exc:
+        raise MalformedCsv(schema.name, reader.line_num, str(exc)) from None
 
 
 def _tables(query: Query, instances: dict[str, frozenset[tuple[str, ...]]]) -> Tables:

@@ -1,17 +1,27 @@
 """Test-side reference code that no `witness-lab` route runs: a single
 result's witness, the densest set of labelled hyperedges, the directed
 Steiner forest side of the path-query reduction (per-pair paths, the
-demand check, and the maps between witnesses and edge sets), and
-exhaustive minimum set cover and label cover."""
+demand check, and the maps between witnesses and edge sets),
+exhaustive minimum set cover and label cover, and a CSV loader that
+reads one record at a time."""
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 from witness_lab.densest import _DensityCore
 from witness_lab.dsf import DsfEdge, DsfInstance
 from witness_lab.engine import full_join_results
-from witness_lab.errors import UncoverableUniverse, UnsatisfiableConstraint
+from witness_lab.errors import (
+    HeaderMismatch,
+    MalformedCsv,
+    RaggedRow,
+    UncoverableUniverse,
+    UnsatisfiableConstraint,
+)
 from witness_lab.generators import LabelCoverInstance, SetCoverInstance
 from witness_lab.model import Database, Query, projection
 
@@ -24,6 +34,32 @@ def single_result_witness(query: Query, db: Database, result: tuple[str, ...]) -
     parts = {schema.name: {projection(query.attributes, schema.sorted_attributes)(fj)}
              for schema in query.relations}
     return Database.of(query, parts)
+
+
+def load_database_per_record(query: Query, directory: Path) -> Database:
+    """`storage.load_database` on readable relation files, as a loop that
+    checks and projects each CSV record in turn: the first record that is
+    ragged or not valid CSV raises with the line the reader is on."""
+    instances = {}
+    for schema in query.relations:
+        text = (directory / f"{schema.name}.csv").read_bytes().decode("utf-8-sig")
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader, ())
+            if sorted(header) != sorted(schema.attributes):
+                raise HeaderMismatch(schema.name, schema.attributes, header)
+            to_row = projection(header, schema.sorted_attributes)
+            rows = set()
+            for record in reader:
+                if not record:
+                    continue  # blank line
+                if len(record) != len(header):
+                    raise RaggedRow(schema.name, reader.line_num)
+                rows.add(to_row(record))
+        except csv.Error as exc:
+            raise MalformedCsv(schema.name, reader.line_num, str(exc)) from None
+        instances[schema.name] = frozenset(rows)
+    return Database(instances)
 
 
 def max_density_set(edges: dict[frozenset, int]) -> tuple[frozenset, Fraction]:

@@ -1,4 +1,5 @@
 """The command line front end, driven through main(argv)."""
+import gc
 import json
 import os
 import pathlib
@@ -650,3 +651,76 @@ def test_greedy_witnesses_independent_of_hash_seed(tmp_path):
     assert all(code == 0 and '"timing_ms"' not in text for code, text in outputs[0])
     assert sum(json.loads(text)["comparison"]["witness_size"] > 0 for _, text in outputs[0]) >= 35
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic garbage collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        return exc.code
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, data_dir, tmp_path, monkeypatch,
+                                                   collector, enabled):
+    qpath, dpath = worked_paths(data_dir)
+    text = "Q(A) :- R1(A, B), R2(A, B)"
+    query = parse_query(text)
+    (tmp_path / "query.txt").write_text(text + "\n")
+    write_database(query, Database.build(query, {"R1": [{"A": "a1", "B": "b1"}],
+                                                 "R2": [{"A": "a1", "B": "b1"}]}), tmp_path)
+    cases = [
+        (0, ["classify", qpath]),
+        (2, ["classify", str(tmp_path / "missing.txt")]),
+        (2, ["solve", qpath, dpath, "--algo", "fastest"]),
+        (3, ["solve", qpath, dpath, "--algo", "exact"]),
+        (4, ["solve", qpath, dpath, "--algo", "oracle", "--oracle-cap", "5"]),
+        (1, ["solve", str(tmp_path / "query.txt"), str(tmp_path)]),
+    ]
+    for code, argv in cases:
+        if code == 1:  # a full join that lost a result's rows
+            monkeypatch.setattr(solvers, "full_join_results", lambda query, db: [])
+        (gc.enable if enabled else gc.disable)()
+        assert exit_code(argv) == code
+        assert gc.isenabled() is enabled, argv
+
+
+def test_main_pauses_the_collector_while_a_command_runs(capsys, data_dir, monkeypatch,
+                                                         collector):
+    qpath, dpath = worked_paths(data_dir)
+    seen = []
+
+    def recording(query, db):
+        seen.append(gc.isenabled())
+        return solvers.solve_baseline_union(query, db)
+
+    monkeypatch.setattr(cli, "solve_baseline_union", recording)
+    gc.enable()
+    assert main(["solve", qpath, dpath, "--algo", "baseline"]) == 0
+    assert (seen, gc.isenabled()) == ([False], True)
+
+
+def test_solve_leaves_no_per_row_cycles(capsys, tmp_path, collector):
+    """With the collector paused, a command that built a reference cycle
+    per row would pile them up.  A `scan`-sized triangle solve with --out
+    leaves only the few closures of `json`'s indenting encoder."""
+    text = "Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)"
+    query = parse_query(text)
+    db = gen_random_db(query, 400, 29, seed=1).database
+    write_database(query, db, tmp_path / "data")
+    (tmp_path / "query.txt").write_text(text + "\n")
+    argv = ["solve", str(tmp_path / "query.txt"), str(tmp_path / "data"),
+            "--out", str(tmp_path / "out")]
+    cli.build_parser()  # built once per process, leaving argparse's own cycles
+    gc.collect()
+    gc.disable()  # so that nothing is collected between the command and the count
+    assert main(argv) == 0
+    assert gc.collect() <= 60

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from witness_lab.errors import HeaderMismatch, MissingRelationFile, RaggedRow
+from witness_lab.cli import main
+from witness_lab.errors import HeaderMismatch, MissingRelationFile, RaggedRow, WitnessLabError
 from witness_lab.model import Database
 from witness_lab.qparser import parse_query
 from witness_lab.storage import (
@@ -14,6 +15,7 @@ from witness_lab.storage import (
 )
 
 from corpus import WORKED_RESULTS, WORKED_TEXT, worked_example, naive_evaluate
+from reference import load_database_per_record
 
 
 def test_load_fixture_directory(data_dir):
@@ -76,6 +78,70 @@ def test_load_ragged_row_reports_line(tmp_path):
         with pytest.raises(RaggedRow) as err:
             load_database(query, tmp_path)
         assert f"line {line}" in str(err.value)
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"A,B\na1\na2,b2\n", 2),
+    (b"A,B\na1,b1\n\n\na2\na3,b3\n", 5),
+    (b"A,B\r\na1,b1\r\na2\r\na3,b3\r\n", 3),
+], ids=["first-data-row", "after-blank-lines", "crlf"])
+def test_load_ragged_row_line_after_bulk_read(tmp_path, data, line):
+    """Records are read in bulk and their lengths checked only then; the
+    error still names the physical line of the first ragged one.  CRLF is
+    what `write_database` writes."""
+    query = parse_query("Q(A) :- R(A, B)")
+    (tmp_path / "R.csv").write_bytes(data)
+    with pytest.raises(RaggedRow) as err:
+        load_database(query, tmp_path)
+    assert err.value.line == line
+
+
+OVERSIZED = "a9," + "x" * 131073 + "\n"  # over the csv module's field size limit
+
+
+@pytest.mark.parametrize("text", [
+    "A,B\na1\n" + OVERSIZED,
+    "A,B\na1,b1\n" + OVERSIZED + "a2\n",
+    "A,C\na1\n" + OVERSIZED,
+    "A," + "x" * 131073 + "\na1\n",
+    'A,B\n"a\n1",b1\n\na2,b2,c2\n' + OVERSIZED,
+], ids=["ragged-then-invalid", "invalid-then-ragged", "bad-header-then-invalid",
+        "invalid-header", "quoted-newline-then-ragged"])
+def test_load_errors_match_the_per_record_loader(tmp_path, text):
+    """Whichever of a ragged record and invalid CSV comes first is the one
+    reported, as when each record was checked as it was read."""
+    query = parse_query("Q(A) :- R(A, B)")
+    (tmp_path / "R.csv").write_text(text)
+    with pytest.raises(WitnessLabError) as bulk:
+        load_database(query, tmp_path)
+    with pytest.raises(WitnessLabError) as per_record:
+        load_database_per_record(query, tmp_path)
+    assert (type(bulk.value), str(bulk.value)) == \
+        (type(per_record.value), str(per_record.value))
+
+
+GENERATE_FLAGS = {
+    "cover": (),
+    "matrix": ("--n", "3", "--k", "2"),
+    "pyramid": (),
+    "line3": ("--n", "1", "--alphabet", "x,y", "--constraints", "1,1:x/x,y/y", "--t", "2"),
+    "random": ("--rows", "40", "--pool", "6", "--seed", "5"),
+}
+
+
+def test_bulk_load_matches_the_per_record_loader(capsys, data_dir, tmp_path):
+    directories = sorted(path.parent for path in data_dir.glob("*/query.txt"))
+    (tmp_path / "q.txt").write_text("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)\n")
+    for family, flags in GENERATE_FLAGS.items():
+        extra = ("--query", str(tmp_path / "q.txt")) if family == "random" else ()
+        assert main(["generate", family, "--out", str(tmp_path / family), *flags, *extra]) == 0
+        directories.append(tmp_path / family)
+    capsys.readouterr()
+    for directory in directories:
+        query = parse_query((directory / "query.txt").read_text())
+        db = load_database(query, directory)
+        assert db.size > 0
+        assert db == load_database_per_record(query, directory)
 
 
 def test_load_strips_utf8_byte_order_mark(tmp_path):
