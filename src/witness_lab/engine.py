@@ -37,6 +37,11 @@ would do:
   concatenated with a match, is the output tuple: nothing is reordered
   per pair.
 
+On an acyclic query, `full_reduction` finds each relation's rows that
+take part in some full join result without joining: Yannakakis's full
+reducer, semijoins up and then down the join tree that ear removal
+finds (`structure.join_tree`), keyed as the join steps are.
+
 `full_join_results` returns its rows in no particular order (set
 iteration order, which depends on the string-hash seed); callers that
 need an order sort, take a minimum, or number them with `incidence`.
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import compress, count, repeat
 from operator import and_, attrgetter, itemgetter
 from typing import AbstractSet, NamedTuple
 
@@ -208,6 +213,31 @@ def full_join_results(query: Query, db: Database) -> list[tuple[str, ...]]:
     """All full join results (tuples over `query.attributes`), in no
     particular order."""
     return list(_join(query, db, frozenset(query.attributes)))
+
+
+def full_reduction(query: Query, db: Database,
+                   tree: tuple[tuple[int, int], ...]) -> dict[str, frozenset[tuple[str, ...]]]:
+    """Per relation, its rows that take part in some full join result, on
+    an acyclic query whose (ear, parent) pairs, in removal order, are
+    `tree`.  Each parent is filtered by its ears on the way up, and each
+    ear by its parent on the way down: 2(n - 1) semijoins, each on the
+    attributes the two atoms share.  An ear that shares none keeps all
+    its rows when its parent has any, and none otherwise.  A relation the
+    database lacks counts as empty."""
+    relations = query.relations
+    rows = [db.instances.get(schema.name, _NONE) for schema in relations]
+
+    def semijoin(kept: int, by: int) -> None:
+        on = sorted(relations[kept].attribute_set & relations[by].attribute_set)
+        keys = set(map(_key(relations[by].sorted_attributes, on), rows[by]))
+        key = _key(relations[kept].sorted_attributes, on)
+        rows[kept] = frozenset(compress(rows[kept], map(keys.__contains__, map(key, rows[kept]))))
+
+    for ear, parent in tree:
+        semijoin(parent, ear)
+    for ear, parent in reversed(tree):
+        semijoin(ear, parent)
+    return {schema.name: kept for schema, kept in zip(relations, rows)}
 
 
 def _number(values: list, first: int = 0) -> tuple[list, list[int]]:

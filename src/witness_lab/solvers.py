@@ -12,7 +12,11 @@ unions one single-result witness per result row.
 
 Each subquery is joined once and the per-result choices are read off
 that one result set, as in Yannakakis, "Algorithms for acyclic database
-schemes" (VLDB 1981).
+schemes" (VLDB 1981).  The head-only atoms' projections are that paper's
+full reduction: on an acyclic query `engine.full_reduction` computes
+them by semijoins along the join tree in `classify`'s result, reading
+each relation a constant number of times instead of all of Q(D) once
+per atom; on a cyclic query they are projected from Q(D).
 """
 from __future__ import annotations
 
@@ -20,10 +24,10 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .densest import demand_groups, min_price_candidate
-from .engine import evaluate, full_join_results
+from .engine import evaluate, full_join_results, full_reduction
 from .errors import InternalInconsistency, PreconditionViolated
 from .linprog import fractional_edge_cover
 from .model import Database, Query, projection
@@ -61,12 +65,24 @@ class SolveReport:
         }
 
 
-def _head_only_parts(query: Query, results: frozenset) -> dict[str, set[tuple[str, ...]]]:
-    """Atoms inside the head contribute exactly the result projections;
-    every witness must contain them."""
-    head = sorted(query.head)
-    return {schema.name: set(map(projection(head, schema.sorted_attributes), results))
-            for schema in query.relations if schema.attribute_set <= query.head_set}
+def _head_only_parts(query: Query, db: Database,
+                     results: Iterable[tuple[str, ...]]) -> dict[str, AbstractSet[tuple[str, ...]]]:
+    """Atoms inside the head contribute exactly the result projections, Q(D)
+    being `results`; every witness must contain them.  On an acyclic query
+    these are the atoms' rows that take part in some full join result,
+    which the full reducer finds without reading `results`.  Otherwise
+    Q(D) is split into one column per head attribute once (none when it
+    is empty), and each atom zips its columns."""
+    inside = [schema for schema in query.relations if schema.attribute_set <= query.head_set]
+    if not inside:
+        return {}
+    tree = classify(query).join_tree
+    if tree is not None:
+        reduced = full_reduction(query, db, tree)
+        return {schema.name: reduced[schema.name] for schema in inside}
+    columns = dict(zip(sorted(query.head), zip(*results)))
+    return {schema.name: set(zip(*(columns.get(a, ()) for a in schema.sorted_attributes)))
+            for schema in inside}
 
 
 def _cheapest_joins(query: Query,
@@ -105,9 +121,9 @@ def _component_walk(query: Query, db: Database,
                     components: tuple[Component, ...]) -> tuple[Database, frozenset[tuple[str, ...]]]:
     """The witness and the Q(D) it was built from."""
     results = evaluate(query, db)
-    parts: dict[str, set[tuple[str, ...]]] = {}
+    parts: dict[str, AbstractSet[tuple[str, ...]]] = {}
     if results:
-        parts = _head_only_parts(query, results)
+        parts = _head_only_parts(query, db, results)
         for comp in components:
             sub = query.subquery(comp.output_attributes, comp.relations)
             to_sub = projection(sorted(query.head), sorted(comp.output_attributes))
@@ -149,7 +165,7 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
         raise PreconditionViolated("query must have exactly one non-output attribute")
     vertices, result_list, groups = demand_groups(query, full_join_results(query, db))
     results = frozenset(result_list)
-    parts = _head_only_parts(query, results)
+    parts = _head_only_parts(query, db, results)
     # (price key, value, round priced in, candidate); a value appears once,
     # so entries never compare beyond the value.  Only values joined with
     # some result are seeded; no other value can ever cover one.

@@ -26,7 +26,9 @@ attributes mixing output and non-output such that no relation's output
 part covers the set (a nested clique).  None of this reads a database, so
 `classify` keeps its last 64 results by query; a result is a frozen
 dataclass of tuples, safe to share.  The exact and approx solvers read
-their precondition and the existential components from it.
+their precondition and the existential components from it, and the
+solvers' head-only witness parts read the join tree that ear removal
+finds on an acyclic query.
 """
 from __future__ import annotations
 
@@ -66,32 +68,46 @@ def relation_components(query: Query) -> tuple[tuple[str, ...], ...]:
 
 # --- acyclicity via ear removal ------------------------------------------
 
-def _acyclic(atoms: list[frozenset[str]]) -> bool:
+JoinTree = tuple[tuple[int, int], ...]
+
+
+def _ear_removal(atoms: list[frozenset[str]]) -> JoinTree | None:
     """Ear removal (Graham; Yu and Ozsoyoglu, 1979).  An atom is an ear
     when every attribute it shares with the rest sits inside one other
-    atom.  Removing an ear never changes the outcome, so any order works."""
-    alive = list(atoms)
+    atom, its parent.  Removing an ear never changes the outcome, so any
+    order works.  Returns the (ear, parent) index pairs in removal order,
+    a join tree over every atom but the last one left, or None when the
+    atoms are cyclic."""
+    alive = list(range(len(atoms)))
+    tree: list[tuple[int, int]] = []
     while len(alive) > 1:
-        for i, attrs in enumerate(alive):
-            others = alive[:i] + alive[i + 1:]
-            shared = attrs & frozenset().union(*others)
-            if any(shared <= other for other in others):
-                del alive[i]
+        for ear in alive:
+            others = [i for i in alive if i != ear]
+            shared = atoms[ear] & frozenset().union(*map(atoms.__getitem__, others))
+            parent = next((i for i in others if shared <= atoms[i]), None)
+            if parent is not None:
+                tree.append((ear, parent))
+                alive.remove(ear)
                 break
         else:
-            return False
-    return True
+            return None
+    return tuple(tree)
+
+
+def join_tree(query: Query) -> JoinTree | None:
+    """Ear removal over the body atoms, indexed as in `query.relations`."""
+    return _ear_removal([r.attribute_set for r in query.relations])
 
 
 def is_acyclic(query: Query) -> bool:
-    return _acyclic([r.attribute_set for r in query.relations])
+    return join_tree(query) is not None
 
 
 def is_free_connex(query: Query) -> bool:
     """Acyclic, and still acyclic after adding an atom holding exactly the
     head attributes."""
     atoms = [r.attribute_set for r in query.relations]
-    return _acyclic(atoms) and _acyclic(atoms + [query.head_set])
+    return _ear_removal(atoms) is not None and _ear_removal(atoms + [query.head_set]) is not None
 
 
 # --- domination -----------------------------------------------------------
@@ -242,13 +258,17 @@ def find_nested_clique(query: Query) -> NestedClique | None:
 class Classification:
     label: Label
     connected: bool
-    acyclic: bool
+    join_tree: JoinTree | None  # `join_tree(query)`; None when cyclic
     free_connex: bool
     full: bool
     head_cluster: bool
     head_domination: bool
     components: tuple[Component, ...]
     certificate: FreeSequence | NestedClique | None
+
+    @property
+    def acyclic(self) -> bool:
+        return self.join_tree is not None
 
 
 @lru_cache(maxsize=64)
@@ -289,7 +309,7 @@ def classify(query: Query) -> Classification:
     return Classification(
         label=label,
         connected=len(relation_components(query)) <= 1,
-        acyclic=is_acyclic(query),
+        join_tree=join_tree(query),
         free_connex=is_free_connex(query),
         full=query.is_full,
         head_cluster=cluster,

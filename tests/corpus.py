@@ -180,11 +180,22 @@ def random_single_nonoutput_query(rng: random.Random) -> Query:
     return _assemble(rng, comps, set(head_pool), rng.randint(0, 2))
 
 
+def small_random_queries(count: int = 2600, seed: int = 6021) -> list[Query]:
+    """`random_query`'s queries of up to five atoms: about one in twenty is
+    cyclic, and about one acyclic query in four has a disconnected
+    relation graph."""
+    rng = random.Random(seed)
+    return [random_query(rng, max_relations=5) for _ in range(count)]
+
+
 def random_db(query: Query, rng: random.Random, max_rows: int = 6,
-              domain: int = 3) -> Database:
+              domain: int = 3, empty: float = 0.0) -> Database:
+    """Each relation gets 1 to `max_rows` random rows, or with chance
+    `empty` none at all."""
     tables: dict[str, list[dict[str, str]]] = {}
     for schema in query.relations:
+        rows = 0 if empty and rng.random() < empty else rng.randint(1, max_rows)
         tables[schema.name] = [{a: f"{a.lower()}v{rng.randint(1, domain)}"
                                 for a in schema.attributes}
-                               for _ in range(rng.randint(1, max_rows))]
+                               for _ in range(rows)]
     return Database.build(query, tables)

@@ -6,19 +6,19 @@ from fractions import Fraction
 import pytest
 
 from witness_lab import densest, solvers, structure
-from witness_lab.engine import evaluate, full_join_results, is_witness
+from witness_lab.engine import evaluate, full_join_results, full_reduction, is_witness
 from witness_lab.errors import InternalInconsistency, PreconditionViolated
 from witness_lab.generators import gen_random_db
 from witness_lab.model import Database, Query, projection
 from witness_lab.oracle import brute_force_swp
-from witness_lab.qparser import parse_query
+from witness_lab.qparser import format_query, parse_query
 from witness_lab.solvers import (
     solve_approx_head_domination,
     solve_baseline_union,
     solve_exact_head_cluster,
     solve_greedy_single_nonoutput,
 )
-from witness_lab.structure import classify, existential_components
+from witness_lab.structure import classify, existential_components, relation_components
 
 from corpus import (
     WORKED_SINGLE_RESULT,
@@ -33,6 +33,7 @@ from corpus import (
     random_head_domination_query,
     random_query,
     random_single_nonoutput_query,
+    small_random_queries,
 )
 from reference import max_density_set, single_result_witness
 
@@ -583,6 +584,97 @@ def test_cheapest_join_ignores_row_order(monkeypatch, reorder):
             solvers._add_cheapest_joins(got, query, cheapest, [t])
             assert Database.of(query, got) == Database.of(query, parts)
     assert tied >= 10
+
+
+class Unreadable:
+    """Stands in for Q(D) where it must not be read."""
+
+    def __iter__(self):
+        raise AssertionError("Q(D) was read")
+
+
+def projected_head_only_parts(query, db, results):
+    """Reference: each atom inside the head gets the projection of Q(D)."""
+    return {schema.name: {project(query.head, t, schema.attributes) for t in results}
+            for schema in query.relations if schema.attribute_set <= query.head_set}
+
+
+def witnesses_of_head_only_routes(query, db):
+    """The witness of each route that takes the head-only parts and whose
+    precondition `query` meets."""
+    witnesses = {}
+    for solve in (solve_exact_head_cluster, solve_approx_head_domination,
+                  solve_greedy_single_nonoutput):
+        try:
+            witnesses[solve.__name__] = solve(query, db).witness
+        except PreconditionViolated:
+            pass
+    return witnesses
+
+
+def test_head_only_parts_and_full_reduction_equal_projections(monkeypatch):
+    """On random queries and databases, some relations empty and many
+    relation graphs disconnected, the reducer keeps each relation's rows
+    that some full join result projects onto, the head-only parts equal
+    the projection of Q(D) and never read it on an acyclic query, and
+    every route that takes the head-only parts builds the same witness as
+    from the projection."""
+    rng = random.Random(508)
+    cases = []
+    acyclic = head_only = emptied = split_joined = split_emptied = 0
+    for query in small_random_queries():
+        db = random_db(query, rng, max_rows=5, domain=3, empty=0.15)
+        rows = full_join_results(query, db)
+        results = evaluate(query, db)
+        want = projected_head_only_parts(query, db, results)
+        tree = classify(query).join_tree
+        if tree is not None:
+            assert full_reduction(query, db, tree) == {
+                schema.name: {project(query.attributes, fj, schema.attributes) for fj in rows}
+                for schema in query.relations}, format_query(query)
+            results = Unreadable()
+            acyclic += 1
+        assert solvers._head_only_parts(query, db, results) == want, format_query(query)
+        head_only += any(want.values())
+        empty = not all(db.instances.values())
+        emptied += empty
+        # a relation graph in pieces: some ear shares nothing with its parent
+        split = len(relation_components(query)) > 1
+        split_joined += split and bool(rows)
+        split_emptied += split and empty
+        cases.append((query, db, witnesses_of_head_only_routes(query, db)))
+    assert acyclic >= 2000 and len(cases) - acyclic >= 100, (acyclic, len(cases))
+    assert min(head_only, emptied) >= 400 and min(split_joined, split_emptied) >= 100, (
+        head_only, emptied, split_joined, split_emptied)
+    monkeypatch.setattr(solvers, "_head_only_parts", projected_head_only_parts)
+    routes = 0
+    for query, db, witnesses in cases:
+        assert witnesses_of_head_only_routes(query, db) == witnesses, format_query(query)
+        routes += len(witnesses)
+    assert routes >= 2000, routes
+
+
+def test_head_only_parts_read_q_of_d_only_on_cyclic_queries():
+    """The full 3-path's head-only parts come from the reducer, which never
+    iterates Q(D); the triangle, which is cyclic, still projects it."""
+    path = parse_query("Q(A, B, C, D) :- R1(A, B), R2(B, C), R3(C, D)")
+    db = gen_random_db(path, 30, 6, seed=2).database
+    parts = solvers._head_only_parts(path, db, Unreadable())
+    assert any(parts.values())
+    assert parts == projected_head_only_parts(path, db, evaluate(path, db))
+    # a relation the database lacks counts as empty, as in `is_witness`
+    assert solvers._head_only_parts(path, Database({"R1": db.instances["R1"]}),
+                                    Unreadable()) == {"R1": set(), "R2": set(), "R3": set()}
+    triangle = parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)")
+    db = gen_random_db(triangle, 30, 4, seed=2).database
+    with pytest.raises(AssertionError, match=r"Q\(D\) was read"):
+        solvers._head_only_parts(triangle, db, Unreadable())
+    results = evaluate(triangle, db)
+    parts = solvers._head_only_parts(triangle, db, results)
+    assert any(parts.values())
+    assert parts == projected_head_only_parts(triangle, db, results)
+    assert solvers._head_only_parts(triangle, db, frozenset()) == {
+        "R1": set(), "R2": set(), "R3": set()}
 
 
 def test_report_json_renders_fractions_as_strings():

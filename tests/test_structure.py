@@ -19,11 +19,12 @@ from witness_lab.structure import (
     find_nested_clique,
     is_acyclic,
     is_free_connex,
+    join_tree,
     relation_components,
     rename,
 )
 
-from corpus import CATALOG, WIDE_TEXT, WORKED_TEXT, random_query
+from corpus import CATALOG, WIDE_TEXT, WORKED_TEXT, random_query, small_random_queries
 
 
 def test_graphs_of_wide_query():
@@ -145,20 +146,35 @@ def has_running_intersection_tree(atoms):
 
 
 def test_ear_removal_matches_spanning_tree_reference():
-    rng = random.Random(6021)
-    acyclic_only = free_connex = cyclic = 0
-    for _ in range(300):
-        query = random_query(rng, max_relations=5)
+    """Ear removal's (ear, parent) pairs are None exactly on the queries
+    the reference finds cyclic, and `classify` holds the same pairs.
+    Each pair removes a live ear whose attributes shared with the atoms
+    still left lie inside its live parent, until one atom is left."""
+    acyclic_only = free_connex = cyclic = disconnected = 0
+    for query in small_random_queries():
         atoms = [r.attribute_set for r in query.relations]
+        tree = join_tree(query)
         want_acyclic = has_running_intersection_tree(atoms)
         want_free_connex = want_acyclic and has_running_intersection_tree(atoms + [query.head_set])
-        assert is_acyclic(query) == want_acyclic, format_query(query)
+        assert (tree is not None) == want_acyclic == is_acyclic(query), format_query(query)
         assert is_free_connex(query) == want_free_connex, format_query(query)
+        assert classify(query).join_tree == tree
         acyclic_only += want_acyclic and not want_free_connex
         free_connex += want_free_connex
         cyclic += not want_acyclic
+        if tree is None:
+            continue
+        alive = set(range(len(atoms)))
+        for ear, parent in tree:
+            assert ear in alive and parent in alive and ear != parent, format_query(query)
+            alive.remove(ear)
+            shared = atoms[ear] & frozenset().union(*map(atoms.__getitem__, alive))
+            assert shared <= atoms[parent], format_query(query)
+        assert len(alive) == 1, format_query(query)
+        disconnected += len(relation_components(query)) > 1
     # every outcome occurs often enough for the comparison to mean something
-    assert min(acyclic_only, free_connex, cyclic) >= 10, (acyclic_only, free_connex, cyclic)
+    assert min(acyclic_only, free_connex, cyclic) >= 50, (acyclic_only, free_connex, cyclic)
+    assert acyclic_only + free_connex >= 2000 and disconnected >= 300, disconnected
 
 
 def test_head_cluster_examples():
@@ -262,6 +278,7 @@ def test_certificates_exist_exactly_without_domination():
 def test_classification_json_shape():
     doc = classification_to_json_dict(classify(parse_query(WORKED_TEXT)))
     assert doc["spec"] == "1"
+    assert doc["acyclic"] is True and "join_tree" not in doc
     assert doc["label"] == "LogHard"
     assert doc["certificate"] == {"type": "free_sequence", "attributes": ["A", "B", "C"]}
     assert {c["dominant"] for c in doc["components"]} == {None, "R4"}
