@@ -32,7 +32,6 @@ import argparse
 import functools
 import gc
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -237,15 +236,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         if not args.query:
             raise ValueError("the random family needs --query")
-        seed = args.seed
-        if seed is None:
-            seed_env = os.environ.get("WITNESS_LAB_SEED", "")
-            try:
-                seed = int(seed_env) if seed_env else 0
-            except ValueError:
-                raise ValueError(f"WITNESS_LAB_SEED is not an integer: {seed_env!r}") from None
         query = _read_query(args.query)
-        instance = gen_random_db(query, args.rows, args.pool, seed)
+        instance = gen_random_db(query, args.rows, args.pool, args.seed)
     out.mkdir(parents=True, exist_ok=True)
     (out / "query.txt").write_text(format_query(instance.query) + "\n", encoding="utf-8")
     write_database(instance.query, instance.database, out)
@@ -312,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="random family query file")
     p.add_argument("--rows", type=int, default=8, help="random rows per relation")
     p.add_argument("--pool", type=int, default=4, help="random values per attribute")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-predict", action="store_true",
                    help="skip the exponential predicted-size computation")
     p.set_defaults(func=cmd_generate)

@@ -40,7 +40,7 @@ would do:
 On an acyclic query, `full_reduction` finds each relation's rows that
 take part in some full join result without joining: Yannakakis's full
 reducer, semijoins up and then down the join tree that ear removal
-finds (`structure.join_tree`), keyed as the join steps are.
+finds (`Classification.join_tree`), keyed as the join steps are.
 
 `full_join_results` returns its rows in no particular order (set
 iteration order, which depends on the string-hash seed); callers that

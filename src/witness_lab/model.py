@@ -167,7 +167,3 @@ class Database:
     def size(self) -> int:
         return sum(len(rows) for rows in self.instances.values())
 
-    def restrict(self, relation_names: Iterable[str]) -> "Database":
-        keep = set(relation_names)
-        return Database({n: rows for n, rows in self.instances.items() if n in keep})
-

@@ -142,7 +142,7 @@ def brute_force_swp(query: Query, db: Database,
         head = [a for a in query.head
                 if any(a in query.schema(n).attribute_set for n in names)]
         sub = query.subquery(head, names)
-        full = full_join_results(sub, db.restrict(names))
+        full = full_join_results(sub, db)
         if not full:  # Q(D) is empty: the empty database is the witness
             return Database.of(query, {})
         pieces.append((sub, full))

@@ -127,7 +127,7 @@ def _component_walk(query: Query, db: Database,
         for comp in components:
             sub = query.subquery(comp.output_attributes, comp.relations)
             to_sub = projection(sorted(query.head), sorted(comp.output_attributes))
-            rows = full_join_results(sub, db.restrict(comp.relations))
+            rows = full_join_results(sub, db)
             _add_cheapest_joins(parts, sub, _cheapest_joins(sub, rows), set(map(to_sub, results)))
     return Database.of(query, parts), results
 

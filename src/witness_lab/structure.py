@@ -94,22 +94,6 @@ def _ear_removal(atoms: list[frozenset[str]]) -> JoinTree | None:
     return tuple(tree)
 
 
-def join_tree(query: Query) -> JoinTree | None:
-    """Ear removal over the body atoms, indexed as in `query.relations`."""
-    return _ear_removal([r.attribute_set for r in query.relations])
-
-
-def is_acyclic(query: Query) -> bool:
-    return join_tree(query) is not None
-
-
-def is_free_connex(query: Query) -> bool:
-    """Acyclic, and still acyclic after adding an atom holding exactly the
-    head attributes."""
-    atoms = [r.attribute_set for r in query.relations]
-    return _ear_removal(atoms) is not None and _ear_removal(atoms + [query.head_set]) is not None
-
-
 # --- domination -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -128,16 +112,11 @@ def existential_components(query: Query) -> tuple[Component, ...]:
     for members in _overlap_components({r.name: r.attribute_set - head
                                         for r in query.relations if r.attribute_set - head}):
         covered = frozenset().union(*(query.head_of(name) for name in members))
-        dominant = None
-        for name in members:
-            if covered <= query.schema(name).attribute_set:
-                dominant = name
-                break
-        if dominant is None:
-            for schema in sorted(query.relations, key=lambda r: r.name):
-                if schema.name not in members and covered <= schema.attribute_set & query.head_set:
-                    dominant = schema.name
-                    break
+        # members first, then every other relation by name; `covered` lies
+        # in the head, so holding it is covering it with output attributes
+        outside = sorted(r.name for r in query.relations if r.name not in members)
+        dominant = next((name for name in members + tuple(outside)
+                         if covered <= query.schema(name).attribute_set), None)
         comps.append(Component(members, tuple(sorted(covered)), dominant))
     return tuple(comps)
 
@@ -212,23 +191,19 @@ def rename(query: Query) -> Query:
                                               if a in r.attribute_set)
                                  for a in query.non_output})
     taken = set(query.attributes)
-    fresh: dict[frozenset[str], str] = {}
-    counter = 1
-    for members in comps:
+    fresh: dict[str, str] = {}  # per non-output attribute, its component's name
+    for counter, members in enumerate(comps, 1):
         name = f"F{counter}"
         while name in taken:
             name += "_"
         taken.add(name)
-        fresh[frozenset(members)] = name
-        counter += 1
-    relations = []
-    for r in query.relations:
-        attrs = [a for a in r.attributes if a in query.head_set]
-        for members in comps:
-            if set(members) & r.attribute_set:
-                attrs.append(fresh[frozenset(members)])
-        relations.append(RelationSchema(r.name, tuple(attrs)))
-    return Query(query.head, tuple(relations))
+        fresh.update(dict.fromkeys(members, name))
+    # an atom's non-output attributes are co-located, so all lie in one
+    # component and the set below holds at most one name
+    return Query(query.head, tuple(
+        RelationSchema(r.name, tuple(a for a in r.attributes if a in query.head_set)
+                       + tuple({fresh[a] for a in r.attributes if a in fresh}))
+        for r in query.relations))
 
 
 def find_nested_clique(query: Query) -> NestedClique | None:
@@ -258,7 +233,7 @@ def find_nested_clique(query: Query) -> NestedClique | None:
 class Classification:
     label: Label
     connected: bool
-    join_tree: JoinTree | None  # `join_tree(query)`; None when cyclic
+    join_tree: JoinTree | None  # ear removal's pairs over `query.relations`; None when cyclic
     free_connex: bool
     full: bool
     head_cluster: bool
@@ -306,11 +281,14 @@ def classify(query: Query) -> Classification:
         if certificate is None:
             raise InternalInconsistency("no domination, yet neither hardness certificate was found")
 
+    # free-connex: acyclic, and still so with an atom holding exactly the head
+    atoms = [r.attribute_set for r in query.relations]
+    tree = _ear_removal(atoms)
     return Classification(
         label=label,
         connected=len(relation_components(query)) <= 1,
-        join_tree=join_tree(query),
-        free_connex=is_free_connex(query),
+        join_tree=tree,
+        free_connex=tree is not None and _ear_removal(atoms + [head]) is not None,
         full=query.is_full,
         head_cluster=cluster,
         head_domination=domination,

@@ -2,8 +2,9 @@
 result's witness, the densest set of labelled hyperedges, the directed
 Steiner forest side of the path-query reduction (per-pair paths, the
 demand check, and the maps between witnesses and edge sets),
-exhaustive minimum set cover and label cover, and a CSV loader that
-reads one record at a time."""
+exhaustive minimum set cover and label cover, a CSV loader that reads
+one record at a time, and the existential components with their
+dominant relations found by two searches."""
 from __future__ import annotations
 
 import csv
@@ -24,6 +25,7 @@ from witness_lab.errors import (
 )
 from witness_lab.generators import LabelCoverInstance, SetCoverInstance
 from witness_lab.model import Database, Query, projection
+from witness_lab.structure import Component, _overlap_components
 
 
 def single_result_witness(query: Query, db: Database, result: tuple[str, ...]) -> Database:
@@ -187,3 +189,26 @@ def min_label_cover_cost(instance: LabelCoverInstance) -> int:
     if best is None:
         raise UnsatisfiableConstraint((0, 0))  # unreachable: full alphabet always works
     return best
+
+
+def two_loop_existential_components(query: Query) -> tuple[Component, ...]:
+    """`structure.existential_components` as two searches for the
+    dominant relation: first the members, then every other relation by
+    name, testing its output attributes."""
+    head = query.head_set
+    comps = []
+    for members in _overlap_components({r.name: r.attribute_set - head
+                                        for r in query.relations if r.attribute_set - head}):
+        covered = frozenset().union(*(query.head_of(name) for name in members))
+        dominant = None
+        for name in members:
+            if covered <= query.schema(name).attribute_set:
+                dominant = name
+                break
+        if dominant is None:
+            for schema in sorted(query.relations, key=lambda r: r.name):
+                if schema.name not in members and covered <= schema.attribute_set & query.head_set:
+                    dominant = schema.name
+                    break
+        comps.append(Component(members, tuple(sorted(covered)), dominant))
+    return tuple(comps)

@@ -434,36 +434,20 @@ def test_generate_random_needs_query(capsys, tmp_path):
     assert "--query" in err
 
 
-def test_generate_random_seed_determinism(capsys, tmp_path, monkeypatch):
+def test_generate_random_seed_determinism(capsys, tmp_path):
     qfile = tmp_path / "q.txt"
     qfile.write_text("Q(A) :- R1(A, B), R2(B)\n")
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    a, b, c, d = tmp_path / "a", tmp_path / "b", tmp_path / "c", tmp_path / "d"
     run(capsys, "generate", "random", "--out", str(a), "--query", str(qfile),
         "--seed", "7")
     run(capsys, "generate", "random", "--out", str(b), "--query", str(qfile),
         "--seed", "7")
-    monkeypatch.setenv("WITNESS_LAB_SEED", "7")
     run(capsys, "generate", "random", "--out", str(c), "--query", str(qfile))
+    run(capsys, "generate", "random", "--out", str(d), "--query", str(qfile),
+        "--seed", "0")
     assert (a / "R1.csv").read_bytes() == (b / "R1.csv").read_bytes()
-    assert (a / "R1.csv").read_bytes() == (c / "R1.csv").read_bytes()
-
-
-def test_generate_seedless_family_ignores_seed_variable(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("WITNESS_LAB_SEED", "abc")
-    code, out, err = run(capsys, "generate", "cover", "--out", str(tmp_path / "c"))
-    assert code == 0, err
-    assert err == ""
-    assert json.loads(out)["family"] == "cover"
-
-
-def test_generate_bad_seed_variable_names_it(capsys, tmp_path, monkeypatch):
-    qfile = tmp_path / "q.txt"
-    qfile.write_text("Q(A) :- R1(A, B), R2(B)\n")
-    monkeypatch.setenv("WITNESS_LAB_SEED", "abc")
-    code, _, err = run(capsys, "generate", "random", "--out", str(tmp_path / "x"),
-                       "--query", str(qfile))
-    assert code == 2
-    assert err == "error: WITNESS_LAB_SEED is not an integer: 'abc'\n"
+    # no --seed gives the bytes of --seed 0
+    assert (c / "R1.csv").read_bytes() == (d / "R1.csv").read_bytes()
 
 
 def test_generate_line3_needs_constraints(capsys, tmp_path):

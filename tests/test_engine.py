@@ -67,6 +67,26 @@ def test_matches_reference_on_random_queries():
         assert rows_to_tuples(full, full_join_results(query, db)) == naive_evaluate(full, db)
 
 
+
+def test_relations_outside_the_query_are_not_read():
+    """A subquery joins over the whole database, as the component walk and
+    the oracle join theirs: relations outside it change neither Q(D) nor
+    the full join results."""
+    rng = random.Random(417)
+    wider = 0
+    for _ in range(150):
+        query = random_query(rng)
+        db = random_db(query, rng, max_rows=4)
+        names = rng.sample([r.name for r in query.relations], rng.randint(1, len(query.relations)))
+        sub = query.subquery([a for a in query.head
+                              if any(a in query.schema(n).attribute_set for n in names)], names)
+        own = Database({name: db.instances[name] for name in names})
+        assert evaluate(sub, db) == evaluate(sub, own)
+        assert rows_to_tuples(sub, evaluate(sub, db)) == naive_evaluate(sub, own)
+        assert sorted(full_join_results(sub, db)) == sorted(full_join_results(sub, own))
+        wider += len(names) < len(query.relations)
+    assert wider >= 75, wider
+
 # Each query steers one atom of `engine._join` onto one of its paths.
 JOIN_PATHS = [
     ("first-atom-projected", "Q(C) :- R1(A, B), R2(B, C)"),

@@ -524,7 +524,7 @@ def reference_component_walk(query, db):
         for comp in existential_components(query):
             sub = query.subquery(comp.output_attributes, comp.relations)
             ties += smallest_join_per_result(
-                parts, sub, db.restrict(comp.relations),
+                parts, sub, db,
                 {project(query.head, t, comp.output_attributes) for t in results})
     return parts, ties
 

@@ -17,14 +17,19 @@ from witness_lab.structure import (
     existential_components,
     find_free_sequence,
     find_nested_clique,
-    is_acyclic,
-    is_free_connex,
-    join_tree,
     relation_components,
     rename,
 )
 
-from corpus import CATALOG, WIDE_TEXT, WORKED_TEXT, random_query, small_random_queries
+from corpus import (
+    CATALOG,
+    WIDE_TEXT,
+    WORKED_TEXT,
+    random_head_domination_query,
+    random_query,
+    small_random_queries,
+)
+from reference import two_loop_existential_components
 
 
 def test_graphs_of_wide_query():
@@ -100,16 +105,53 @@ def test_worked_example_components():
     assert comps[1].dominant == "R4"
 
 
+def test_dominant_search_matches_two_loop_reference():
+    """The one ordered search over members, then every other relation by
+    name, finds the component and dominant relation the earlier two loops
+    found, including the dominants outside their component."""
+    rng = random.Random(3030)
+    queries = (small_random_queries()
+               + [random_head_domination_query(rng) for _ in range(500)]
+               + [random_query(rng) for _ in range(500)])
+    searched = outside = 0  # components no member dominates; those some other relation does
+    for query in queries:
+        want = two_loop_existential_components(query)
+        assert existential_components(query) == want, format_query(query)
+        for c in want:
+            if c.dominant not in c.relations:
+                searched += 1
+                outside += c.dominant is not None
+    assert searched >= 150 and outside >= 10, (searched, outside)
+
+
 def test_acyclicity():
-    assert is_acyclic(parse_query(WORKED_TEXT))
-    assert not is_acyclic(parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)"))
+    assert classify(parse_query(WORKED_TEXT)).acyclic
+    assert not classify(parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)")).acyclic
 
 
 def test_free_connex():
-    assert is_free_connex(parse_query("Q(A) :- R1(A, B), R2(B)"))
-    assert not is_free_connex(parse_query(WORKED_TEXT))
-    assert is_free_connex(parse_query("Q() :- R(A, B)"))  # boolean, acyclic
-    assert not is_free_connex(parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)"))
+    assert classify(parse_query("Q(A) :- R1(A, B), R2(B)")).free_connex
+    assert not classify(parse_query(WORKED_TEXT)).free_connex
+    assert classify(parse_query("Q() :- R(A, B)")).free_connex  # boolean, acyclic
+    assert not classify(parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)")).free_connex
+
+
+def test_classify_runs_ear_removal_once_more_only_when_acyclic(monkeypatch):
+    """One ear removal gives the join tree; only an acyclic query needs a
+    second, with the head as an extra atom, for free-connexity."""
+    calls = []
+    original = structure._ear_removal
+
+    def counting(atoms):
+        calls.append(atoms)
+        return original(atoms)
+
+    monkeypatch.setattr(structure, "_ear_removal", counting)
+    for text, want in ((WORKED_TEXT, 2), ("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)", 1)):
+        classify.cache_clear()
+        calls.clear()
+        classify(parse_query(text))
+        assert len(calls) == want, text
 
 
 def prufer_tree(sequence, n):
@@ -146,19 +188,20 @@ def has_running_intersection_tree(atoms):
 
 
 def test_ear_removal_matches_spanning_tree_reference():
-    """Ear removal's (ear, parent) pairs are None exactly on the queries
-    the reference finds cyclic, and `classify` holds the same pairs.
-    Each pair removes a live ear whose attributes shared with the atoms
-    still left lie inside its live parent, until one atom is left."""
+    """The (ear, parent) pairs `classify` holds are None exactly on the
+    queries the reference finds cyclic, and its free-connex flag agrees
+    with the reference on the atoms plus the head.  Each pair removes a
+    live ear whose attributes shared with the atoms still left lie inside
+    its live parent, until one atom is left."""
     acyclic_only = free_connex = cyclic = disconnected = 0
     for query in small_random_queries():
         atoms = [r.attribute_set for r in query.relations]
-        tree = join_tree(query)
+        c = classify(query)
+        tree = c.join_tree
         want_acyclic = has_running_intersection_tree(atoms)
         want_free_connex = want_acyclic and has_running_intersection_tree(atoms + [query.head_set])
-        assert (tree is not None) == want_acyclic == is_acyclic(query), format_query(query)
-        assert is_free_connex(query) == want_free_connex, format_query(query)
-        assert classify(query).join_tree == tree
+        assert (tree is not None) == want_acyclic == c.acyclic, format_query(query)
+        assert c.free_connex == want_free_connex, format_query(query)
         acyclic_only += want_acyclic and not want_free_connex
         free_connex += want_free_connex
         cyclic += not want_acyclic
