@@ -75,7 +75,7 @@ def line_to_dsf(query: Query, db: Database) -> DsfInstance:
     hops = []  # per hop: its relation, its rows sorted, and their two end columns
     for hop, name in enumerate(order):
         attrs = query.schema(name).sorted_attributes
-        rows = sorted(db.instances[name])
+        rows = sorted(db.instances.get(name, ()))
         ends = [list(map(itemgetter(attrs.index(a)), rows)) for a in chain[hop:hop + 2]]
         layers[hop].update(ends[0])
         layers[hop + 1].update(ends[1])

@@ -144,13 +144,13 @@ def _plan(query: Query, extra: frozenset[str]) -> tuple[_Step, ...]:
 
 
 def _join(query: Query, db: Database, extra: frozenset[str]) -> AbstractSet[tuple[str, ...]]:
-    """The one join loop over `_plan`'s steps.  Stops early once the
-    accumulator is empty."""
+    """The one join loop over `_plan`'s steps.  A relation `db` lacks
+    counts as empty.  Stops early once the accumulator is empty."""
     relations = query.relations
     acc: AbstractSet[tuple[str, ...]] = frozenset()
     for i, last, acc_attrs, new, kept, keep, shared, hops in _plan(query, extra):
         schema = relations[i]
-        rows = db.instances[schema.name]
+        rows = db.instances.get(schema.name, _NONE)
         attrs = schema.sorted_attributes
         if i == 0:
             acc = rows if keep == attrs else set(map(_part(attrs, keep), rows))
@@ -171,8 +171,8 @@ def _join(query: Query, db: Database, extra: frozenset[str]) -> AbstractSet[tupl
                 for n, (atom, on, adds) in enumerate(hops, 1):
                     hop_attrs = relations[atom].sorted_attributes
                     value = _part if n == len(hops) else _key
-                    get = _index(db.instances[relations[atom].name], _key(hop_attrs, on),
-                                 value(hop_attrs, adds)).get
+                    get = _index(db.instances.get(relations[atom].name, _NONE),
+                                 _key(hop_attrs, on), value(hop_attrs, adds)).get
                     reached = {part: ends for part, keys in reached.items()
                                if (ends := set().union(*map(get, keys, repeat(_NONE))))}
                     if not reached:
@@ -187,7 +187,7 @@ def _join(query: Query, db: Database, extra: frozenset[str]) -> AbstractSet[tupl
                 for other in relations[i + 1:last + 1]:
                     other_attrs = other.sorted_attributes
                     on = [a for a in acc_attrs if a in other.attribute_set]
-                    index = _index(db.instances[other.name], _key(other_attrs, on),
+                    index = _index(db.instances.get(other.name, _NONE), _key(other_attrs, on),
                                    _part(other_attrs, new))
                     matches = map(and_, matches, map(index.get, map(_key(acc_attrs, on), lefts),
                                                      repeat(_NONE)))
@@ -269,11 +269,11 @@ def is_witness(query: Query, db: Database, witness: Database,
     """True when the witness is a sub-database reproducing Q(D) exactly; a
     query relation either database lacks counts as empty.  `results` is
     Q(D) when the caller has already evaluated it."""
-    db = Database.of(query, db.instances)
     for schema in query.relations:
-        rows, have = witness.instances.get(schema.name, frozenset()), db.instances[schema.name]
+        rows = witness.instances.get(schema.name, _NONE)
+        have = db.instances.get(schema.name, _NONE)
         if not rows <= have:  # name the smallest foreign row, whatever the set order
             raise NotASubDatabase(schema.name, schema.sorted_attributes, min(rows - have))
     if results is None:
         results = evaluate(query, db)
-    return evaluate(query, Database.of(query, witness.instances)) == results
+    return evaluate(query, witness) == results

@@ -1,14 +1,15 @@
 """Witness construction.
 
-The shared core walks the components of the existential graph: atoms
-made of output attributes alone contribute the projections of the result
-set, and every other component contributes, per projected result, the
-single cheapest full join result of its subquery.  That procedure is
-optimal on head-cluster queries and within a factor of twice the atom
-count under head domination; both read the precondition and the
-components from the query's cached `classify` result.  A greedy cover
-loop handles queries with one non-output attribute, and the baseline
-unions one single-result witness per result row.
+The shared core walks the components of the existential graph, read
+from the query's cached `classify` result: atoms made of output
+attributes alone contribute the projections of the result set, and
+every other component contributes, per projected result, the single
+cheapest full join result of its subquery.  It serves three routes.  It
+is optimal on head-cluster queries and within a factor of twice the atom
+count under head domination, and on any query it is the baseline's union
+of one cheapest single-result witness per result row, since a result's
+full join results are the product of its components'.  A greedy cover
+loop handles queries with one non-output attribute.
 
 Each subquery is joined once and the per-result choices are read off
 that one result set, as in Yannakakis, "Algorithms for acyclic database
@@ -24,14 +25,14 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable
 
 from .densest import demand_groups, min_price_candidate
 from .engine import evaluate, full_join_results, full_reduction
 from .errors import InternalInconsistency, PreconditionViolated
 from .linprog import fractional_edge_cover
 from .model import Database, Query, projection
-from .structure import Component, classify
+from .structure import classify
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,13 @@ def _head_only_parts(query: Query, db: Database,
             for schema in inside}
 
 
-def _cheapest_joins(query: Query,
-                    rows: Iterable[tuple[str, ...]]) -> dict[tuple[str, ...], tuple[str, ...]]:
-    """Per result (a tuple over the sorted head), the lexicographically
-    smallest of the full join results `rows`, given in any order, that
-    projects onto it.  One join serves every result; its keys are Q(D)."""
+def _add_cheapest_joins(parts: dict[str, set[tuple[str, ...]]], query: Query,
+                        rows: Iterable[tuple[str, ...]],
+                        wanted: Iterable[tuple[str, ...]]) -> None:
+    """Add, for each wanted result (a tuple over the sorted head), the
+    tuples of the lexicographically smallest of the full join results
+    `rows`, given in any order, that projects onto it.  One join serves
+    every result; a wanted result none projects onto is a bug."""
     to_head = projection(query.attributes, sorted(query.head))
     cheapest: dict[tuple[str, ...], tuple[str, ...]] = {}
     for fj in rows:
@@ -97,14 +100,6 @@ def _cheapest_joins(query: Query,
         best = cheapest.get(t)
         if best is None or fj < best:
             cheapest[t] = fj
-    return cheapest
-
-
-def _add_cheapest_joins(parts: dict[str, set[tuple[str, ...]]], query: Query,
-                        cheapest: Mapping[tuple[str, ...], tuple[str, ...]],
-                        wanted: Iterable[tuple[str, ...]]) -> None:
-    """Add, for each wanted result, the tuples of its entry in `cheapest`
-    (from `_cheapest_joins`)."""
     to_relation = [(parts.setdefault(schema.name, set()),
                     projection(query.attributes, schema.sorted_attributes))
                    for schema in query.relations]
@@ -113,42 +108,41 @@ def _add_cheapest_joins(parts: dict[str, set[tuple[str, ...]]], query: Query,
         if fj is None:
             raise InternalInconsistency(f"no full join result projects onto "
                                         f"{dict(zip(sorted(query.head), result))}")
-        for rows, project in to_relation:
-            rows.add(project(fj))
+        for kept, project in to_relation:
+            kept.add(project(fj))
 
 
-def _component_walk(query: Query, db: Database,
-                    components: tuple[Component, ...]) -> tuple[Database, frozenset[tuple[str, ...]]]:
-    """The witness and the Q(D) it was built from."""
+def _component_walk(query: Query, db: Database) -> tuple[Database, frozenset[tuple[str, ...]]]:
+    """The witness and the Q(D) it was built from.  A component holding
+    every atom is the query itself, and Q(D) is what it wants."""
     results = evaluate(query, db)
     parts: dict[str, AbstractSet[tuple[str, ...]]] = {}
     if results:
         parts = _head_only_parts(query, db, results)
-        for comp in components:
-            sub = query.subquery(comp.output_attributes, comp.relations)
-            to_sub = projection(sorted(query.head), sorted(comp.output_attributes))
-            rows = full_join_results(sub, db)
-            _add_cheapest_joins(parts, sub, _cheapest_joins(sub, rows), set(map(to_sub, results)))
+        for comp in classify(query).components:
+            sub, wanted = query, results
+            if len(comp.relations) < len(query.relations):
+                sub = query.subquery(comp.output_attributes, comp.relations)
+                wanted = set(map(projection(sorted(query.head), comp.output_attributes), results))
+            _add_cheapest_joins(parts, sub, full_join_results(sub, db), wanted)
     return Database.of(query, parts), results
 
 
 def solve_exact_head_cluster(query: Query, db: Database) -> SolveReport:
     """Minimum witness for queries where every existential component is
     dominated by each of its members."""
-    c = classify(query)
-    if not c.head_cluster:
+    if not classify(query).head_cluster:
         raise PreconditionViolated("query is not head-cluster")
-    witness, results = _component_walk(query, db, c.components)
+    witness, results = _component_walk(query, db)
     return SolveReport(witness, "exact", db.size, results, Fraction(1))
 
 
 def solve_approx_head_domination(query: Query, db: Database) -> SolveReport:
     """Witness within 2 * (number of atoms) of the optimum for queries
     whose existential components all have a dominating relation."""
-    c = classify(query)
-    if not c.head_domination:
+    if not classify(query).head_domination:
         raise PreconditionViolated("query is not head-dominated")
-    witness, results = _component_walk(query, db, c.components)
+    witness, results = _component_walk(query, db)
     return SolveReport(witness, "approx", db.size, results, Fraction(2 * len(query.relations)))
 
 
@@ -205,14 +199,16 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
 
 
 def solve_baseline_union(query: Query, db: Database) -> SolveReport:
-    """Union of one single-result witness per result row.  Size is at most
-    (number of atoms) * min(N, result count); the claimed ratio bound is
-    N ** (1 - 1/rho) for the fractional edge cover number rho."""
-    cheapest = _cheapest_joins(query, full_join_results(query, db))
-    results = frozenset(cheapest)
-    parts: dict[str, set[tuple[str, ...]]] = {}
-    _add_cheapest_joins(parts, query, cheapest, results)
+    """Union of one single-result witness per result row: the
+    lexicographically smallest full join result projecting onto it.  Size
+    is at most (number of atoms) * min(N, result count); the claimed ratio
+    bound is N ** (1 - 1/rho) for the fractional edge cover number rho.
+
+    Existential components share only output attributes, and head-only
+    atoms hold only output attributes, so a result's full join results
+    are the product of its components' and the smallest of them is each
+    component's smallest, combined: the component walk builds this union."""
+    witness, results = _component_walk(query, db)
     rho = fractional_edge_cover(query)
     bound = float(db.size) ** float(1 - Fraction(1) / rho) if db.size else 0.0
-    return SolveReport(Database.of(query, parts), "baseline", db.size, results, bound, rho)
-
+    return SolveReport(witness, "baseline", db.size, results, bound, rho)

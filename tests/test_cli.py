@@ -122,16 +122,18 @@ def test_solve_precondition_failure_exits_3(capsys, tmp_path, algo, text, requir
     assert err == f"error: solver precondition not met: {requirement}\n"
 
 
-def test_solve_internal_inconsistency_exits_1(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("algo", ["exact", "baseline"])
+def test_solve_internal_inconsistency_exits_1(capsys, tmp_path, monkeypatch, algo):
     """A full join that lost a result's rows is a bug, reported as one
-    line with exit 1."""
+    line with exit 1, on every route that cross-checks its joins with Q(D)."""
     text = "Q(A) :- R1(A, B), R2(A, B)"
     query = parse_query(text)
     (tmp_path / "query.txt").write_text(text + "\n")
     write_database(query, Database.build(query, {"R1": [{"A": "a1", "B": "b1"}],
                                                  "R2": [{"A": "a1", "B": "b1"}]}), tmp_path)
     monkeypatch.setattr(solvers, "full_join_results", lambda query, db: [])
-    code, out, err = run(capsys, "solve", str(tmp_path / "query.txt"), str(tmp_path))
+    code, out, err = run(capsys, "solve", str(tmp_path / "query.txt"), str(tmp_path),
+                         "--algo", algo)
     assert (code, out) == (1, "")
     assert err == "internal error: no full join result projects onto {'A': 'a1'}\n"
 
@@ -267,13 +269,16 @@ def test_solve_evaluates_once_over_db_and_once_over_witness(capsys, tmp_path, mo
     doc = json.loads(out)
     assert doc["report"]["algorithm"] == algo
     assert doc["report"]["result_count"] > 0
-    if algo in ("greedy", "baseline"):
-        # these routes read Q(D) off their one full join over the database
+    if algo == "greedy":
+        # greedy reads Q(D) off its one full join over the database
         assert joined == [db]
         assert len(evaluated) == 1
     else:
+        # the other routes evaluate Q(D) over the database, and verification the witness
         assert len(evaluated) == 2
         assert evaluated[0] == db
+    if algo == "baseline":  # its one component is the whole query, joined once
+        assert joined == [db]
 
 
 TIMING = re.compile(r'^ *"timing_ms": .*\n', re.MULTILINE)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from witness_lab import densest, solvers, structure
+from witness_lab.dsf import line_to_dsf
 from witness_lab.engine import evaluate, full_join_results, full_reduction, is_witness
 from witness_lab.errors import InternalInconsistency, PreconditionViolated
 from witness_lab.generators import gen_random_db
@@ -576,14 +577,83 @@ def test_cheapest_join_ignores_row_order(monkeypatch, reorder):
     tied = 0
     for query, db, results, baseline in cases:
         assert solve_baseline_union(query, db).witness == baseline
-        cheapest = solvers._cheapest_joins(query, solvers.full_join_results(query, db))
+        rows = solvers.full_join_results(query, db)
         for t in results:
             parts: dict = {}
             tied += smallest_join_per_result(parts, query, db, [t])
             got: dict = {}
-            solvers._add_cheapest_joins(got, query, cheapest, [t])
+            solvers._add_cheapest_joins(got, query, rows, [t])
             assert Database.of(query, got) == Database.of(query, parts)
     assert tied >= 10
+
+
+def test_baseline_is_the_component_walk():
+    """A result's full join results are the product of its components',
+    so the smallest whole-query join per result, the baseline's union, is
+    each component's smallest, combined."""
+    rng = random.Random(531)
+    split = 0
+    for query in small_random_queries(1000):
+        db = random_db(query, rng, max_rows=6, domain=3)
+        witness = solve_baseline_union(query, db).witness
+        assert witness == Database.of(query, reference_baseline(query, db)[0]), format_query(query)
+        assert witness == Database.of(query, reference_component_walk(query, db)[0])
+        head_only = any(schema.attribute_set <= query.head_set for schema in query.relations)
+        split += len(existential_components(query)) > 1 or head_only
+    assert split >= 600, split
+
+
+@pytest.mark.parametrize("text", [
+    "Q(A, C, E) :- R1(A, B), R2(B, C), R3(C, D), R4(D, E)",
+    WORKED_TEXT,
+], ids=["two-two-hops", "worked"])
+def test_baseline_joins_each_component_alone(monkeypatch, text):
+    query = parse_query(text)
+    db = gen_random_db(query, 40, 6, seed=1).database
+    joined = []
+
+    def spy(sub, d):
+        joined.append(sub)
+        return full_join_results(sub, d)
+
+    monkeypatch.setattr(solvers, "full_join_results", spy)
+    report = solve_baseline_union(query, db)
+    assert report.result_count > 0
+    assert [sub.relations for sub in joined] == [
+        tuple(query.schema(name) for name in c.relations) for c in classify(query).components]
+    assert all(len(sub.relations) < len(query.relations) for sub in joined)
+
+
+def outcome(entry, *args):
+    """What `entry` returns, or the type of what it raises."""
+    try:
+        return entry(*args)
+    except Exception as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("text, missing", [
+    ("Q(A) :- R(A, B), S(B)", "S"),
+    ("Q(A) :- R(A, B), S(B)", "R"),
+    ("Q(A) :- R(A, B), S(A, B)", "S"),
+    ("Q(A1, A4) :- R1(A1, A2), R2(A2, A3), R3(A3, A4)", "R3"),
+    ("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)", "R3"),
+])
+def test_a_relation_the_database_lacks_reads_as_empty(text, missing):
+    """Every entry point gives the same output with a relation absent from
+    the `Database` as with it empty: the first atom, a line's last hop and
+    an atom folded into a cyclic step each read it."""
+    query = parse_query(text)
+    full = gen_random_db(query, 4, 2, seed=7).database
+    lacking = Database({name: rows for name, rows in full.instances.items() if name != missing})
+    empty = Database({**full.instances, missing: frozenset()})
+    entries = [evaluate, lambda q, d: sorted(full_join_results(q, d)),
+               solve_exact_head_cluster, solve_approx_head_domination,
+               solve_greedy_single_nonoutput, solve_baseline_union, brute_force_swp, line_to_dsf,
+               lambda q, d: is_witness(q, d, Database.of(q, {}))]
+    assert evaluate(query, full)  # so the join reaches the missing atom's step
+    for entry in entries:
+        assert outcome(entry, query, lacking) == outcome(entry, query, empty)
 
 
 class Unreadable:
