@@ -1,5 +1,10 @@
 """Exact smallest-witness search on small instances.
 
+It searches inside `solvers._component_walk`.  Head-only atoms hold
+their projections of Q(D), and existential components share only output
+attributes, so OPT = |head-only parts| + sum_c OPT_c(pi_c(Q(D))): each
+component is searched alone, and one budget counts the nodes of them all.
+
 Each tuple of the full join is a bit (`engine.incidence` numbers them).
 Each result owns the masks of the full join results producing it; a
 tuple shared by every one of them is forced into any witness.  The search
@@ -8,15 +13,16 @@ it, adding one full-join-result delta at a time; each node rescans only
 the results its parent left uncovered.  It prunes with an admissible
 packing bound: in each relation, uncovered results whose tuples there
 miss the chosen set and one another each cost at least one tuple.
-Connected pieces of the query are solved independently and their minima
-summed.
 """
 from __future__ import annotations
 
-from .engine import full_join_results, incidence
+from fractions import Fraction
+from typing import AbstractSet, Iterable
+
+from .engine import incidence
 from .errors import BudgetExhausted, InstanceTooLarge
-from .model import Database, Query
-from .structure import relation_components
+from .model import Database, Query, projection
+from .solvers import SolveReport, _component_walk
 
 DEFAULT_ORACLE_CAP = 30
 
@@ -127,7 +133,7 @@ def _solve_connected(query: Query, full: list[tuple[str, ...]],
 
 
 def brute_force_swp(query: Query, db: Database,
-                    budget: int | None = None, cap: int = DEFAULT_ORACLE_CAP) -> Database:
+                    budget: int | None = None, cap: int = DEFAULT_ORACLE_CAP) -> SolveReport:
     """Provably minimum witness by exhaustive search.  Refuses databases
     larger than `cap` tuples; `budget` limits explored search nodes."""
     if budget is not None and budget < 0:
@@ -136,20 +142,13 @@ def brute_force_swp(query: Query, db: Database,
         raise ValueError(f"exhaustive-search cap must be nonnegative, got {cap}")
     if db.size > cap:
         raise InstanceTooLarge(db.size, cap)
-    pieces: list[tuple[Query, list[tuple[str, ...]]]] = []
-    for component in relation_components(query):
-        names = sorted(component)
-        head = [a for a in query.head
-                if any(a in query.schema(n).attribute_set for n in names)]
-        sub = query.subquery(head, names)
-        full = full_join_results(sub, db)
-        if not full:  # Q(D) is empty: the empty database is the witness
-            return Database.of(query, {})
-        pieces.append((sub, full))
     meter = _Budget(budget)
-    parts: dict[str, set[tuple[str, ...]]] = {}
-    for sub, full in pieces:
-        piece = _solve_connected(sub, full, meter)
-        for name, rows in piece.items():
-            parts.setdefault(name, set()).update(rows)
-    return Database.of(query, parts)
+
+    def search(parts: dict, sub: Query, rows: Iterable, wanted: AbstractSet) -> None:
+        to_head = projection(sub.attributes, sorted(sub.head))
+        kept = [row for row in rows if to_head(row) in wanted]
+        for name, found in _solve_connected(sub, kept, meter).items():
+            parts.setdefault(name, set()).update(found)
+
+    witness, results = _component_walk(query, db, search)
+    return SolveReport(witness, "oracle", db.size, results, Fraction(1))

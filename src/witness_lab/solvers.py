@@ -3,13 +3,13 @@
 The shared core walks the components of the existential graph, read
 from the query's cached `classify` result: atoms made of output
 attributes alone contribute the projections of the result set, and
-every other component contributes, per projected result, the single
-cheapest full join result of its subquery.  It serves three routes.  It
-is optimal on head-cluster queries and within a factor of twice the atom
-count under head domination, and on any query it is the baseline's union
-of one cheapest single-result witness per result row, since a result's
-full join results are the product of its components'.  A greedy cover
-loop handles queries with one non-output attribute.
+every other component hands its subquery's join and the projected
+results it wants to a builder.  Four routes share it: the oracle's
+builder searches a minimum, and one cheapest full join result per
+projected result is optimal on head-cluster queries, within twice the
+atom count under head domination, and the baseline's union on any query,
+a result's full join results being the product of its components'.
+A greedy cover loop handles queries with one non-output attribute.
 
 Each subquery is joined once and the per-result choices are read off
 that one result set, as in Yannakakis, "Algorithms for acyclic database
@@ -25,7 +25,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from .densest import demand_groups, min_price_candidate
 from .engine import evaluate, full_join_results, full_reduction
@@ -112,9 +112,10 @@ def _add_cheapest_joins(parts: dict[str, set[tuple[str, ...]]], query: Query,
             kept.add(project(fj))
 
 
-def _component_walk(query: Query, db: Database) -> tuple[Database, frozenset[tuple[str, ...]]]:
-    """The witness and the Q(D) it was built from.  A component holding
-    every atom is the query itself, and Q(D) is what it wants."""
+def _component_walk(query: Query, db: Database, build: Callable[..., None],
+                    ) -> tuple[Database, frozenset[tuple[str, ...]]]:
+    """The witness and the Q(D) it was built from, by `build` per component.
+    A component holding every atom is the query itself, wanting Q(D)."""
     results = evaluate(query, db)
     parts: dict[str, AbstractSet[tuple[str, ...]]] = {}
     if results:
@@ -124,7 +125,7 @@ def _component_walk(query: Query, db: Database) -> tuple[Database, frozenset[tup
             if len(comp.relations) < len(query.relations):
                 sub = query.subquery(comp.output_attributes, comp.relations)
                 wanted = set(map(projection(sorted(query.head), comp.output_attributes), results))
-            _add_cheapest_joins(parts, sub, full_join_results(sub, db), wanted)
+            build(parts, sub, full_join_results(sub, db), wanted)
     return Database.of(query, parts), results
 
 
@@ -133,7 +134,7 @@ def solve_exact_head_cluster(query: Query, db: Database) -> SolveReport:
     dominated by each of its members."""
     if not classify(query).head_cluster:
         raise PreconditionViolated("query is not head-cluster")
-    witness, results = _component_walk(query, db)
+    witness, results = _component_walk(query, db, _add_cheapest_joins)
     return SolveReport(witness, "exact", db.size, results, Fraction(1))
 
 
@@ -142,7 +143,7 @@ def solve_approx_head_domination(query: Query, db: Database) -> SolveReport:
     whose existential components all have a dominating relation."""
     if not classify(query).head_domination:
         raise PreconditionViolated("query is not head-dominated")
-    witness, results = _component_walk(query, db)
+    witness, results = _component_walk(query, db, _add_cheapest_joins)
     return SolveReport(witness, "approx", db.size, results, Fraction(2 * len(query.relations)))
 
 
@@ -208,7 +209,7 @@ def solve_baseline_union(query: Query, db: Database) -> SolveReport:
     atoms hold only output attributes, so a result's full join results
     are the product of its components' and the smallest of them is each
     component's smallest, combined: the component walk builds this union."""
-    witness, results = _component_walk(query, db)
+    witness, results = _component_walk(query, db, _add_cheapest_joins)
     rho = fractional_edge_cover(query)
     bound = float(db.size) ** float(1 - Fraction(1) / rho) if db.size else 0.0
     return SolveReport(witness, "baseline", db.size, results, bound, rho)

@@ -95,7 +95,7 @@ def solver_suite(kind):
         query = builder(rng)
         db = random_db(query, rng, max_rows=4, domain=2)
         if db.size <= 24:
-            out.append((query, db, brute_force_swp(query, db).size))
+            out.append((query, db, brute_force_swp(query, db).witness_size))
     return tuple(out)
 
 
@@ -104,7 +104,7 @@ def test_criterion_01_worked_example(data_dir):
         query = parse_query((data_dir / "worked" / "query.txt").read_text())
         db = load_database(query, data_dir / "worked")
         assert rows_to_tuples(query, evaluate(query, db)) == WORKED_RESULTS
-        witness = brute_force_swp(query, db)
+        witness = brute_force_swp(query, db).witness
         assert witness.size == WORKED_OPTIMUM
         assert is_witness(query, db, witness)
         single = single_result_witness(query, db, WORKED_SINGLE_RESULT)
@@ -143,7 +143,7 @@ def test_criterion_03_cover_family():
                 continue
             gi = gen_cover_db(instance)
             assert gi.predicted_witness_size == len(universe) + gi.metadata["min_cover"]
-            assert brute_force_swp(gi.query, gi.database).size == gi.predicted_witness_size
+            assert brute_force_swp(gi.query, gi.database).witness_size == gi.predicted_witness_size
             produced += 1
 
 
@@ -152,7 +152,7 @@ def test_criterion_04_matrix_family():
         for n in range(1, 5):
             for k in range(1, n + 1):
                 gi = gen_matrix_db(n, k)
-                witness = brute_force_swp(gi.query, gi.database)
+                witness = brute_force_swp(gi.query, gi.database).witness
                 assert witness.size == n * (k + 1) == gi.predicted_witness_size
                 # the whole-database witness realises the bound integrally
                 assert is_witness(gi.query, gi.database, witness)
@@ -277,7 +277,7 @@ def test_criterion_10_path_query_round_trip():
             gi = gen_line3_db(LabelCoverInstance(2, alphabet, constraints), t=2)
             instance = line_to_dsf(gi.query, gi.database)
 
-            oracle = brute_force_swp(gi.query, gi.database, cap=40)
+            oracle = brute_force_swp(gi.query, gi.database, cap=40).witness
             assert oracle.size <= gi.predicted_witness_size
             for witness in (oracle, solve_baseline_union(gi.query, gi.database).witness):
                 ids = witness_to_edge_ids(instance, witness)

@@ -12,7 +12,6 @@ import random
 import pytest
 
 from witness_lab.cli import main
-from witness_lab.engine import evaluate
 from witness_lab.model import Database, Query, RelationSchema
 from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import parse_query
@@ -58,16 +57,14 @@ def as_assignments(query: Query, witness) -> dict[str, set[frozenset]]:
             for schema in query.relations}
 
 
-def oracle_report(query, db):
-    witness = brute_force_swp(query, db)
-    return witness, {"witness_size": witness.size, "results": len(evaluate(query, db))}
-
-
 def solver_report(solve):
     def run(query, db):
         report = solve(query, db)
         return report.witness, report.to_json_dict() | {"results": len(report.results)}
     return run
+
+
+oracle_report = solver_report(brute_force_swp)
 
 
 ROUTES = [

@@ -159,7 +159,7 @@ def test_cover_family_matches_oracle():
     assert gi.metadata["family"] == "cover"
     assert gi.metadata["min_cover"] == 1
     assert len(gi.database.instances["R2"]) == 3
-    assert brute_force_swp(gi.query, gi.database).size == gi.predicted_witness_size
+    assert brute_force_swp(gi.query, gi.database).witness_size == gi.predicted_witness_size
 
 
 def test_cover_family_without_prediction():
@@ -175,7 +175,7 @@ def test_matrix_family_matches_oracle():
     assert gi.predicted_witness_size == 3 * 3
     assert len(gi.database.instances["R1"]) == 3
     assert len(gi.database.instances["R2"]) == 2 * 3
-    assert brute_force_swp(gi.query, gi.database).size == 9
+    assert brute_force_swp(gi.query, gi.database).witness_size == 9
 
 
 def test_pyramid_family_matches_oracle():
@@ -183,7 +183,7 @@ def test_pyramid_family_matches_oracle():
     n, k = 2, 1
     assert gi.predicted_witness_size == (k + 4) * n * n + k * n == 22
     assert gi.database.size == 22  # the canonical construction is the whole db here
-    assert brute_force_swp(gi.query, gi.database).size == 22
+    assert brute_force_swp(gi.query, gi.database).witness_size == 22
 
 
 def test_pyramid_row_counts():
@@ -213,7 +213,7 @@ def test_line3_family_shape_and_prediction():
 def test_line3_prediction_bounds_the_optimum():
     inst = lc(1, "xy", {(1, 1): {("x", "x"), ("y", "y")}})
     gi = gen_line3_db(inst, t=1)
-    assert brute_force_swp(gi.query, gi.database).size <= gi.predicted_witness_size
+    assert brute_force_swp(gi.query, gi.database).witness_size <= gi.predicted_witness_size
 
 
 def test_random_family_is_seed_deterministic():

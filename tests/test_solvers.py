@@ -76,7 +76,7 @@ def test_exact_matches_oracle_on_random_head_cluster():
             continue
         report = solve_exact_head_cluster(query, db)
         assert is_witness(query, db, report.witness)
-        assert report.witness_size == brute_force_swp(query, db).size
+        assert report.witness_size == brute_force_swp(query, db).witness_size
         checked += 1
     assert checked >= 15
 
@@ -115,7 +115,7 @@ def test_approx_stays_within_claimed_factor():
             continue
         report = solve_approx_head_domination(query, db)
         assert is_witness(query, db, report.witness)
-        optimum = brute_force_swp(query, db).size
+        optimum = brute_force_swp(query, db).witness_size
         assert report.witness_size <= report.claimed_ratio_bound * optimum
         assert report.claimed_ratio_bound == 2 * len(query.relations)
         checked += 1
@@ -138,7 +138,7 @@ def test_greedy_covers_worked_cover_instance():
     report = solve_greedy_single_nonoutput(query, db)
     assert is_witness(query, db, report.witness)
     # both join values needed: three R1 rows plus both R2 rows
-    assert report.witness_size == brute_force_swp(query, db).size == 5
+    assert report.witness_size == brute_force_swp(query, db).witness_size == 5
     assert report.claimed_ratio_bound == 1.0 + math.log(3)
 
 
@@ -178,7 +178,7 @@ def test_greedy_within_log_factor_on_random_instances():
             continue
         report = solve_greedy_single_nonoutput(query, db)
         assert is_witness(query, db, report.witness)
-        optimum = brute_force_swp(query, db).size
+        optimum = brute_force_swp(query, db).witness_size
         assert report.witness_size <= report.claimed_ratio_bound * max(1, optimum)
         checked += 1
     assert checked >= 12
@@ -603,11 +603,17 @@ def test_baseline_is_the_component_walk():
     assert split >= 600, split
 
 
-@pytest.mark.parametrize("text", [
-    "Q(A, C, E) :- R1(A, B), R2(B, C), R3(C, D), R4(D, E)",
-    WORKED_TEXT,
-], ids=["two-two-hops", "worked"])
-def test_baseline_joins_each_component_alone(monkeypatch, text):
+def oracle_at_its_size(query, db):
+    return brute_force_swp(query, db, cap=db.size)
+
+
+@pytest.mark.parametrize("solve, text", [
+    (solve, text) for solve in (solve_baseline_union, oracle_at_its_size)
+    for text in ("Q(A, C, E) :- R1(A, B), R2(B, C), R3(C, D), R4(D, E)", WORKED_TEXT)
+], ids=["two-two-hops", "worked", "oracle-two-two-hops", "oracle-worked"])
+def test_baseline_joins_each_component_alone(monkeypatch, solve, text):
+    """The baseline and the oracle join each existential component alone,
+    never the whole query or a relation component holding two of them."""
     query = parse_query(text)
     db = gen_random_db(query, 40, 6, seed=1).database
     joined = []
@@ -617,7 +623,7 @@ def test_baseline_joins_each_component_alone(monkeypatch, text):
         return full_join_results(sub, d)
 
     monkeypatch.setattr(solvers, "full_join_results", spy)
-    report = solve_baseline_union(query, db)
+    report = solve(query, db)
     assert report.result_count > 0
     assert [sub.relations for sub in joined] == [
         tuple(query.schema(name) for name in c.relations) for c in classify(query).components]
