@@ -56,6 +56,7 @@ from typing import AbstractSet, NamedTuple
 
 from .errors import NotASubDatabase
 from .model import Database, Query, projection
+from .structure import pieces
 
 
 def _key(source: tuple[str, ...], target: list[str]):
@@ -264,16 +265,30 @@ def incidence(query: Query, rows: list[tuple[str, ...]]) -> tuple[list, list, di
     return vertices, results, columns, result_ids
 
 
+# Q(D) as (piece, result set) pairs, one per `structure.pieces` entry; a
+# piece's results are tuples over its sorted head.
+Factors = tuple[tuple[Query, frozenset[tuple[str, ...]]], ...]
+
+
 def is_witness(query: Query, db: Database, witness: Database,
-               results: frozenset[tuple[str, ...]] | None = None) -> bool:
+               results: Factors | None = None) -> bool:
     """True when the witness is a sub-database reproducing Q(D) exactly; a
     query relation either database lacks counts as empty.  `results` is
-    Q(D) when the caller has already evaluated it."""
+    Q(D)'s factors when the caller has already evaluated them.
+
+    Pieces share no attribute, so Q(D) is the product of their result
+    sets, and Q(W) of theirs over the witness.  When every factor over D
+    is nonempty, each is a projection of Q(D), so the products are equal
+    exactly when every factor is.  When one is empty Q(D) is empty, and
+    Q(W) equals it exactly when some factor over W is empty too.  Each
+    piece is evaluated over W; the products are never built."""
     for schema in query.relations:
         rows = witness.instances.get(schema.name, _NONE)
         have = db.instances.get(schema.name, _NONE)
         if not rows <= have:  # name the smallest foreign row, whatever the set order
             raise NotASubDatabase(schema.name, schema.sorted_attributes, min(rows - have))
     if results is None:
-        results = evaluate(query, db)
-    return evaluate(query, witness) == results
+        results = tuple((sub, evaluate(sub, db)) for sub in pieces(query))
+    wanted = [rows for _, rows in results]
+    got = [evaluate(sub, witness) for sub, _ in results]
+    return got == wanted or not (all(got) or all(wanted))

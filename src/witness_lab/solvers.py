@@ -1,15 +1,27 @@
 """Witness construction.
 
+Q(D) is evaluated one factor at a time.  The query's pieces
+(`structure.pieces`, one per relation component) share no attribute, so
+Q(D) is the product of their result sets: the product lemma.  When every
+factor is nonempty, each is the projection of Q(D) onto its piece's
+head, so a witness reproduces Q(D) exactly when it reproduces every
+factor; when one is empty Q(D) is empty, the witness is empty, and any
+sub-database reproduces it.  `engine.is_witness` checks a witness piece
+by piece on the same grounds, and the product is never built.
+
 The shared core walks the components of the existential graph, read
-from the query's cached `classify` result: atoms made of output
-attributes alone contribute the projections of the result set, and
-every other component hands its subquery's join and the projected
-results it wants to a builder.  Four routes share it: the oracle's
-builder searches a minimum, and one cheapest full join result per
-projected result is optimal on head-cluster queries, within twice the
-atom count under head domination, and the baseline's union on any query,
-a result's full join results being the product of its components'.
-A greedy cover loop handles queries with one non-output attribute.
+from the query's cached `classify` result; each lies inside one piece.
+Atoms made of output attributes alone contribute the projections of
+their piece's results, and every other component hands its subquery's
+join and the projected results it wants to a builder: a component that
+holds every atom of its piece is that piece, wanting its result set as
+is.  Four routes share it: the oracle's builder searches a minimum, and
+one cheapest full join result per projected result is optimal on
+head-cluster queries, within twice the atom count under head
+domination, and the baseline's union on any query, a result's full join
+results being the product of its components'.  A greedy cover loop
+handles queries with one non-output attribute; it joins the whole query,
+connected or not, and reports Q(D) as one factor.
 
 Each subquery is joined once and the per-result choices are read off
 that one result set, as in Yannakakis, "Algorithms for acyclic database
@@ -17,7 +29,8 @@ schemes" (VLDB 1981).  The head-only atoms' projections are that paper's
 full reduction: on an acyclic query `engine.full_reduction` computes
 them by semijoins along the join tree in `classify`'s result, reading
 each relation a constant number of times instead of all of Q(D) once
-per atom; on a cyclic query they are projected from Q(D).
+per atom; on a cyclic query they are projected from their pieces'
+results.
 """
 from __future__ import annotations
 
@@ -28,11 +41,11 @@ from fractions import Fraction
 from typing import AbstractSet, Callable, Iterable
 
 from .densest import demand_groups, min_price_candidate
-from .engine import evaluate, full_join_results, full_reduction
+from .engine import Factors, evaluate, full_join_results, full_reduction
 from .errors import InternalInconsistency, PreconditionViolated
 from .linprog import fractional_edge_cover
 from .model import Database, Query, projection
-from .structure import classify
+from .structure import classify, pieces
 
 
 @dataclass(frozen=True)
@@ -42,7 +55,7 @@ class SolveReport:
     witness: Database
     algorithm: str
     db_size: int
-    results: frozenset[tuple[str, ...]] = field(repr=False)  # Q(D), kept for verification
+    results: Factors = field(repr=False)  # Q(D)'s factors, kept for verification
     claimed_ratio_bound: Fraction | float
     rho_star: Fraction | None = None
 
@@ -52,7 +65,7 @@ class SolveReport:
 
     @property
     def result_count(self) -> int:
-        return len(self.results)
+        return math.prod(len(rows) for _, rows in self.results)
 
     def to_json_dict(self) -> dict:
         bound = self.claimed_ratio_bound
@@ -67,13 +80,14 @@ class SolveReport:
 
 
 def _head_only_parts(query: Query, db: Database,
-                     results: Iterable[tuple[str, ...]]) -> dict[str, AbstractSet[tuple[str, ...]]]:
-    """Atoms inside the head contribute exactly the result projections, Q(D)
-    being `results`; every witness must contain them.  On an acyclic query
-    these are the atoms' rows that take part in some full join result,
-    which the full reducer finds without reading `results`.  Otherwise
-    Q(D) is split into one column per head attribute once (none when it
-    is empty), and each atom zips its columns."""
+                     results: Factors) -> dict[str, AbstractSet[tuple[str, ...]]]:
+    """Atoms inside the head contribute exactly the result projections,
+    Q(D)'s factors being `results`; every witness must contain them.  On
+    an acyclic query these are the atoms' rows that take part in some
+    full join result, which the full reducer finds without reading
+    `results`.  Otherwise each piece holding such an atom splits its
+    results into one column per head attribute once (none when they are
+    empty), and each of its atoms zips its columns."""
     inside = [schema for schema in query.relations if schema.attribute_set <= query.head_set]
     if not inside:
         return {}
@@ -81,9 +95,15 @@ def _head_only_parts(query: Query, db: Database,
     if tree is not None:
         reduced = full_reduction(query, db, tree)
         return {schema.name: reduced[schema.name] for schema in inside}
-    columns = dict(zip(sorted(query.head), zip(*results)))
-    return {schema.name: set(zip(*(columns.get(a, ()) for a in schema.sorted_attributes)))
-            for schema in inside}
+    parts: dict[str, AbstractSet[tuple[str, ...]]] = {}
+    for sub, rows in results:
+        atoms = [schema for schema in inside if schema in sub.relations]
+        if atoms:
+            columns = dict(zip(sorted(sub.head), zip(*rows)))
+            for schema in atoms:
+                parts[schema.name] = set(zip(*(columns.get(a, ())
+                                               for a in schema.sorted_attributes)))
+    return parts
 
 
 def _add_cheapest_joins(parts: dict[str, set[tuple[str, ...]]], query: Query,
@@ -113,18 +133,20 @@ def _add_cheapest_joins(parts: dict[str, set[tuple[str, ...]]], query: Query,
 
 
 def _component_walk(query: Query, db: Database, build: Callable[..., None],
-                    ) -> tuple[Database, frozenset[tuple[str, ...]]]:
-    """The witness and the Q(D) it was built from, by `build` per component.
-    A component holding every atom is the query itself, wanting Q(D)."""
-    results = evaluate(query, db)
+                    ) -> tuple[Database, Factors]:
+    """The witness and the factors of Q(D) it was built from, by `build`
+    per existential component.  Each piece is evaluated once; a component
+    holding every atom of its piece is that piece, wanting its results."""
+    results = tuple((sub, evaluate(sub, db)) for sub in pieces(query))
     parts: dict[str, AbstractSet[tuple[str, ...]]] = {}
-    if results:
+    if all(rows for _, rows in results):
         parts = _head_only_parts(query, db, results)
+        piece_of = {schema.name: factor for factor in results for schema in factor[0].relations}
         for comp in classify(query).components:
-            sub, wanted = query, results
-            if len(comp.relations) < len(query.relations):
+            sub, wanted = piece_of[comp.relations[0]]
+            if len(comp.relations) < len(sub.relations):
+                wanted = set(map(projection(sorted(sub.head), comp.output_attributes), wanted))
                 sub = query.subquery(comp.output_attributes, comp.relations)
-                wanted = set(map(projection(sorted(query.head), comp.output_attributes), results))
             build(parts, sub, full_join_results(sub, db), wanted)
     return Database.of(query, parts), results
 
@@ -160,7 +182,7 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
         raise PreconditionViolated("query must have exactly one non-output attribute")
     vertices, result_list, groups = demand_groups(query, full_join_results(query, db))
     results = frozenset(result_list)
-    parts = _head_only_parts(query, db, results)
+    parts = _head_only_parts(query, db, ((query, results),))
     # (price key, value, round priced in, candidate); a value appears once,
     # so entries never compare beyond the value.  Only values joined with
     # some result are seeded; no other value can ever cover one.
@@ -196,7 +218,7 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
         remaining -= len(best.new_results)
         round_no += 1
     bound = 1.0 + math.log(max(1, len(results)))
-    return SolveReport(Database.of(query, parts), "greedy", db.size, results, bound)
+    return SolveReport(Database.of(query, parts), "greedy", db.size, ((query, results),), bound)
 
 
 def solve_baseline_union(query: Query, db: Database) -> SolveReport:

@@ -26,9 +26,9 @@ attributes mixing output and non-output such that no relation's output
 part covers the set (a nested clique).  None of this reads a database, so
 `classify` keeps its last 64 results by query; a result is a frozen
 dataclass of tuples, safe to share.  The exact and approx solvers read
-their precondition and the existential components from it, and the
+their precondition and the existential components from it, the
 solvers' head-only witness parts read the join tree that ear removal
-finds on an acyclic query.
+finds on an acyclic query, and `pieces` reads the relation components.
 """
 from __future__ import annotations
 
@@ -232,7 +232,7 @@ def find_nested_clique(query: Query) -> NestedClique | None:
 @dataclass(frozen=True)
 class Classification:
     label: Label
-    connected: bool
+    relation_components: tuple[tuple[str, ...], ...]
     join_tree: JoinTree | None  # ear removal's pairs over `query.relations`; None when cyclic
     free_connex: bool
     full: bool
@@ -240,6 +240,10 @@ class Classification:
     head_domination: bool
     components: tuple[Component, ...]
     certificate: FreeSequence | NestedClique | None
+
+    @property
+    def connected(self) -> bool:
+        return len(self.relation_components) <= 1
 
     @property
     def acyclic(self) -> bool:
@@ -286,7 +290,7 @@ def classify(query: Query) -> Classification:
     tree = _ear_removal(atoms)
     return Classification(
         label=label,
-        connected=len(relation_components(query)) <= 1,
+        relation_components=relation_components(query),
         join_tree=tree,
         free_connex=tree is not None and _ear_removal(atoms + [head]) is not None,
         full=query.is_full,
@@ -295,6 +299,18 @@ def classify(query: Query) -> Classification:
         components=components,
         certificate=certificate,
     )
+
+
+def pieces(query: Query) -> tuple[Query, ...]:
+    """Q(D)'s factors: per relation component, in `relation_components`'
+    order, the subquery of its atoms whose head is the output attributes
+    among them, sorted; the query itself when it is connected.  Pieces
+    share no attribute, so Q(D) is the product of their result sets."""
+    classification = classify(query)
+    if classification.connected:
+        return (query,)
+    return tuple(query.subquery(sorted(frozenset().union(*map(query.head_of, names))), names)
+                 for names in classification.relation_components)
 
 
 def classification_to_json_dict(c: Classification) -> dict:

@@ -17,6 +17,7 @@ from witness_lab.generators import gen_random_db
 from witness_lab.model import Database
 from witness_lab.qparser import format_query, parse_query
 from witness_lab.storage import load_database, write_database
+from witness_lab.structure import relation_components
 
 from corpus import QUERY_CACHES, WORKED_OPTIMUM, random_db, random_single_nonoutput_query
 
@@ -253,7 +254,7 @@ def test_solve_evaluates_once_over_db_and_once_over_witness(capsys, tmp_path, mo
     original, original_join = engine.evaluate, engine.full_join_results
 
     def counting(q, d):
-        evaluated.append(d)
+        evaluated.append((q, d))
         return original(q, d)
 
     def counting_joins(q, d):
@@ -269,14 +270,21 @@ def test_solve_evaluates_once_over_db_and_once_over_witness(capsys, tmp_path, mo
     doc = json.loads(out)
     assert doc["report"]["algorithm"] == algo
     assert doc["report"]["result_count"] > 0
+    # no route evaluates a query whose atoms fall into two relation components
+    assert all(len(relation_components(q)) == 1 for q, _ in evaluated)
     if algo == "greedy":
         # greedy reads Q(D) off its one full join over the database
         assert joined == [db]
         assert len(evaluated) == 1
     else:
-        # the other routes evaluate Q(D) over the database, and verification the witness
-        assert len(evaluated) == 2
-        assert evaluated[0] == db
+        # the other routes evaluate each piece of Q(D) once over the
+        # database, and verification each piece once over the witness
+        pieces = len(relation_components(query))
+        assert pieces == (2 if algo == "exact" else 1)
+        over_db, over_witness = evaluated[:pieces], evaluated[pieces:]
+        assert [d for _, d in over_db] == [db] * pieces
+        assert [q for q, _ in over_witness] == [q for q, _ in over_db]
+        assert db not in [d for _, d in over_witness]
     if algo == "baseline":  # its one component is the whole query, joined once
         assert joined == [db]
 

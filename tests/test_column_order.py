@@ -60,7 +60,7 @@ def as_assignments(query: Query, witness) -> dict[str, set[frozenset]]:
 def solver_report(solve):
     def run(query, db):
         report = solve(query, db)
-        return report.witness, report.to_json_dict() | {"results": len(report.results)}
+        return report.witness, report.to_json_dict() | {"results": report.result_count}
     return run
 
 

@@ -8,9 +8,9 @@ import pytest
 from witness_lab import densest, solvers, structure
 from witness_lab.dsf import line_to_dsf
 from witness_lab.engine import evaluate, full_join_results, full_reduction, is_witness
-from witness_lab.errors import InternalInconsistency, PreconditionViolated
+from witness_lab.errors import InstanceTooLarge, InternalInconsistency, PreconditionViolated
 from witness_lab.generators import gen_random_db
-from witness_lab.model import Database, Query, projection
+from witness_lab.model import Database, Query, RelationSchema, projection
 from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import format_query, parse_query
 from witness_lab.solvers import (
@@ -19,7 +19,7 @@ from witness_lab.solvers import (
     solve_exact_head_cluster,
     solve_greedy_single_nonoutput,
 )
-from witness_lab.structure import classify, existential_components, relation_components
+from witness_lab.structure import classify, existential_components, pieces, relation_components
 
 from corpus import (
     WORKED_SINGLE_RESULT,
@@ -630,6 +630,116 @@ def test_baseline_joins_each_component_alone(monkeypatch, solve, text):
     assert all(len(sub.relations) < len(query.relations) for sub in joined)
 
 
+ROUTES = (solve_exact_head_cluster, solve_approx_head_domination, solve_greedy_single_nonoutput,
+          solve_baseline_union, brute_force_swp)
+WALK_ROUTES = {solve.__name__ for solve in (solve_exact_head_cluster, solve_approx_head_domination,
+                                            solve_baseline_union)}
+
+
+def reports_of_routes(query, db):
+    """The report of each route whose precondition, and cap, `query` and
+    `db` meet, by solver name."""
+    reports = {}
+    for solve in ROUTES:
+        try:
+            reports[solve.__name__] = solve(query, db)
+        except (PreconditionViolated, InstanceTooLarge):
+            pass
+    return reports
+
+
+def less_one_tuple(witness):
+    """`witness` without its smallest (relation name, row)."""
+    name, row = min((name, row) for name, rows in witness.instances.items() for row in rows)
+    return Database({**witness.instances, name: witness.instances[name] - {row}})
+
+
+def test_factored_q_of_d_agrees_with_the_product():
+    """On disconnected queries, Q(D) evaluated one piece at a time counts
+    the results of Q(D) evaluated whole, the piece-by-piece `is_witness`
+    agrees with comparing Q(W) and Q(D) whole, on the database and every
+    route's witness and on each less one tuple, and the walk's routes
+    build the reference walk's witnesses, which evaluates Q(D) whole.
+    The last case has a piece whose results are empty."""
+    cases = [(query, gen_random_db(query, 5, 3, seed=n).database)
+             for n, query in enumerate(small_random_queries())
+             if len(relation_components(query)) > 1]
+    assert len(cases) == 567
+    query = parse_query("Q(A, C) :- R1(A, B), R2(B), R3(C, D)")
+    db = gen_random_db(query, 6, 3, seed=1).database
+    cases.append((query, Database({**db.instances, "R3": frozenset()})))
+    assert evaluate(query.subquery(["A"], ["R1", "R2"]), db)
+    empty = accepted = rejected = walked = 0
+    for query, db in cases:
+        results = evaluate(query, db)
+        empty += not results
+        reports = reports_of_routes(query, db)
+        assert solve_baseline_union.__name__ in reports
+        candidates = [db, less_one_tuple(db)]
+        for name, report in reports.items():
+            assert report.result_count == len(results), (name, format_query(query))
+            candidates.append(report.witness)
+            if report.witness.size:
+                candidates.append(less_one_tuple(report.witness))
+            if name in WALK_ROUTES:
+                assert report.witness == Database.of(
+                    query, reference_component_walk(query, db)[0]), (name, format_query(query))
+                walked += 1
+        for witness in candidates:
+            whole = evaluate(query, witness) == results
+            assert is_witness(query, db, witness) == whole, format_query(query)
+            for report in reports.values():
+                assert is_witness(query, db, witness, report.results) == whole
+            accepted += whole
+            rejected += not whole
+    assert results == frozenset() and report.witness.size == 0
+    assert empty >= 20 and len(cases) - empty >= 300, empty
+    assert min(accepted, rejected) >= 2000 and walked >= 1500, (accepted, rejected, walked)
+
+
+def with_fresh_atom(query, db, k):
+    """`query` with the atom S(Fresh) appended, Fresh in the head, and `db`
+    with k rows in S."""
+    extended = Query(query.head + ("Fresh",),
+                     query.relations + (RelationSchema("S", ("Fresh",)),))
+    return extended, Database({**db.instances, "S": frozenset((f"s{i}",) for i in range(k))})
+
+
+@pytest.mark.parametrize("make_query, solve", [
+    (random_head_cluster_query, solve_exact_head_cluster),
+    (random_head_domination_query, solve_approx_head_domination),
+    (random_query, solve_baseline_union),
+    (random_query, oracle_at_its_size),
+], ids=["exact", "approx", "baseline", "oracle"])
+def test_a_fresh_head_only_atom_multiplies_the_results(make_query, solve):
+    """Appending S(Fresh), Fresh a new output attribute, to a connected
+    query with k rows in S makes S a piece of its own: the result count is
+    multiplied by k and every other relation's witness rows stay the
+    same, or, for k = 0, both are empty."""
+    rng = random.Random(533)
+    checked = grown_results = 0
+    while checked < 40:
+        query = make_query(rng)
+        if len(relation_components(query)) > 1:
+            continue
+        db = random_db(query, rng, max_rows=4, domain=2)
+        if db.size > 16:
+            continue
+        report = solve(query, db)
+        for k in (0, 1, 3):
+            extended, more = with_fresh_atom(query, db, k)
+            grown = solve(extended, more)
+            assert grown.result_count == k * report.result_count
+            grown_results += grown.result_count > 0
+            if k and report.result_count:
+                assert grown.witness.instances == {**report.witness.instances,
+                                                   "S": more.instances["S"]}
+            else:
+                assert grown.witness.size == 0
+        checked += 1
+    assert grown_results >= 30, grown_results
+
+
 def outcome(entry, *args):
     """What `entry` returns, or the type of what it raises."""
     try:
@@ -670,9 +780,11 @@ class Unreadable:
 
 
 def projected_head_only_parts(query, db, results):
-    """Reference: each atom inside the head gets the projection of Q(D)."""
-    return {schema.name: {project(query.head, t, schema.attributes) for t in results}
-            for schema in query.relations if schema.attribute_set <= query.head_set}
+    """Reference: each atom inside the head gets the projection of its
+    piece's results, `results` being Q(D)'s (piece, result set) pairs."""
+    return {schema.name: {project(sub.head, t, schema.attributes) for t in rows}
+            for sub, rows in results for schema in sub.relations
+            if schema.attribute_set <= query.head_set}
 
 
 def witnesses_of_head_only_routes(query, db):
@@ -692,24 +804,28 @@ def test_head_only_parts_and_full_reduction_equal_projections(monkeypatch):
     """On random queries and databases, some relations empty and many
     relation graphs disconnected, the reducer keeps each relation's rows
     that some full join result projects onto, the head-only parts equal
-    the projection of Q(D) and never read it on an acyclic query, and
-    every route that takes the head-only parts builds the same witness as
-    from the projection."""
+    the projection of Q(D) and never read it on an acyclic query, on a
+    cyclic one whether given Q(D) whole or, when it is nonempty, as one
+    factor per piece, and every route that takes the head-only parts
+    builds the same witness as from the projection."""
     rng = random.Random(508)
     cases = []
     acyclic = head_only = emptied = split_joined = split_emptied = 0
     for query in small_random_queries():
         db = random_db(query, rng, max_rows=5, domain=3, empty=0.15)
         rows = full_join_results(query, db)
-        results = evaluate(query, db)
+        results = ((query, evaluate(query, db)),)
         want = projected_head_only_parts(query, db, results)
         tree = classify(query).join_tree
         if tree is not None:
             assert full_reduction(query, db, tree) == {
                 schema.name: {project(query.attributes, fj, schema.attributes) for fj in rows}
                 for schema in query.relations}, format_query(query)
-            results = Unreadable()
+            results = ((query, Unreadable()),)
             acyclic += 1
+        elif results[0][1]:
+            factors = tuple((sub, evaluate(sub, db)) for sub in pieces(query))
+            assert solvers._head_only_parts(query, db, factors) == want, format_query(query)
         assert solvers._head_only_parts(query, db, results) == want, format_query(query)
         head_only += any(want.values())
         empty = not all(db.instances.values())
@@ -735,21 +851,22 @@ def test_head_only_parts_read_q_of_d_only_on_cyclic_queries():
     iterates Q(D); the triangle, which is cyclic, still projects it."""
     path = parse_query("Q(A, B, C, D) :- R1(A, B), R2(B, C), R3(C, D)")
     db = gen_random_db(path, 30, 6, seed=2).database
-    parts = solvers._head_only_parts(path, db, Unreadable())
+    parts = solvers._head_only_parts(path, db, ((path, Unreadable()),))
     assert any(parts.values())
-    assert parts == projected_head_only_parts(path, db, evaluate(path, db))
+    assert parts == projected_head_only_parts(path, db, ((path, evaluate(path, db)),))
     # a relation the database lacks counts as empty, as in `is_witness`
     assert solvers._head_only_parts(path, Database({"R1": db.instances["R1"]}),
-                                    Unreadable()) == {"R1": set(), "R2": set(), "R3": set()}
+                                    ((path, Unreadable()),)) == {
+        "R1": set(), "R2": set(), "R3": set()}
     triangle = parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(A, C)")
     db = gen_random_db(triangle, 30, 4, seed=2).database
     with pytest.raises(AssertionError, match=r"Q\(D\) was read"):
-        solvers._head_only_parts(triangle, db, Unreadable())
-    results = evaluate(triangle, db)
+        solvers._head_only_parts(triangle, db, ((triangle, Unreadable()),))
+    results = ((triangle, evaluate(triangle, db)),)
     parts = solvers._head_only_parts(triangle, db, results)
     assert any(parts.values())
     assert parts == projected_head_only_parts(triangle, db, results)
-    assert solvers._head_only_parts(triangle, db, frozenset()) == {
+    assert solvers._head_only_parts(triangle, db, ((triangle, frozenset()),)) == {
         "R1": set(), "R2": set(), "R3": set()}
 
 
