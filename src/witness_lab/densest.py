@@ -23,7 +23,7 @@ all optimal sets, and its shortest sorted prefix that reaches the
 optimum is the lexicographically smallest optimal set.
 
 Vertices are numbered 0..n-1 in sorted order.  The greedy route numbers
-the tuples and results of its full join once per solve
+the tuples and results of its full join once per component
 (`engine.incidence`), so a pricing marks covered results by id and
 renumbers its live vertices.
 

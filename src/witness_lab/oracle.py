@@ -17,11 +17,11 @@ miss the chosen set and one another each cost at least one tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import AbstractSet, Iterable
+from typing import AbstractSet
 
 from .engine import incidence
 from .errors import BudgetExhausted, InstanceTooLarge
-from .model import Database, Query, projection
+from .model import Database, Query
 from .solvers import SolveReport, _component_walk
 
 DEFAULT_ORACLE_CAP = 30
@@ -144,10 +144,8 @@ def brute_force_swp(query: Query, db: Database,
         raise InstanceTooLarge(db.size, cap)
     meter = _Budget(budget)
 
-    def search(parts: dict, sub: Query, rows: Iterable, wanted: AbstractSet) -> None:
-        to_head = projection(sub.attributes, sorted(sub.head))
-        kept = [row for row in rows if to_head(row) in wanted]
-        for name, found in _solve_connected(sub, kept, meter).items():
+    def search(parts: dict, sub: Query, rows: list, wanted: AbstractSet) -> None:
+        for name, found in _solve_connected(sub, rows, meter).items():
             parts.setdefault(name, set()).update(found)
 
     witness, results = _component_walk(query, db, search)

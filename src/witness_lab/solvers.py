@@ -12,16 +12,19 @@ by piece on the same grounds, and the product is never built.
 The shared core walks the components of the existential graph, read
 from the query's cached `classify` result; each lies inside one piece.
 Atoms made of output attributes alone contribute the projections of
-their piece's results, and every other component hands its subquery's
-join and the projected results it wants to a builder: a component that
-holds every atom of its piece is that piece, wanting its result set as
-is.  Four routes share it: the oracle's builder searches a minimum, and
-one cheapest full join result per projected result is optimal on
-head-cluster queries, within twice the atom count under head
+their piece's results, and every other component hands a builder its
+subquery's join rows that project onto a result it wants: a component
+that holds every atom of its piece is that piece, wanting its result set
+as is, and all its rows project onto one; any other wants the projection
+of its piece's results, and its join's rows that project elsewhere are
+dropped.  OPT is thus the head-only parts plus each component's own
+optimum.  All five routes share it: the oracle's builder searches a
+minimum; one cheapest full join result per projected result is optimal
+on head-cluster queries, within twice the atom count under head
 domination, and the baseline's union on any query, a result's full join
-results being the product of its components'.  A greedy cover loop
-handles queries with one non-output attribute; it joins the whole query,
-connected or not, and reports Q(D) as one factor.
+results being the product of its components'; and a greedy cover of the
+one component of a query with one non-output attribute is within
+1 + ln|Q(D)| of its optimum.
 
 Each subquery is joined once and the per-result choices are read off
 that one result set, as in Yannakakis, "Algorithms for acyclic database
@@ -136,7 +139,9 @@ def _component_walk(query: Query, db: Database, build: Callable[..., None],
                     ) -> tuple[Database, Factors]:
     """The witness and the factors of Q(D) it was built from, by `build`
     per existential component.  Each piece is evaluated once; a component
-    holding every atom of its piece is that piece, wanting its results."""
+    holding every atom of its piece is that piece, wanting its results.
+    Any other wants their projection, and only its join rows projecting
+    onto a wanted result reach `build`."""
     results = tuple((sub, evaluate(sub, db)) for sub in pieces(query))
     parts: dict[str, AbstractSet[tuple[str, ...]]] = {}
     if all(rows for _, rows in results):
@@ -147,7 +152,11 @@ def _component_walk(query: Query, db: Database, build: Callable[..., None],
             if len(comp.relations) < len(sub.relations):
                 wanted = set(map(projection(sorted(sub.head), comp.output_attributes), wanted))
                 sub = query.subquery(comp.output_attributes, comp.relations)
-            build(parts, sub, full_join_results(sub, db), wanted)
+                to_head = projection(sub.attributes, sorted(sub.head))
+                rows = [row for row in full_join_results(sub, db) if to_head(row) in wanted]
+            else:
+                rows = full_join_results(sub, db)
+            build(parts, sub, rows, wanted)
     return Database.of(query, parts), results
 
 
@@ -169,20 +178,18 @@ def solve_approx_head_domination(query: Query, db: Database) -> SolveReport:
     return SolveReport(witness, "approx", db.size, results, Fraction(2 * len(query.relations)))
 
 
-def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
-    """Price-driven cover for queries with exactly one non-output
-    attribute.  Repeatedly buys the globally cheapest tuple selection at
-    a single join value (ties to the smallest value) until every result
-    is reproduced.  Logarithmic approximation in the result count.
+def _greedy_cover(parts: dict[str, set[tuple[str, ...]]], sub: Query,
+                  rows: list[tuple[str, ...]], wanted: AbstractSet[tuple[str, ...]]) -> None:
+    """Add a price-driven cover of the results of `sub`, a component with
+    exactly one non-output attribute, whose join rows `rows` each project
+    onto a `wanted` result.  Repeatedly buys the globally cheapest tuple
+    selection at a single join value (ties to the smallest value) until
+    every result the rows reach is reproduced.
 
     Pricing is lazy (Minoux, 1978): covering more results never lowers a
     value's price, so a heap of possibly stale prices is re-priced only
     at its top, until the top entry was priced in the current round."""
-    if len(query.non_output) != 1:
-        raise PreconditionViolated("query must have exactly one non-output attribute")
-    vertices, result_list, groups = demand_groups(query, full_join_results(query, db))
-    results = frozenset(result_list)
-    parts = _head_only_parts(query, db, ((query, results),))
+    vertices, result_list, groups = demand_groups(sub, rows)
     # (price key, value, round priced in, candidate); a value appears once,
     # so entries never compare beyond the value.  Only values joined with
     # some result are seeded; no other value can ever cover one.
@@ -217,8 +224,18 @@ def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
             covered[r] = 1
         remaining -= len(best.new_results)
         round_no += 1
-    bound = 1.0 + math.log(max(1, len(results)))
-    return SolveReport(Database.of(query, parts), "greedy", db.size, ((query, results),), bound)
+
+
+def solve_greedy_single_nonoutput(query: Query, db: Database) -> SolveReport:
+    """Greedy cover for queries with exactly one non-output attribute,
+    whose atoms holding it form the one existential component.
+    Logarithmic approximation in the result count: the component's
+    projected results number at most |Q(D)|."""
+    if len(query.non_output) != 1:
+        raise PreconditionViolated("query must have exactly one non-output attribute")
+    witness, results = _component_walk(query, db, _greedy_cover)
+    bound = 1.0 + math.log(max(1, math.prod(len(rows) for _, rows in results)))
+    return SolveReport(witness, "greedy", db.size, results, bound)
 
 
 def solve_baseline_union(query: Query, db: Database) -> SolveReport:

@@ -123,10 +123,16 @@ def test_solve_precondition_failure_exits_3(capsys, tmp_path, algo, text, requir
     assert err == f"error: solver precondition not met: {requirement}\n"
 
 
-@pytest.mark.parametrize("algo", ["exact", "baseline"])
-def test_solve_internal_inconsistency_exits_1(capsys, tmp_path, monkeypatch, algo):
+@pytest.mark.parametrize("algo, message", [
+    ("exact", "no full join result projects onto {'A': 'a1'}"),
+    ("baseline", "no full join result projects onto {'A': 'a1'}"),
+    ("greedy", "greedy produced a non-witness"),
+], ids=["exact", "baseline", "greedy"])
+def test_solve_internal_inconsistency_exits_1(capsys, tmp_path, monkeypatch, algo, message):
     """A full join that lost a result's rows is a bug, reported as one
-    line with exit 1, on every route that cross-checks its joins with Q(D)."""
+    line with exit 1: the exact and baseline builders cross-check their
+    joins with Q(D), and verification against the walk's Q(D) rejects
+    greedy's witness."""
     text = "Q(A) :- R1(A, B), R2(A, B)"
     query = parse_query(text)
     (tmp_path / "query.txt").write_text(text + "\n")
@@ -136,7 +142,7 @@ def test_solve_internal_inconsistency_exits_1(capsys, tmp_path, monkeypatch, alg
     code, out, err = run(capsys, "solve", str(tmp_path / "query.txt"), str(tmp_path),
                          "--algo", algo)
     assert (code, out) == (1, "")
-    assert err == "internal error: no full join result projects onto {'A': 'a1'}\n"
+    assert err == f"internal error: {message}\n"
 
 
 def test_solve_oracle_cap_exits_4(capsys, data_dir):
@@ -272,20 +278,15 @@ def test_solve_evaluates_once_over_db_and_once_over_witness(capsys, tmp_path, mo
     assert doc["report"]["result_count"] > 0
     # no route evaluates a query whose atoms fall into two relation components
     assert all(len(relation_components(q)) == 1 for q, _ in evaluated)
-    if algo == "greedy":
-        # greedy reads Q(D) off its one full join over the database
-        assert joined == [db]
-        assert len(evaluated) == 1
-    else:
-        # the other routes evaluate each piece of Q(D) once over the
-        # database, and verification each piece once over the witness
-        pieces = len(relation_components(query))
-        assert pieces == (2 if algo == "exact" else 1)
-        over_db, over_witness = evaluated[:pieces], evaluated[pieces:]
-        assert [d for _, d in over_db] == [db] * pieces
-        assert [q for q, _ in over_witness] == [q for q, _ in over_db]
-        assert db not in [d for _, d in over_witness]
-    if algo == "baseline":  # its one component is the whole query, joined once
+    # every route evaluates each piece of Q(D) once over the database,
+    # and verification each piece once over the witness
+    pieces = len(relation_components(query))
+    assert pieces == (2 if algo == "exact" else 1)
+    over_db, over_witness = evaluated[:pieces], evaluated[pieces:]
+    assert [d for _, d in over_db] == [db] * pieces
+    assert [q for q, _ in over_witness] == [q for q, _ in over_db]
+    assert db not in [d for _, d in over_witness]
+    if algo in ("greedy", "baseline"):  # its one component is the whole query, joined once
         assert joined == [db]
 
 

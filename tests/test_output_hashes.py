@@ -42,6 +42,12 @@ CASES = [
      "31b0d8efee182c930d15be68126b2169d47f9a16a25d7e7b809abe5ff043dacb"),
     ("greedy-1", ["--algo", "greedy"], "Q(A1, A2, A3) :- R1(A1, B), R2(A2, B), R3(A3, B)",
      (25, 4, 1), "bcae7d17554c5b6af344310dc0cd7736133ec2145a37cc5b423e6ee990cd7814"),
+    # two pieces: greedy covers the component {R1, R2}, and R3 is head-only
+    ("greedy-disconnected", ["--algo", "greedy"], "Q(A, C, E) :- R1(A, B), R2(B, C), R3(E)",
+     (30, 5, 3), "c4e541eadee45b12c1dc29ad17cafcd57f1cbc329b85c60f1e9ffe1486489292"),
+    # the component {R1, R2} is smaller than its piece; 15 tuples, the optimum
+    ("greedy-linked", ["--algo", "greedy"], "Q(A1, A2) :- R1(B), R2(A2, B), R3(A1, A2)",
+     (12, 4, 1), "8caba35de767cb2738846162226af7e33ed9b5cf40fc493ea97e8d1c11264112"),
     ("baseline-0", ["--algo", "baseline"], "Q(A, D) :- R1(A, B), R2(B, C), R3(C, D)",
      (40, 6, 0), "861e38d59ae9c031388c1e7dd9c2d5722000dca80acb1db80b058bc7e6dbb0c4"),
     ("baseline-1-out", ["--algo", "baseline", "--out"], WORKED_TEXT, (20, 4, 1),

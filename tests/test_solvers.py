@@ -242,20 +242,27 @@ def numbered_price(demands, b_value, covered):
 
 
 def eager_greedy(query, db):
-    """Reference greedy: re-price every join value in every round with the
-    reference pricing and keep the first strictly cheaper candidate over
-    the sorted values.  Returns the witness parts, the pricing calls made
-    and the rounds in which several values shared the cheapest price."""
+    """Reference greedy: cover the projection of Q(D) onto the one
+    existential component c, from c's join rows that project onto it,
+    re-pricing every join value in every round with the reference pricing
+    and keeping the first strictly cheaper candidate over the sorted
+    values; head-only atoms take their projections of Q(D).  Returns the
+    witness parts, the pricing calls made and the rounds in which several
+    values shared the cheapest price."""
     b_attr = query.non_output[0]
     results = evaluate(query, db)
     parts = {schema.name: {project(query.head, t, schema.attributes) for t in results}
              for schema in query.relations if schema.attribute_set <= query.head_set}
+    comp, = existential_components(query)
+    sub = query.subquery(comp.output_attributes, comp.relations)
+    wanted = {project(query.head, t, sub.head) for t in results}
     b_values = sorted({project(schema.attributes, row, [b_attr])[0]
-                       for schema in query.relations if b_attr in schema.attribute_set
+                       for schema in sub.relations if b_attr in schema.attribute_set
                        for row in db.instances[schema.name]})
-    groups = reference_demand_groups(query, full_join_results(query, db))
+    groups = reference_demand_groups(sub, [fj for fj in full_join_results(sub, db)
+                                           if project(sub.attributes, fj, sub.head) in wanted])
     covered, calls, tied_rounds = frozenset(), 0, 0
-    while covered != results:
+    while covered != wanted:
         priced = [reference_min_price_candidate(groups.get(b, []), covered) for b in b_values]
         calls += len(b_values)
         best = None
@@ -270,16 +277,20 @@ def eager_greedy(query, db):
 
 
 def test_greedy_matches_eager_reference():
+    """On random queries, and on a shape whose component {R1, R2} is
+    smaller than its piece."""
     rng = random.Random(506)
-    tied = 0
-    for _ in range(60):
-        query = random_single_nonoutput_query(rng)
-        db = random_db(query, rng, max_rows=6, domain=3)
-        report = solve_greedy_single_nonoutput(query, db)
-        parts, _, tied_rounds = eager_greedy(query, db)
-        assert report.witness == Database.of(query, parts)
-        tied += tied_rounds > 0
-    assert tied >= 10  # ties between join values decided many witnesses
+    linked = parse_query("Q(A1, A2) :- R1(B), R2(A2, B), R3(A1, A2)")
+    for make_query in (random_single_nonoutput_query, lambda _: linked):
+        tied = 0
+        for _ in range(60):
+            query = make_query(rng)
+            db = random_db(query, rng, max_rows=6, domain=3)
+            report = solve_greedy_single_nonoutput(query, db)
+            parts, _, tied_rounds = eager_greedy(query, db)
+            assert report.witness == Database.of(query, parts)
+            tied += tied_rounds > 0
+        assert tied >= 10  # ties between join values decided many witnesses
 
 
 def test_price_never_falls_as_coverage_grows():
@@ -324,9 +335,9 @@ def test_lazy_greedy_prices_less_than_eager(monkeypatch):
 
 def test_greedy_with_one_relation_holding_b_matches_eager_reference():
     """With one relation holding the non-output attribute, here every key
-    carries all of R2, so every nonempty selection at a value ties and a
-    round buys a single tuple.  `auto` routes this query to the exact
-    solver, so the greedy solver is called directly."""
+    is one R1 tuple of weight 1, so every nonempty selection at a value
+    ties and a round buys a single tuple.  `auto` routes this query to
+    the exact solver, so the greedy solver is called directly."""
     query = parse_query("Q(A, C) :- R1(A, B), R2(C)")
     rng = random.Random(512)
     for _ in range(30):
@@ -610,10 +621,12 @@ def oracle_at_its_size(query, db):
 @pytest.mark.parametrize("solve, text", [
     (solve, text) for solve in (solve_baseline_union, oracle_at_its_size)
     for text in ("Q(A, C, E) :- R1(A, B), R2(B, C), R3(C, D), R4(D, E)", WORKED_TEXT)
-], ids=["two-two-hops", "worked", "oracle-two-two-hops", "oracle-worked"])
+] + [(solve_greedy_single_nonoutput, "Q(A1, A2) :- R1(B), R2(A2, B), R3(A1, A2)")],
+    ids=["two-two-hops", "worked", "oracle-two-two-hops", "oracle-worked", "greedy-linked"])
 def test_baseline_joins_each_component_alone(monkeypatch, solve, text):
-    """The baseline and the oracle join each existential component alone,
-    never the whole query or a relation component holding two of them."""
+    """The baseline, the oracle and greedy join each existential component
+    alone, never the whole query or a relation component holding two of
+    them, nor a head-only atom."""
     query = parse_query(text)
     db = gen_random_db(query, 40, 6, seed=1).database
     joined = []
@@ -710,7 +723,8 @@ def with_fresh_atom(query, db, k):
     (random_head_domination_query, solve_approx_head_domination),
     (random_query, solve_baseline_union),
     (random_query, oracle_at_its_size),
-], ids=["exact", "approx", "baseline", "oracle"])
+    (random_single_nonoutput_query, solve_greedy_single_nonoutput),
+], ids=["exact", "approx", "baseline", "oracle", "greedy"])
 def test_a_fresh_head_only_atom_multiplies_the_results(make_query, solve):
     """Appending S(Fresh), Fresh a new output attribute, to a connected
     query with k rows in S makes S a piece of its own: the result count is
