@@ -24,8 +24,11 @@ optimum is the lexicographically smallest optimal set.
 
 Vertices are numbered 0..n-1 in sorted order.  The greedy route numbers
 the tuples and results of its full join once per component
-(`engine.incidence`), so a pricing marks covered results by id and
-renumbers its live vertices.
+(`engine.incidence`, tuples in sorted order and results as they first
+appear) and groups the demand keys by join value.  Each group holds its
+live keys only, each with the ids of the uncovered results that demand
+it, so a pricing reads its hyperedges and their weights directly and
+renumbers only the live vertices.
 
 Pricing takes one of two paths, chosen by the shape of the live demand
 keys.  When k >= 2 relations hold the join value, the distinct live keys
@@ -40,11 +43,11 @@ search above.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import prod
-from operator import and_, itemgetter, not_
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 # Pricing never evaluates Q(D); `evaluate` stays importable because the
@@ -222,26 +225,28 @@ def demand_groups(query: Query, rows: list[tuple[str, ...]]) -> tuple[list, list
     """Numbers the full join `rows` once (`engine.incidence`) and groups
     it by the value b of the single non-output attribute.  A result
     reachable at b demands one tuple per relation holding b: its demand
-    key.  Returns the vertices and the results, as `incidence` numbers
-    them, and the groups: per b, the ids of the results reachable there
-    and, in step, their demand keys (increasing vertex ids)."""
+    key (increasing vertex ids).  Returns the vertices and the results,
+    as `incidence` numbers them, and the groups: per b, each demand key
+    with the set of ids of the results that demand it.  A result is
+    reachable at b along one full join row, so it occurs under one key
+    of b's group.  The greedy cover keeps each group live by removing a
+    result from it once covered, and a key once no result demands it."""
     b_attr, = query.non_output
     vertices, results, columns, result_ids = incidence(query, rows)
     holding = [ids for name, ids in columns.items() if b_attr in query.schema(name).attribute_set]
-    groups: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
+    groups: defaultdict[str, defaultdict] = defaultdict(lambda: defaultdict(set))
     for b, r, key in zip(map(itemgetter(query.attributes.index(b_attr)), rows), result_ids,
                          zip(*holding)):
-        ids, keys = groups[b]
-        ids.append(r)
-        keys.append(key)
-    return vertices, results, dict(groups)
+        groups[b][key].add(r)
+    return vertices, results, {b: dict(live) for b, live in groups.items()}
 
 
-def min_price_candidate(group: tuple[list, list], covered: bytearray) -> PricedCandidate | None:
-    """Cheapest tuple selection at one join value, from its group;
-    `covered[r]` is set for each covered result id.  The uncovered
-    results' demand keys, counted with multiplicity, are the hyperedges
-    and the best selection is a maximum-density vertex set.
+def min_price_candidate(live: dict[tuple[int, ...], set[int]]) -> PricedCandidate | None:
+    """Cheapest tuple selection at one join value, from its live group:
+    each demand key with the ids of the uncovered results demanding it.
+    The keys are the hyperedges, each weighted by its number of results,
+    and the best selection is a maximum-density vertex set.  None when no
+    key is left.
 
     A product-shaped group is priced in closed form, with no max-flow:
     k >= 2 relations hold b, the distinct live keys number the product
@@ -253,22 +258,17 @@ def min_price_candidate(group: tuple[list, list], covered: bytearray) -> PricedC
     live result at price (sum s_i) / (w * prod s_i).  Any other group
     (k = 1, where every nonempty set ties; a missing key; unequal
     weights) runs the flow search."""
-    ids, keys = group
-    live = list(map(not_, map(covered.__getitem__, ids)))
-    weight = Counter(compress(keys, live))  # distinct live key -> its uncovered results
-    if not weight:
+    if not live:
         return None
-    used = sorted(set().union(*weight))
-    sizes = [len(set(part)) for part in zip(*weight)]
-    if len(sizes) >= 2 and len(weight) == prod(sizes) and len(set(weight.values())) == 1:
-        new_results = tuple(compress(ids, live))
-        return PricedCandidate(tuple(used), new_results)
+    weight = list(map(len, live.values()))
+    used = sorted(set().union(*live))
+    sizes = [len(set(part)) for part in zip(*live)]
+    if len(sizes) >= 2 and len(live) == prod(sizes) and weight.count(weight[0]) == len(weight):
+        return PricedCandidate(tuple(used), tuple(chain.from_iterable(live.values())))
     local = dict(zip(used, count()))  # renumbered, keeping their order
-    core = _DensityCore([list(map(local.__getitem__, key)) for key in weight],
-                        list(weight.values()), len(used))
+    core = _DensityCore([list(map(local.__getitem__, key)) for key in live], weight, len(used))
     subset, inside, p, q = core.densest()
-    chosen = set(compress(weight, inside))
-    new_results = tuple(compress(ids, map(and_, live, map(chosen.__contains__, keys))))
+    new_results = tuple(chain.from_iterable(compress(live.values(), inside)))
     if len(subset) * p != q * len(new_results):
         raise InternalInconsistency(
             f"price {len(subset)}/{len(new_results)} disagrees with density {Fraction(p, q)}")

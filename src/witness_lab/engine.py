@@ -44,7 +44,8 @@ finds (`Classification.join_tree`), keyed as the join steps are.
 
 `full_join_results` returns its rows in no particular order (set
 iteration order, which depends on the string-hash seed); callers that
-need an order sort, take a minimum, or number them with `incidence`.
+need an order sort, take a minimum, or number their tuples with
+`incidence`.
 """
 from __future__ import annotations
 
@@ -249,20 +250,22 @@ def _number(values: list, first: int = 0) -> tuple[list, list[int]]:
 
 
 def incidence(query: Query, rows: list[tuple[str, ...]]) -> tuple[list, list, dict, list]:
-    """Numbers the full join results `rows` once; the ids depend on the
-    set of rows, not their order.  Returns the vertices ((relation name,
-    tuple) per id: relations in name order, each relation's joined tuples
-    sorted), the results (the sorted head tuples), per relation in name
-    order each row's vertex id, and per row its result id."""
+    """Numbers the full join results `rows` once.  Returns the vertices
+    ((relation name, tuple) per id: relations in name order, each
+    relation's joined tuples sorted), the results (the distinct head
+    tuples, in the order they first appear in `rows`), per relation in
+    name order each row's vertex id, and per row its result id.  The
+    vertex ids depend on the set of rows, not their order; a caller
+    whose work follows result ids sorts them itself."""
     vertices: list[tuple[str, tuple[str, ...]]] = []
     columns: dict[str, list[int]] = {}
     for schema in sorted(query.relations, key=attrgetter("name")):
         to_relation = projection(query.attributes, schema.sorted_attributes)
         ordered, columns[schema.name] = _number(list(map(to_relation, rows)), len(vertices))
         vertices += [(schema.name, t) for t in ordered]
-    to_head = projection(query.attributes, sorted(query.head))
-    results, result_ids = _number(list(map(to_head, rows)))
-    return vertices, results, columns, result_ids
+    heads = list(map(projection(query.attributes, sorted(query.head)), rows))
+    number = dict(zip(dict.fromkeys(heads), count()))
+    return vertices, list(number), columns, list(map(number.__getitem__, heads))
 
 
 # Q(D) as (piece, result set) pairs, one per `structure.pieces` entry; a

@@ -5,12 +5,13 @@ their projections of Q(D), and existential components share only output
 attributes, so OPT = |head-only parts| + sum_c OPT_c(pi_c(Q(D))): each
 component is searched alone, and one budget counts the nodes of them all.
 
-Each tuple of the full join is a bit (`engine.incidence` numbers them).
-Each result owns the masks of the full join results producing it; a
-tuple shared by every one of them is forced into any witness.  The search
-branches on the uncovered result with the fewest distinct ways to cover
-it, adding one full-join-result delta at a time; each node rescans only
-the results its parent left uncovered.  It prunes with an admissible
+Each tuple of the full join is a bit (`engine.incidence` numbers them),
+and the results are taken in sorted order.  Each result owns the masks
+of the full join results producing it; a tuple shared by every one of
+them is forced into any witness.  The search branches on the uncovered
+result with the fewest distinct ways to cover it, adding one
+full-join-result delta at a time; each node rescans only the results
+its parent left uncovered.  It prunes with an admissible
 packing bound: in each relation, uncovered results whose tuples there
 miss the chosen set and one another each cost at least one tuple.
 """
@@ -45,6 +46,9 @@ def _solve_connected(query: Query, full: list[tuple[str, ...]],
     supports: list[list[int]] = [[] for _ in results]  # per result: its masks
     for r, ids in zip(result_ids, zip(*columns.values())):
         supports[r].append(sum(map((1).__lshift__, ids)))  # relations' ids are disjoint
+    # The search follows the result order, so it takes the results sorted,
+    # whatever order the rows came in.
+    supports = [supports[r] for r in sorted(range(len(results)), key=results.__getitem__)]
     relation_bits = [sum(map((1).__lshift__, set(ids))) for ids in columns.values()]
 
     all_results = (1 << len(results)) - 1

@@ -188,8 +188,20 @@ def _greedy_cover(parts: dict[str, set[tuple[str, ...]]], sub: Query,
 
     Pricing is lazy (Minoux, 1978): covering more results never lowers a
     value's price, so a heap of possibly stale prices is re-priced only
-    at its top, until the top entry was priced in the current round."""
+    at its top, until the top entry was priced in the current round.
+    Covering only removes results from the groups, so no vertex set gets
+    denser.  A stale top none of whose new results was covered keeps its
+    candidate unpriced: that set's density is unchanged, so it is still
+    the densest, and every set as dense now was as dense before, when
+    this one was the lexicographically smallest of them; its results and
+    price are the same too."""
     vertices, result_list, groups = demand_groups(sub, rows)
+    # per result id: the (group, demand key) pairs it occurs under
+    occurs: list[list] = [[] for _ in result_list]
+    for live in groups.values():
+        for demand, ids in live.items():
+            for r in ids:
+                occurs[r].append((live, demand))
     # (price key, value, round priced in, candidate); a value appears once,
     # so entries never compare beyond the value.  Only values joined with
     # some result are seeded; no other value can ever cover one.
@@ -206,14 +218,17 @@ def _greedy_cover(parts: dict[str, set[tuple[str, ...]]], sub: Query,
     while remaining:
         while heap and heap[0][2] != round_no:
             stale_key, b_value, _, stale = heap[0]
-            candidate = min_price_candidate(groups[b_value], covered)
-            if candidate is None:  # nothing uncovered reachable, now or later
-                heapq.heappop(heap)
-                continue
-            key = (len(candidate.vertices) << shift) // len(candidate.new_results)
-            if key < stale_key:
-                raise InternalInconsistency(
-                    f"price at {b_value!r} fell from {stale.price} to {candidate.price}")
+            if stale is not None and not any(map(covered.__getitem__, stale.new_results)):
+                key, candidate = stale_key, stale  # still the densest set, see above
+            else:
+                candidate = min_price_candidate(groups[b_value])
+                if candidate is None:  # nothing uncovered reachable, now or later
+                    heapq.heappop(heap)
+                    continue
+                key = (len(candidate.vertices) << shift) // len(candidate.new_results)
+                if key < stale_key:
+                    raise InternalInconsistency(
+                        f"price at {b_value!r} fell from {stale.price} to {candidate.price}")
             heapq.heapreplace(heap, (key, b_value, round_no, candidate))
         if not heap:
             raise InternalInconsistency("uncovered results reachable at no join value")
@@ -222,6 +237,11 @@ def _greedy_cover(parts: dict[str, set[tuple[str, ...]]], sub: Query,
             parts.setdefault(name, set()).add(row)
         for r in best.new_results:
             covered[r] = 1
+            for live, demand in occurs[r]:
+                ids = live[demand]
+                ids.remove(r)
+                if not ids:
+                    del live[demand]
         remaining -= len(best.new_results)
         round_no += 1
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the worked example, a catalog of queries with known
 classes, an independent nested-loop evaluator, random query/instance
-builders for each structural class, and the per-query caches."""
+builders for each structural class, live pricing groups, and the
+per-query caches."""
 from __future__ import annotations
 
 import itertools
@@ -106,6 +107,16 @@ def as_columns(schema: RelationSchema, row: tuple[str, ...]) -> tuple[str, ...]:
     """A stored tuple (sorted attribute order) in the schema's column order."""
     values = dict(zip(sorted(schema.attributes), row))
     return tuple(values[a] for a in schema.attributes)
+
+
+def live_group(pairs) -> dict[tuple[int, ...], set[int]]:
+    """A live group as `densest.min_price_candidate` takes it, from
+    (result id, demand key) pairs of uncovered results: each key with the
+    ids of its results, so a key repeated over results weighs that many."""
+    live: dict[tuple[int, ...], set[int]] = {}
+    for r, key in pairs:
+        live.setdefault(key, set()).add(r)
+    return live
 
 
 def random_query(rng: random.Random, max_relations: int = 6,

@@ -12,6 +12,7 @@ from witness_lab.errors import InternalInconsistency
 from witness_lab.model import Database
 from witness_lab.qparser import parse_query
 
+from corpus import live_group
 from reference import max_density_set
 
 
@@ -282,8 +283,8 @@ def price_at(query, db, b_value, covered):
     tuples) marked; returns the candidate read back in labels, the
     per-relation subsets and the new results, or None."""
     vertices, results, groups = demand_groups(query, full_join_results(query, db))
-    flags = bytearray(t in covered for t in results)
-    cand = min_price_candidate(groups.get(b_value, ([], [])), flags)
+    cand = min_price_candidate(live_group((r, key) for key, ids in groups.get(b_value, {}).items()
+                                          for r in ids if results[r] not in covered))
     if cand is None:
         return None
     subsets = {}
@@ -315,7 +316,7 @@ def test_candidate_none_when_value_reaches_nothing():
     query, db = cover_db([("a1", "b1")], ["b1", "b9"])
     _, results, groups = demand_groups(query, full_join_results(query, db))
     assert "b9" not in groups and results == [("a1",)]
-    assert min_price_candidate(([], []), bytearray()) is None
+    assert min_price_candidate({}) is None
     assert price_at(query, db, "b1", frozenset({("a1",)})) is None
 
 
@@ -356,31 +357,22 @@ def test_merging_selections_never_beats_the_better_half():
             assert finite and min(finite) <= merged
 
 
-def group_of(rows):
-    """A `demand_groups` group, and `covered` flags, from (result id,
-    demand key, covered) rows in row order."""
-    ids = [r for r, _, _ in rows]
-    flags = bytearray(max(ids) + 1)
-    for r, _, dead in rows:
-        flags[r] = dead
-    return (ids, [key for _, key, _ in rows]), flags
-
-
-def assert_prices_as_reference(group, covered, flows):
-    """`min_price_candidate` agrees with `max_density_set` on the live
-    keys' weights; returns the max-flows the candidate ran."""
-    ids, keys = group
-    live = [(r, key) for r, key in zip(ids, keys) if not covered[r]]
+def assert_prices_as_reference(rows, flows):
+    """`min_price_candidate` on the live group of (result id, demand key,
+    covered) rows agrees with `max_density_set` on the uncovered rows'
+    keys, weighted by the rows sharing them; returns the max-flows the
+    candidate ran."""
+    live = [(r, key) for r, key, dead in rows if not dead]
     weights = {}
     for _, key in live:
         weights[frozenset(key)] = weights.get(frozenset(key), 0) + 1
     before = len(flows)
-    cand = min_price_candidate(group, covered)
+    cand = min_price_candidate(live_group(live))
     ran = len(flows) - before
     subset, density = max_density_set(weights)
     assert cand.vertices == tuple(sorted(subset))
     assert cand.price == 1 / density
-    assert cand.new_results == tuple(r for r, key in live if subset.issuperset(key))
+    assert set(cand.new_results) == {r for r, key in live if subset.issuperset(key)}
     return ran
 
 
@@ -405,8 +397,8 @@ def test_product_groups_price_in_closed_form(flows):
             rows.append((tuple(key), True))
         rng.shuffle(rows)
         result_ids = rng.sample(range(2 * len(rows)), len(rows))
-        group, covered = group_of([(r, key, dead) for r, (key, dead) in zip(result_ids, rows)])
-        assert assert_prices_as_reference(group, covered, flows) == 0
+        numbered = [(r, key, dead) for r, (key, dead) in zip(result_ids, rows)]
+        assert assert_prices_as_reference(numbered, flows) == 0
 
 
 # Groups the closed form must leave to the flow search: one relation
@@ -423,5 +415,4 @@ BOUNDARY_GROUPS = [
 
 @pytest.mark.parametrize("rows", BOUNDARY_GROUPS)
 def test_near_product_groups_run_the_flow(flows, rows):
-    group, covered = group_of(rows)
-    assert assert_prices_as_reference(group, covered, flows) >= 1
+    assert assert_prices_as_reference(rows, flows) >= 1

@@ -137,9 +137,9 @@ def test_oracle_result_is_minimal_dropping_any_tuple_breaks_it():
 
 @pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
 def test_witness_ignores_full_join_row_order(monkeypatch, reorder):
-    """The oracle numbers tuples and results in sorted order
-    (`engine.incidence`), so the order of the join rows the component
-    walk gives it must not reach the witness."""
+    """The oracle numbers tuples in sorted order (`engine.incidence`) and
+    searches the results sorted, so the order of the join rows the
+    component walk gives it must not reach the witness."""
     rng = random.Random(703)
     original = solvers.full_join_results
 

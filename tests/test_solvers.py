@@ -1,7 +1,9 @@
 """Witness construction: the four solvers."""
+import heapq
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +11,12 @@ from witness_lab import densest, solvers, structure
 from witness_lab.dsf import line_to_dsf
 from witness_lab.engine import evaluate, full_join_results, full_reduction, is_witness
 from witness_lab.errors import InstanceTooLarge, InternalInconsistency, PreconditionViolated
-from witness_lab.generators import gen_random_db
+from witness_lab.generators import (
+    SetCoverInstance,
+    gen_matrix_db,
+    gen_pyramid_db,
+    gen_random_db,
+)
 from witness_lab.model import Database, Query, RelationSchema, projection
 from witness_lab.oracle import brute_force_swp
 from witness_lab.qparser import format_query, parse_query
@@ -27,6 +34,7 @@ from corpus import (
     WORKED_TEXT,
     as_columns,
     build_db,
+    live_group,
     project,
     worked_example,
     random_db,
@@ -154,10 +162,10 @@ def test_greedy_reports_a_falling_price_exactly(monkeypatch):
     })
     calls = 0
 
-    def cheaper_later(group, covered):
+    def cheaper_later(live):
         nonlocal calls
         calls += 1
-        candidate = densest.min_price_candidate(group, covered)
+        candidate = densest.min_price_candidate(live)
         if calls > 2 and candidate is not None:  # drop a bought tuple once both are priced
             return densest.PricedCandidate(candidate.vertices[1:], candidate.new_results)
         return candidate
@@ -230,8 +238,9 @@ def numbered_price(demands, b_value, covered):
     `covered` marked, read back as the reference's (subsets, new results,
     price), or None."""
     vertices, results, groups = demands
-    flags = bytearray(t in covered for t in results)
-    candidate = densest.min_price_candidate(groups.get(b_value, ([], [])), flags)
+    candidate = densest.min_price_candidate(live_group(
+        (r, key) for key, ids in groups.get(b_value, {}).items()
+        for r in ids if results[r] not in covered))
     if candidate is None:
         return None
     subsets = {}
@@ -276,21 +285,41 @@ def eager_greedy(query, db):
     return parts, calls, tied_rounds
 
 
-def test_greedy_matches_eager_reference():
+@pytest.fixture
+def reused(monkeypatch):
+    """The join values whose stale heap top the greedy cover put back with
+    its candidate unpriced, one entry per reuse: an entry replacing the
+    top with the very candidate the top held."""
+    values = []
+
+    def heapreplace(heap, entry):
+        if entry[3] is not None and entry[3] is heap[0][3]:
+            values.append(entry[1])
+        return heapq.heapreplace(heap, entry)
+
+    monkeypatch.setattr(solvers, "heapq",
+                        SimpleNamespace(heappop=heapq.heappop, heapreplace=heapreplace))
+    return values
+
+
+def test_greedy_matches_eager_reference(reused):
     """On random queries, and on a shape whose component {R1, R2} is
     smaller than its piece."""
     rng = random.Random(506)
     linked = parse_query("Q(A1, A2) :- R1(B), R2(A2, B), R3(A1, A2)")
     for make_query in (random_single_nonoutput_query, lambda _: linked):
-        tied = 0
+        tied = reusing = 0
         for _ in range(60):
             query = make_query(rng)
             db = random_db(query, rng, max_rows=6, domain=3)
+            before = len(reused)
             report = solve_greedy_single_nonoutput(query, db)
             parts, _, tied_rounds = eager_greedy(query, db)
             assert report.witness == Database.of(query, parts)
             tied += tied_rounds > 0
+            reusing += len(reused) > before
         assert tied >= 10  # ties between join values decided many witnesses
+        assert reusing >= 8  # and stale candidates reused unpriced on many
 
 
 def test_price_never_falls_as_coverage_grows():
@@ -347,14 +376,23 @@ def test_greedy_with_one_relation_holding_b_matches_eager_reference():
         assert report.witness == Database.of(query, parts)
 
 
-@pytest.mark.parametrize("text, rows, pool, calls, priced", [
-    ("Q(A, C) :- R1(A, B), R2(B, C)", 55, 10, 44, 35),
-    ("Q(A1, A2, A3) :- R1(A1, B), R2(A2, B), R3(A3, B)", 24, 7, 18, 13),
+TWO_HOP = "Q(A, C) :- R1(A, B), R2(B, C)"
+STAR3 = "Q(A1, A2, A3) :- R1(A1, B), R2(A2, B), R3(A3, B)"
+# (calls, candidates found) when every stale heap top was priced
+PRICED_EVERY_STALE_TOP = {TWO_HOP: (44, 35), STAR3: (18, 13)}
+
+
+@pytest.mark.parametrize("text, rows, pool, calls, priced, reuses", [
+    (TWO_HOP, 55, 10, 40, 31, 4),
+    (STAR3, 24, 7, 15, 10, 3),
 ])
-def test_lazy_search_prices_as_often_as_before(monkeypatch, text, rows, pool, calls, priced):
-    """The lazy search's pricing calls, and how many found a candidate, on
-    one seeded instance of each shape.  Both follow from the prices alone,
-    not from which path computed them."""
+def test_lazy_search_prices_as_often_as_before(monkeypatch, reused, text, rows, pool, calls,
+                                               priced, reuses):
+    """The lazy search's pricing calls, how many found a candidate, and how
+    many stale candidates were reused unpriced, on one seeded instance of
+    each shape.  All follow from the prices alone, not from which path
+    computed them, and each reuse stands in for one call that found a
+    candidate."""
     query = parse_query(text)
     db = gen_random_db(query, rows, pool, seed=21).database
     made = []
@@ -365,7 +403,40 @@ def test_lazy_search_prices_as_often_as_before(monkeypatch, text, rows, pool, ca
 
     monkeypatch.setattr(solvers, "min_price_candidate", counting)
     solve_greedy_single_nonoutput(query, db)
-    assert (len(made), sum(c is not None for c in made)) == (calls, priced)
+    assert (len(made), sum(c is not None for c in made), len(reused)) == (calls, priced, reuses)
+    assert (calls + reuses, priced + reuses) == PRICED_EVERY_STALE_TOP[text]
+
+
+@pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
+def test_greedy_ignores_full_join_row_order(monkeypatch, reorder):
+    """Greedy pricing numbers the results in the order the join rows come
+    in (`engine.incidence`) and the tuples in sorted order, so the row
+    order must not reach the witness: on random queries and on the
+    benchmark's two-hop, star, matrix and pyramid shapes."""
+    rng = random.Random(514)
+    original = solvers.full_join_results
+
+    def reordered(query, db):
+        rows = sorted(original(query, db), reverse=True)
+        if reorder == "shuffled":
+            rng.shuffle(rows)
+        return rows
+
+    cases = []
+    for _ in range(60):
+        query = random_single_nonoutput_query(rng)
+        cases.append((query, random_db(query, rng, max_rows=6, domain=3)))
+    for seed in range(1, 11):  # some of these decide ties on the vertex order
+        for text, rows, pool in ((TWO_HOP, 55, 10), (STAR3, 24, 7)):
+            generated = gen_random_db(parse_query(text), rows, pool, seed)
+            cases.append((generated.query, generated.database))
+    sets = SetCoverInstance(("1", "2", "3"), (("1", "2"), ("2", "3"), ("1", "3"), ("2", "3")))
+    for generated in (gen_matrix_db(12, 3), gen_matrix_db(12, 4), gen_pyramid_db(sets)):
+        cases.append((generated.query, generated.database))
+    expected = [solve_greedy_single_nonoutput(query, db).witness for query, db in cases]
+    monkeypatch.setattr(solvers, "full_join_results", reordered)
+    for (query, db), want in zip(cases, expected):
+        assert solve_greedy_single_nonoutput(query, db).witness == want
 
 
 def probe_price(query, db, b_value, covered, results):
