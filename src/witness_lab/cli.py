@@ -65,7 +65,13 @@ from .solvers import (
     solve_exact_head_cluster,
     solve_greedy_single_nonoutput,
 )
-from .storage import load_database, write_database, witness_to_json_text, write_witness
+from .storage import (
+    load_database,
+    read_utf8,
+    witness_to_json_text,
+    write_database,
+    write_witness,
+)
 from .structure import Label, classification_to_json_dict, classify
 
 EXIT_OK = 0
@@ -75,12 +81,8 @@ EXIT_RESOURCE = 4
 
 
 def _read_query(path: str):
-    try:
-        text = Path(path).read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"line {line} of query file {path!r}: "
-                         f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+    text = read_utf8(Path(path), lambda line, reason: ValueError(
+        f"line {line} of query file {path!r}: {reason}"))
     # universal newlines, so a CRLF file reports an LF file's error offsets
     return parse_query(text.replace("\r\n", "\n").replace("\r", "\n"))
 
@@ -117,6 +119,16 @@ def _out_file(text: str) -> Path:
     return out
 
 
+def _keep_inputs(text: str, inputs: dict[Path, str]) -> None:
+    """Refuse an `--out` that names one of `inputs`, each given with what
+    it is, so that writing the output never overwrites what was read."""
+    out = Path(text)
+    if out.exists():
+        for path, what in inputs.items():
+            if path.exists() and out.samefile(path):
+                raise ValueError(f"--out: {text!r} is {what}")
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
     document = classification_to_json_dict(classify(query))
@@ -138,6 +150,8 @@ def _route(query, label: Label) -> str:
 def cmd_solve(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
     out = _out_dir(args.out) if args.out else None
+    if out is not None:
+        _keep_inputs(args.out, {Path(args.data): "the data directory"})
     db = load_database(query, Path(args.data))
     classification = classify(query)
     algo = args.algo if args.algo != "auto" else _route(query, classification.label)
@@ -257,6 +271,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_export_dsf(args: argparse.Namespace) -> int:
     query = _read_query(args.query)
     out = _out_file(args.out) if args.out else None
+    if out is not None:
+        inputs = {Path(args.data) / f"{r.name}.csv": f"the CSV file of relation {r.name!r}"
+                  for r in query.relations}
+        _keep_inputs(args.out, {Path(args.query): "the query file", **inputs})
     db = load_database(query, Path(args.data))
     _emit(dsf_to_json_text(line_to_dsf(query, db)), out)
     return EXIT_OK

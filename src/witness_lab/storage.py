@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Callable
+from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
 from operator import attrgetter
 from pathlib import Path
@@ -28,14 +30,21 @@ def load_database(query: Query, directory: str | Path) -> Database:
         path = directory / f"{schema.name}.csv"
         if not path.is_file():
             raise MissingRelationFile(schema.name, str(path))
-        try:
-            text = path.read_bytes().decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise MalformedCsv(schema.name, line,
-                               f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+        text = read_utf8(path, partial(MalformedCsv, schema.name))
         instances[schema.name] = _read_rows(schema, text)
     return Database(instances)
+
+
+def read_utf8(path: Path, error: Callable[[int, str], Exception]) -> str:
+    """A file's text, in UTF-8 with or without a byte-order mark.  The
+    first byte that is not UTF-8 raises `error(line, reason)`, the line
+    counted from 1 and the reason naming the byte."""
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the offsets count from after any byte-order mark, as does `exc.object`
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(line, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
 
 
 def _read_rows(schema: RelationSchema, text: str) -> frozenset[tuple[str, ...]]:

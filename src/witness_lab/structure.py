@@ -148,39 +148,31 @@ def _colocated(query: Query) -> dict[str, set[str]]:
 def find_free_sequence(query: Query) -> FreeSequence | None:
     """Shortest chain of attributes, output at the ends only, consecutive
     ones co-located, endpoints never co-located.  Among shortest chains
-    the lexicographically smallest wins."""
+    the lexicographically smallest wins.
+
+    One breadth-first search per output attribute, expanding only it and
+    non-output attributes, each level in order and each attribute's
+    neighbours sorted: the first path to reach an attribute is its
+    lexicographically smallest shortest one.  The start reaches every
+    attribute co-located with it in one step, so an output attribute whose
+    path holds three or more attributes is an endpoint never co-located
+    with the start."""
     adj = _colocated(query)
-    head = sorted(query.head_set)
-    non_output = set(query.non_output)
-    best: tuple[str, ...] | None = None
-    for start in head:
-        for goal in head:
-            if goal == start or goal in adj[start]:
-                continue
-            allowed = non_output | {start, goal}
-            dist = {goal: 0}
-            frontier = [goal]
-            while frontier:
-                nxt: list[str] = []
-                for v in frontier:
-                    for w in sorted(adj[v]):
-                        if w in allowed and w not in dist:
-                            dist[w] = dist[v] + 1
-                            nxt.append(w)
-                frontier = nxt
-            if start not in dist:
-                continue
-            path = [start]
-            current = start
-            while current != goal:
-                current = min(w for w in adj[current]
-                              if w in dist and dist[w] == dist[current] - 1
-                              and (w in non_output or w == goal))
-                path.append(current)
-            candidate = tuple(path)
-            key = (len(candidate), candidate)
-            if best is None or key < (len(best), best):
-                best = candidate
+    head = query.head_set
+    chains: list[tuple[str, ...]] = []
+    for start in sorted(head):
+        paths = {start: (start,)}
+        frontier = [start]
+        while frontier:
+            nxt: list[str] = []
+            for v in frontier:
+                for w in sorted(adj[v] - paths.keys()):
+                    paths[w] = paths[v] + (w,)
+                    if w not in head:
+                        nxt.append(w)
+            frontier = nxt
+        chains += (path for end, path in paths.items() if end in head and len(path) > 2)
+    best = min(chains, key=lambda path: (len(path), path), default=None)
     return FreeSequence(best) if best is not None else None
 
 

@@ -3,8 +3,9 @@ result's witness, the densest set of labelled hyperedges, the directed
 Steiner forest side of the path-query reduction (per-pair paths, the
 demand check, and the maps between witnesses and edge sets),
 exhaustive minimum set cover and label cover, a CSV loader that reads
-one record at a time, and the existential components with their
-dominant relations found by two searches."""
+one record at a time, the existential components with their dominant
+relations found by two searches, and the free sequence found among
+every simple path."""
 from __future__ import annotations
 
 import csv
@@ -212,3 +213,27 @@ def two_loop_existential_components(query: Query) -> tuple[Component, ...]:
                     break
         comps.append(Component(members, tuple(sorted(covered)), dominant))
     return tuple(comps)
+
+
+def brute_force_free_sequence(query: Query) -> tuple[str, ...] | None:
+    """Every simple path from an output attribute, through non-output
+    attributes, to an output attribute not co-located with the start; the
+    shortest, ties to the lexicographically smallest, or None when there
+    is none."""
+    head = set(query.head)
+    colocated = {(a, b) for r in query.relations for a in r.attributes for b in r.attributes}
+    attributes = {a for r in query.relations for a in r.attributes}
+    paths = []
+
+    def extend(path: tuple[str, ...]) -> None:
+        for attribute in attributes - set(path):
+            if (path[-1], attribute) not in colocated:
+                continue
+            if attribute not in head:
+                extend(path + (attribute,))
+            elif (path[0], attribute) not in colocated:
+                paths.append(path + (attribute,))
+
+    for start in head:
+        extend((start,))
+    return min(paths, key=lambda path: (len(path), path), default=None)

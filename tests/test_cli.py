@@ -229,6 +229,21 @@ def test_non_utf8_query_file_names_file_line_and_byte(capsys, tmp_path):
     assert err == f"error: line 2 of query file {str(qfile)!r}: byte 0xff is not UTF-8\n"
 
 
+def test_non_utf8_byte_after_a_byte_order_mark_names_its_line(capsys, tmp_path):
+    """The query file and the relation CSVs share one decoder, which
+    counts lines and reads the byte past any byte-order mark."""
+    qfile = tmp_path / "query.txt"
+    qfile.write_bytes(b"\xef\xbb\xbfQ(A) :-\n  R1(A\xfe, B)\n")
+    code, out, err = run(capsys, "classify", str(qfile))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2 of query file {str(qfile)!r}: byte 0xfe is not UTF-8\n"
+    qfile.write_text("Q(A) :- R1(A, B)\n")
+    (tmp_path / "R1.csv").write_bytes(b"\xef\xbb\xbfA,B\na\xfe,b\n")
+    code, out, err = run(capsys, "solve", str(qfile), str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2 of 'R1' is not valid CSV: byte 0xfe is not UTF-8\n"
+
+
 def test_query_file_line_endings_do_not_move_error_offsets(capsys, tmp_path):
     """Query files are read with universal newlines: a CR or CRLF file
     reports the offsets its LF twin does."""
@@ -537,6 +552,57 @@ def test_export_dsf_bad_out_names_the_flag_before_loading(capsys, tmp_path, monk
         assert (code, stdout) == (2, "")
         assert err == f"error: --out: {wording}\n"
     assert not missing.exists()
+
+
+def file_bytes(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_solve_out_on_the_data_directory_is_refused_before_loading(capsys, data_dir,
+                                                                   tmp_path, monkeypatch):
+    _, dpath = worked_paths(data_dir)
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, content in file_bytes(pathlib.Path(dpath)).items():
+        (data / name).write_bytes(content)
+    (tmp_path / "link").symlink_to(data)
+    before = file_bytes(data)
+
+    def no_load(*_):
+        raise AssertionError("data loaded before --out was checked")
+
+    monkeypatch.setattr(cli, "load_database", no_load)
+    for target in (data, data / ".", tmp_path / "link", data / ".." / "data"):
+        code, out, err = run(capsys, "solve", str(data / "query.txt"), str(data),
+                             "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: --out: {str(target)!r} is the data directory\n"
+        assert file_bytes(data) == before
+
+
+def test_export_dsf_out_on_an_input_file_is_refused_before_loading(capsys, tmp_path,
+                                                                   monkeypatch):
+    data = tmp_path / "lc"
+    run(capsys, "generate", "line3", "--out", str(data), "--n", "1",
+        "--alphabet", "x,y", "--constraints", "1,1:x/x", "--t", "1")
+    capsys.readouterr()
+    before = file_bytes(data)
+
+    def no_load(*_):
+        raise AssertionError("data loaded before --out was checked")
+
+    monkeypatch.setattr(cli, "load_database", no_load)
+    (tmp_path / "link.txt").symlink_to(data / "query.txt")
+    targets = [(data / "query.txt", "the query file"),
+               (data / ".." / "lc" / "query.txt", "the query file"),
+               (tmp_path / "link.txt", "the query file")]
+    targets += [(data / f"R{i}.csv", f"the CSV file of relation 'R{i}'") for i in (1, 2, 3)]
+    for target, wording in targets:
+        code, out, err = run(capsys, "export-dsf", str(data / "query.txt"), str(data),
+                             "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: --out: {str(target)!r} is {wording}\n"
+        assert file_bytes(data) == before
 
 
 def test_solve_out_into_an_existing_directory(capsys, data_dir, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from witness_lab import structure
 from witness_lab.errors import InternalInconsistency
+from witness_lab.model import Query, RelationSchema
 from witness_lab.qparser import format_query, parse_query
 from witness_lab.structure import (
     Component,
@@ -29,7 +30,7 @@ from corpus import (
     random_query,
     small_random_queries,
 )
-from reference import two_loop_existential_components
+from reference import brute_force_free_sequence, two_loop_existential_components
 
 
 def test_graphs_of_wide_query():
@@ -270,6 +271,37 @@ def test_free_sequence_values():
     star3 = "Q(A1, A2, A3) :- R1(A1, B), R2(A2, B), R3(A3, B)"
     assert find_free_sequence(parse_query(star3)) == FreeSequence(("A1", "B", "A2"))
     assert find_free_sequence(parse_query("Q(A) :- R1(A, B), R2(B)")) is None
+
+
+def catalog_wide_and_small_queries():
+    return ([parse_query(text) for _, text, _ in CATALOG] + [parse_query(WIDE_TEXT)]
+            + small_random_queries())
+
+
+def test_free_sequence_matches_every_simple_path():
+    rng = random.Random(36)
+    queries = catalog_wide_and_small_queries()
+    queries += [random_query(rng, max_relations=8) for _ in range(2000)]
+    found = 0
+    for q in queries:
+        expected = brute_force_free_sequence(q)
+        assert find_free_sequence(q) == (expected and FreeSequence(expected)), format_query(q)
+        found += expected is not None
+    assert found > 250  # 296 of the queries have one
+
+
+def test_classification_ignores_atom_attribute_and_head_order():
+    """Shuffling the atoms, each atom's attributes and the head leaves the
+    classification JSON unchanged."""
+    rng = random.Random(7)
+    for q in catalog_wide_and_small_queries():
+        expected = classification_to_json_dict(classify(q))
+        for _ in range(3):
+            relations = [RelationSchema(r.name, tuple(rng.sample(r.attributes, len(r.attributes))))
+                         for r in q.relations]
+            rng.shuffle(relations)
+            shuffled = Query(tuple(rng.sample(q.head, len(q.head))), tuple(relations))
+            assert classification_to_json_dict(classify(shuffled)) == expected, format_query(q)
 
 
 def test_rename_collapses_attribute_groups():
