@@ -251,6 +251,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise ValueError("the random family needs --query")
         query = _read_query(args.query)
         instance = gen_random_db(query, args.rows, args.pool, args.seed)
+    for schema in instance.query.relations:
+        path = out / f"{schema.name}.csv"
+        if path.exists():
+            raise ValueError(f"--out: {str(path)!r} already exists; generate does not "
+                             "overwrite relation CSV files")
     out.mkdir(parents=True, exist_ok=True)
     (out / "query.txt").write_text(format_query(instance.query) + "\n", encoding="utf-8")
     write_database(instance.query, instance.database, out)

@@ -5,11 +5,15 @@ attributes becomes a layered digraph: one layer per attribute, one node
 per value, one unit-weight edge per tuple.  Result rows become demand
 pairs, a witness becomes an edge set connecting every demand, and any
 demand-connecting edge set pulls back to a witness of the same size.
+
+The demands come from Q(D) grouped by source, sorted by source and then
+by target, and the export text writes them one source at a time: one
+encoded head per source, one encoded tail per distinct target.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count, groupby, repeat
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 from typing import NamedTuple
@@ -84,13 +88,21 @@ def line_to_dsf(query: Query, db: Database) -> DsfInstance:
     labels = [{v: f"{layer}:{v}" for v in values} for layer, values in enumerate(layers)]
     edges: list[DsfEdge] = []
     for hop, (name, rows, (sources, targets)) in enumerate(hops):
-        edges += map(DsfEdge, count(len(edges)), map(labels[hop].__getitem__, sources),
-                     map(labels[hop + 1].__getitem__, targets), repeat(1), repeat(name), rows)
+        # tuple.__new__ over zipped columns skips the named tuple's own __new__
+        edges += map(tuple.__new__, repeat(DsfEdge), zip(
+            count(len(edges)), map(labels[hop].__getitem__, sources),
+            map(labels[hop + 1].__getitem__, targets), repeat(1), repeat(name), rows))
     nodes = sorted(label for layer in labels for label in layer.values())
     first, last = labels[0], labels[-1]
     # results are (first, last): the chain starts at the endpoint sorting first;
-    # every label on a layer has the same prefix, so pairs sort as their values
-    demands = [(first[a], last[b]) for a, b in sorted(evaluate(query, db))]
+    # every label on a layer has the same prefix, so pairs sort as their values.
+    # Grouping by source and sorting each group sorts the pairs with less work.
+    targets_of: dict[str, list[str]] = {}
+    for a, b in evaluate(query, db):
+        targets_of.setdefault(a, []).append(b)
+    demands: list[tuple[str, str]] = []
+    for a in sorted(targets_of):
+        demands += zip(repeat(first[a]), map(last.__getitem__, sorted(targets_of[a])))
     return DsfInstance(chain, order, tuple(nodes), tuple(edges), tuple(demands))
 
 
@@ -104,12 +116,24 @@ def _literal(text: str) -> str:
     return _escape(text).replace("%", "%%")
 
 
+def _demand_items(demands: tuple[tuple[str, str], ...]) -> list[str]:
+    """The encoded demands, one run of a common source at a time: the run
+    shares one encoded head, and each distinct target is encoded once."""
+    tails = {t: _escape(t) + "\n    }" for t in set(map(itemgetter(1), demands))}
+    items: list[str] = []
+    for source, run in groupby(demands, itemgetter(0)):
+        head = '{\n      "from": ' + _escape(source) + ',\n      "to": '
+        items += map(str.__add__, repeat(head), map(tails.__getitem__, map(itemgetter(1), run)))
+    return items
+
+
 def dsf_to_json_text(instance: DsfInstance) -> str:
     """The export document, as `json.dumps(document, indent=2,
-    sort_keys=True)` would write it, filled into templates: one per
-    relation for its edges (a `row` maps the sorted attribute pair to the
-    edge's row) and one for demands.  Strings go through `json`'s own
-    ASCII escaper."""
+    sort_keys=True)` would write it.  Edges fill one template per relation
+    (a `row` maps the sorted attribute pair to the edge's row).  Demands
+    are written one source at a time: each source's encoded head is joined
+    to each target's encoded tail.  Strings go through `json`'s own ASCII
+    escaper."""
     edge_template = {}
     for hop, name in enumerate(instance.relation_order):
         first, second = sorted(instance.chain[hop:hop + 2])
@@ -117,11 +141,10 @@ def dsf_to_json_text(instance: DsfInstance) -> str:
                                + _literal(name) + ',\n      "row": {\n        '
                                + _literal(first) + ': %s,\n        ' + _literal(second)
                                + ': %s\n      },\n      "to": %s,\n      "weight": %d\n    }')
-    demand_template = '{\n      "from": %s,\n      "to": %s\n    }'
     return ('{\n  "chain": %s,\n  "demands": %s,\n  "edges": %s,\n  "nodes": %s,\n'
             '  "relation_order": %s,\n  "spec": "1"\n}') % (
         _json_list([_escape(a) for a in instance.chain]),
-        _json_list([demand_template % (_escape(s), _escape(t)) for s, t in instance.demands]),
+        _json_list(_demand_items(instance.demands)),
         _json_list([edge_template[e.relation] % (_escape(e.source), e.id, _escape(e.row[0]),
                                                  _escape(e.row[1]), _escape(e.target), e.weight)
                     for e in instance.edges]),

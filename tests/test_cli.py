@@ -534,6 +534,26 @@ def test_generate_out_on_an_existing_file_names_the_flag(capsys, tmp_path):
     assert err == f"error: --out: {str(blocker)!r} exists and is not a directory\n"
 
 
+def test_generate_out_never_overwrites_relation_csvs(capsys, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "query.txt").write_text("Q(A) :- R1(A, B), R2(B)\n")
+    (data / "R1.csv").write_text("A,B\nkeep,me\n")
+    before = file_bytes(data)
+    code, out, err = run(capsys, "generate", "random", "--query", str(data / "query.txt"),
+                         "--out", str(data))
+    assert (code, out) == (2, "")
+    assert err == (f"error: --out: {str(data / 'R1.csv')!r} already exists; generate does not "
+                   "overwrite relation CSV files\n")
+    assert file_bytes(data) == before
+    # a directory holding only the query file is still a valid target
+    (data / "R1.csv").unlink()
+    code, _, _ = run(capsys, "generate", "random", "--query", str(data / "query.txt"),
+                     "--out", str(data))
+    assert code == 0
+    assert sorted(file_bytes(data)) == ["R1.csv", "R2.csv", "metadata.json", "query.txt"]
+
+
 def test_export_dsf_bad_out_names_the_flag_before_loading(capsys, tmp_path, monkeypatch):
     out = tmp_path / "lc"
     run(capsys, "generate", "line3", "--out", str(out), "--n", "1",

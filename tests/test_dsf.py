@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witness_lab.dsf import DsfEdge, DsfInstance, dsf_to_json_text, line_to_dsf
-from witness_lab.engine import is_witness
+from witness_lab.engine import evaluate, is_witness
 from witness_lab.errors import NotALineQuery
-from witness_lab.generators import LabelCoverInstance, gen_line3_db
+from witness_lab.generators import LabelCoverInstance, gen_line3_db, gen_random_db
 from witness_lab.model import Database
 from witness_lab.qparser import parse_query
 from witness_lab.solvers import solve_baseline_union
@@ -163,10 +163,11 @@ VALUES = ["a", "b", "", '"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\U0001f600
 
 
 @st.composite
-def line_instances(draw):
+def line_cases(draw):
     """A line query of one to four hops from A to Z, its middle attributes
     in a random name order, each atom's columns in either direction and
-    the atoms in any order, over rows drawn from a few awkward values."""
+    the atoms in any order, and a database over rows drawn from a few
+    awkward values."""
     hops = draw(st.integers(1, 4))
     chain = ("A", *draw(st.permutations("BCDE"))[:hops - 1], "Z")
     atoms = []
@@ -181,7 +182,12 @@ def line_instances(draw):
                                            unique=True)))
     db = Database({schema.name: frozenset(draw(st.lists(st.tuples(values, values), max_size=6)))
                    for schema in query.relations})
-    return line_to_dsf(query, db)
+    return query, db
+
+
+def line_instances():
+    """The export instances of `line_cases`."""
+    return line_cases().map(lambda case: line_to_dsf(*case))
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,3 +213,30 @@ def test_json_text_on_edge_cases(text, rows):
 
 def test_json_text_of_an_instance_with_no_layers():
     assert_text_matches_reference(DsfInstance((), (), (), (), ()))
+
+
+def assert_matches_plain_construction(query, db) -> None:
+    """Demands are Q(D) sorted and labelled, and edges are plain
+    `DsfEdge`s, however `line_to_dsf` builds them."""
+    instance = line_to_dsf(query, db)
+    last = len(instance.chain) - 1
+    # Q(D) is over the sorted head, and the chain starts at its first attribute
+    assert instance.chain[0] < instance.chain[last]
+    assert list(instance.demands) == [(f"0:{a}", f"{last}:{b}")
+                                      for a, b in sorted(evaluate(query, db))]
+    for e in instance.edges:
+        assert type(e) is DsfEdge
+        assert e == DsfEdge(*e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_cases())
+def test_demands_and_edges_match_plain_construction(case):
+    assert_matches_plain_construction(*case)
+
+
+def test_demands_and_edges_match_plain_construction_at_benchmark_size():
+    query = parse_query(LINE3)
+    db = gen_random_db(query, 500, 45, 1).database
+    assert len(line_to_dsf(query, db).demands) > 1000
+    assert_matches_plain_construction(query, db)

@@ -66,6 +66,9 @@ CASES = [
      "1d641776e59ed3f51b7d9740d16593cb1856319c0e489132ae65efc20ab35da8"),
     ("export-dsf", ["export-dsf"], "Q(A1, A4) :- R1(A1, A2), R2(A3, A2), R3(A3, A4)",
      (30, 5, 0), "6c9b5f00d09bcc975d9784ca7f55b292df2ec0c8ed61963769850e13fddeff2c"),
+    # chain-ordered atoms, each source with many targets
+    ("export-dsf-many-targets", ["export-dsf"],
+     "Q(A1, A4) :- R1(A1, A2), R2(A2, A3), R3(A3, A4)", (120, 12, 1), "546c3f96c4e54b3a1c54bb53dd8d57bf07b3a092be037adf6f08b7834e6483de"),
 ]
 
 
