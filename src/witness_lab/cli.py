@@ -152,6 +152,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out = _out_dir(args.out) if args.out else None
     if out is not None:
         _keep_inputs(args.out, {Path(args.data): "the data directory"})
+        for name in ("query.txt", "metadata.json"):
+            if (out / name).exists():
+                raise ValueError(f"--out: {str(out / name)!r} exists; solve does not "
+                                 "write into a data directory")
     db = load_database(query, Path(args.data))
     classification = classify(query)
     algo = args.algo if args.algo != "auto" else _route(query, classification.label)

@@ -4,18 +4,18 @@ Cover and matrix databases make the witness problem simulate set cover;
 the pyramid family does the same for a query with no free sequence; the
 line3 family encodes label cover into a three-hop path query.  Predicted
 sizes are exact optima except for line3, where the prediction is the size
-of the canonical integral construction.
+of the canonical integral construction.  Both source problems are
+instances of the oracle's rule "each demand needs one of its masks", so
+their optima come from its one exact search, `oracle.min_covering_mask`.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 
 from .errors import AlphabetTooSmall, UncoverableUniverse, UnsatisfiableConstraint
 from .model import Database, Query, projection
+from .oracle import min_covering_mask
 from .qparser import parse_query
 
 
@@ -48,46 +48,11 @@ class SetCoverInstance:
 
 
 def min_cover_size(instance: SetCoverInstance) -> int:
-    """Exact minimum set cover size, by depth-first branch and bound over
-    bitmasks: element i is bit i, and a subset is the OR of its bits.
-
-    Each node branches on the uncovered element with the fewest candidate
-    sets (ties to the lowest index), as Knuth's Algorithm X does, and the
-    branch that takes candidate j excludes candidates 1..j-1 from its
-    subtree, so each combination of sets is reached at most once.  A node
-    is cut when even its widest allowed set, repeated, could not cover what
-    is missing in fewer sets than the best cover found.  Fast at the sizes
-    generated here, exponential in the worst case."""
-    bit = {u: 1 << i for i, u in enumerate(instance.universe)}
-    masks = [reduce(or_, map(bit.__getitem__, subset)) for subset in instance.subsets]
-    holders = [sum(1 << j for j, mask in enumerate(masks) if mask & b) for b in bit.values()]
-    best = len(masks)  # every set together covers the universe (validated)
-    # (missing elements, sets still allowed, sets used); a stack, not
-    # recursion, so the depth is not bounded by the interpreter
-    stack = [((1 << len(bit)) - 1, (1 << len(masks)) - 1, 0)]
-    while stack:
-        missing, allowed, used = stack.pop()
-        if not missing:
-            best = min(best, used)
-            continue
-        widest = max(((masks[j] & missing).bit_count()
-                      for j in range(len(masks)) if allowed >> j & 1), default=0)
-        if not widest or used + -(-missing.bit_count() // widest) >= best:
-            continue
-        fewest = allowed
-        rest = missing
-        while rest:
-            low = rest & -rest
-            candidates = holders[low.bit_length() - 1] & allowed
-            if candidates.bit_count() < fewest.bit_count():
-                fewest = candidates
-            rest ^= low
-        while fewest:  # last candidate first, so the first is searched first
-            j = fewest.bit_length() - 1
-            # candidates 1..j are exactly the bits left in `fewest`
-            stack.append((missing & ~masks[j], allowed & ~fewest, used + 1))
-            fewest ^= 1 << j
-    return best
+    """Exact minimum set cover size: set j is bit j, each element a demand
+    whose masks are the sets holding it, and all the sets one group."""
+    supports = [[1 << j for j, subset in enumerate(instance.subsets) if u in subset]
+                for u in instance.universe]
+    return min_covering_mask(supports, [(1 << len(instance.subsets)) - 1]).bit_count()
 
 
 @dataclass
@@ -124,44 +89,20 @@ class LabelCoverInstance:
 def min_label_cover_cost(instance: LabelCoverInstance) -> int:
     """Minimum labelling cost: every left vertex gets a nonempty label set,
     every right vertex a label set hitting one admissible pair against
-    every left vertex's labels.  Exhaustive over the left labellings; each
-    right vertex's cheapest hitting set is a set cover of the left vertices
-    by the labels, solved by `min_cover_size` once per distinct list of
-    targets."""
-    n = instance.n
-    left_choices = [frozenset(c)
-                    for size in range(1, len(instance.alphabet) + 1)
-                    for c in itertools.combinations(instance.alphabet, size)]
-    lefts = tuple(map(str, range(1, n + 1)))
-    best: int | None = None
-    covers: dict[tuple[frozenset[str], ...], int] = {}  # targets -> cheapest hitting set
-    for assignment in itertools.product(left_choices, repeat=n):
-        cost = sum(len(labels) for labels in assignment)
-        if best is not None and cost + n >= best:
-            continue
-        feasible = True
-        for v in range(1, n + 1):
-            targets = []
-            for u in range(1, n + 1):
-                allowed = frozenset(y for x, y in instance.constraints[(u, v)]
-                                    if x in assignment[u - 1])
-                if not allowed:
-                    feasible = False
-                    break
-                targets.append(allowed)
-            if not feasible:
-                break
-            key = tuple(targets)
-            if key not in covers:  # a label covers the left vertices whose targets hold it
-                covers[key] = min_cover_size(SetCoverInstance(lefts, tuple(
-                    tuple(lefts[i] for i, target in enumerate(targets) if label in target)
-                    for label in sorted(set().union(*targets)))))
-            cost += covers[key]
-        if feasible and (best is None or cost < best):
-            best = cost
-    if best is None:
-        raise UnsatisfiableConstraint((0, 0))  # unreachable: full alphabet always works
-    return best
+    every left vertex's labels.  Each (vertex, label) is a bit, each
+    vertex's labels a group, and each vertex pair (u, v) a demand whose
+    masks are left(u, x) | right(v, y), one per admissible pair (x, y);
+    nonempty label sets follow, since every pair admits one."""
+    n, size = instance.n, len(instance.alphabet)
+    index = {x: i for i, x in enumerate(instance.alphabet)}
+
+    def bit(vertex: int, label: str) -> int:  # vertices 0..n-1 left, n..2n-1 right
+        return 1 << (vertex * size + index[label])
+
+    supports = [[bit(u - 1, x) | bit(n + v - 1, y) for x, y in sorted(pairs)]
+                for (u, v), pairs in sorted(instance.constraints.items())]
+    groups = [((1 << size) - 1) << (vertex * size) for vertex in range(2 * n)]
+    return min_covering_mask(supports, groups).bit_count()
 
 
 @dataclass

@@ -625,11 +625,47 @@ def test_export_dsf_out_on_an_input_file_is_refused_before_loading(capsys, tmp_p
         assert file_bytes(data) == before
 
 
+def test_solve_out_into_another_data_directory_is_refused_before_loading(capsys, tmp_path,
+                                                                       monkeypatch):
+    """A directory holding a query.txt or a metadata.json is an instance
+    (generated or hand-made), and solve --out must not replace its CSVs."""
+    query = tmp_path / "q.txt"
+    query.write_text("Q(A) :- R1(A, B), R2(B)\n")
+    for name, seed in (("a", "1"), ("b", "2")):
+        code, _, _ = run(capsys, "generate", "random", "--query", str(query), "--rows", "6",
+                         "--pool", "3", "--seed", seed, "--out", str(tmp_path / name))
+        assert code == 0
+    data, target = tmp_path / "a", tmp_path / "b"
+    only_query = tmp_path / "c"
+    only_query.mkdir()
+    (only_query / "query.txt").write_text("Q(A) :- R1(A, B), R2(B)\n")
+    (target / "query.txt").unlink()  # metadata.json alone is refused too
+    before = {d: file_bytes(d) for d in (data, target, only_query)}
+
+    def no_load(*_):
+        raise AssertionError("data loaded before --out was checked")
+
+    monkeypatch.setattr(cli, "load_database", no_load)
+    for out_dir, name in ((target, "metadata.json"), (only_query, "query.txt")):
+        code, out, err = run(capsys, "solve", str(data / "query.txt"), str(data),
+                             "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err == (f"error: --out: {str(out_dir / name)!r} exists; solve does not "
+                       "write into a data directory\n")
+    assert {d: file_bytes(d) for d in (data, target, only_query)} == before
+
+
 def test_solve_out_into_an_existing_directory(capsys, data_dir, tmp_path):
     qpath, dpath = worked_paths(data_dir)
     code, out, _ = run(capsys, "solve", qpath, dpath, "--out", str(tmp_path))
     assert code == 0
     assert json.loads(out)["out_dir"] == str(tmp_path)
+    # solve --out writes CSVs only, so re-solving into its directory works
+    written = file_bytes(tmp_path)
+    code, again, _ = run(capsys, "solve", qpath, dpath, "--out", str(tmp_path))
+    assert code == 0
+    assert json.loads(again)["witness"] == json.loads(out)["witness"]
+    assert file_bytes(tmp_path) == written
 
 
 def test_export_dsf_rejects_branching_query(capsys, data_dir):

@@ -152,6 +152,22 @@ def test_min_label_cover_cost_matches_exhaustive_search():
             instance
 
 
+def test_min_label_cover_cost_past_exhaustive_reach():
+    """Four vertices a side over five labels, each pair admitting one to
+    six random label pairs: the exhaustive reference search takes about
+    ten seconds on it.  The expected cost was computed once, offline, by
+    an exhaustive search over the left labellings."""
+    rng = random.Random(2)
+    pairs = [(x, y) for x in "vwxyz" for y in "vwxyz"]
+    instance = lc(4, "vwxyz", {(u, v): rng.sample(pairs, rng.randint(1, 6))
+                               for u in range(1, 5) for v in range(1, 5)})
+    started = time.perf_counter()
+    gi = gen_line3_db(instance, t=1)
+    assert time.perf_counter() - started < 1.0
+    assert gi.metadata["min_label_cost"] == 18
+    assert gi.predicted_witness_size == 18 + 4 * 4
+
+
 def test_cover_family_matches_oracle():
     inst = cover("uvw", "uv", "w", "uvw")
     gi = gen_cover_db(inst)
